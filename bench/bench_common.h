@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -51,7 +52,8 @@ inline double MsSince(std::chrono::steady_clock::time_point start) {
 
 /// \brief A minimal ordered JSON document builder for machine-readable
 /// bench output (the --json flag): objects keep insertion order, numbers
-/// print as integers when they are integral, strings are escaped. No
+/// print as integers when they are integral, NaN and infinities (which
+/// JSON cannot spell) print as null, strings are escaped. No
 /// external dependency, mirrors the subset the CI speedup recorder
 /// (tools/record_speedups.py) consumes.
 class BenchJson {
@@ -110,9 +112,13 @@ class BenchJson {
         out << (number_ != 0.0 ? "true" : "false");
         break;
       case Kind::kNumber: {
-        const long long ll = static_cast<long long>(number_);
-        if (static_cast<double>(ll) == number_) {
-          out << ll;
+        // 2^63: every double below it in magnitude fits a long long.
+        constexpr double kLongLongLimit = 9223372036854775808.0;
+        if (!std::isfinite(number_)) {
+          out << "null";
+        } else if (std::fabs(number_) < kLongLongLimit &&
+                   std::trunc(number_) == number_) {
+          out << static_cast<long long>(number_);
         } else {
           char buf[32];
           std::snprintf(buf, sizeof(buf), "%.6g", number_);
@@ -194,17 +200,22 @@ inline void FillJsonHeader(BenchJson& json, const std::string& bench_name,
                            const lodes::LodesDataset& data,
                            const BenchSetup& setup);
 
-/// Writes the document to --json=PATH when the flag is present.
+/// Writes the document to --json=PATH when the flag is present. A path
+/// that cannot be opened or written exits the process with status 1: a
+/// run asked for its JSON must not pass without it.
 inline void MaybeWriteJson(const Flags& flags, const BenchJson& json) {
   const std::string path = flags.GetString("json", "");
   if (path.empty()) return;
   std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open --json path " << path << "\n";
-    return;
+  if (out) {
+    json.Dump(out);
+    out << "\n";
+    out.close();
   }
-  json.Dump(out);
-  out << "\n";
+  if (!out) {
+    std::cerr << "cannot write --json path " << path << "\n";
+    std::exit(1);
+  }
   std::printf("wrote bench JSON to %s\n", path.c_str());
 }
 

@@ -104,7 +104,7 @@ Result<std::vector<RankedCell>> Server::TopK(const std::string& table,
 Status Server::RefreshNow() {
   // refresh_mu_ serializes the disk work (Store::Refresh mutates the
   // store's epoch index); mu_ is only taken for the pointer swap, so
-  // readers are never blocked behind a snapshot load.
+  // readers are never blocked behind a snapshot load or teardown.
   std::lock_guard<std::mutex> refresh_lock(refresh_mu_);
   const uint64_t serving = snapshot()->epoch();
   Result<uint64_t> latest = store_->Refresh();
@@ -135,9 +135,13 @@ Status Server::RefreshNow() {
     return status;
   }
   auto next = std::make_shared<const Snapshot>(std::move(loaded).value());
+  // Released only after mu_ is: when no reader pins the displaced
+  // snapshot, its teardown runs at return, not inside the readers' lock.
+  std::shared_ptr<const Snapshot> displaced;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    snapshot_ = std::move(next);  // The swap: one pointer assignment.
+    // The swap: one pointer exchange.
+    displaced = std::exchange(snapshot_, std::move(next));
     ++stats_.swaps;
     consecutive_failures_ = 0;
     next_poll_delay_ms_ = BackoffDelayMs(0);

@@ -15,7 +15,9 @@
 //     committed epochs (Store::Refresh — the epoch supersession of the
 //     commit protocol is the swap primitive), loads the new epoch into a
 //     fresh Snapshot through the verifying read path, and publishes it
-//     with one pointer swap. Readers never observe a partial epoch.
+//     with one pointer swap. Readers never observe a partial epoch, and
+//     wait only for that pointer copy: the load runs before the lock and
+//     the displaced snapshot's teardown after it.
 //   * FAILURE ISOLATION. A failed refresh (mid-commit crash recovered by
 //     the writer, IOError, fingerprint mismatch) leaves the previous
 //     snapshot serving; the failure is counted, never served.
@@ -186,7 +188,7 @@ class Server {
   /// disk work; never held while mu_ is. Acquired before mu_.
   std::mutex refresh_mu_;
   /// Guards snapshot_, stats_ and stop_; readers hold it only for the
-  /// pointer copy, so a slow snapshot load never blocks them.
+  /// pointer copy, so a slow snapshot load or teardown never blocks them.
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;  ///< Swap + shutdown notifications.
   std::shared_ptr<const Snapshot> snapshot_;

@@ -8,16 +8,23 @@
 // serve::Server, which swaps `shared_ptr<const Snapshot>`s behind the
 // readers (docs/ARCHITECTURE.md, "Serving contract").
 //
-// Per table, two indexes are built over the stored rows:
+// Per table, the stored rows are re-laid out as a typed, columnar index:
 //
-//   by_key    row order sorted lexicographically by the attribute tuple
-//             (every column except the trailing value column) — marginal
-//             cell lookups are one O(log n) binary search;
-//   by_rank   row order by released count descending, ties by attribute
-//             tuple ascending — top-k ranking queries are an O(k) walk.
+//   labels    per attribute column, its distinct labels sorted in byte
+//             order; a label's code is its rank, so comparing codes
+//             compares the strings;
+//   keys      each row's codes packed into one uint64 (first column in the
+//             most significant bits), rows stored in ascending key order —
+//             the packed keys ARE the lookup index: a marginal cell lookup
+//             is one binary search per label plus one over the keys;
+//   counts    the value column verbatim, in key order;
+//   by_rank   positions by released count descending (each count parsed
+//             once, at Build), ties by attribute tuple ascending — top-k
+//             ranking queries are an O(k) walk.
 //
-// Both indexes are pure functions of the stored rows, and every answer is
-// returned as the verbatim stored strings: a served answer is
+// Rows with equal attribute tuples keep their stored order, so a lookup of
+// a duplicated tuple answers with the first stored row. Every answer is
+// rebuilt from the verbatim stored strings: a served answer is
 // bit-identical to Store::ReadTable of the same epoch, which the serving
 // stress/property tests assert under live commits.
 #ifndef EEP_SERVE_SNAPSHOT_H_
@@ -44,27 +51,34 @@ struct RankedCell {
   }
 };
 
-/// \brief One table of a snapshot: the stored rows plus the two indexes.
-/// Immutable after Build; all methods are const and thread-safe.
+/// \brief One table of a snapshot as a typed index: per-column label
+/// dictionaries, key-sorted packed row keys, verbatim counts and the rank
+/// order. Immutable after Build; all methods are const and thread-safe.
 class ServedTable {
  public:
   /// Decodes `data` (attribute columns followed by one value column, the
-  /// shape the release pipeline persists) and builds both indexes.
+  /// shape the release pipeline persists) and builds the index.
+  /// InvalidArgument on a ragged row, a value cell that is not wholly a
+  /// finite number, or label dictionaries whose code widths sum past 64
+  /// bits.
   static Result<ServedTable> Build(store::TableData data);
 
-  const std::string& name() const { return data_.name; }
+  const std::string& name() const { return name_; }
   /// Attribute columns followed by the value column ("count").
-  const std::vector<std::string>& header() const { return data_.header; }
+  const std::vector<std::string>& header() const { return header_; }
   /// Attribute column names only (header minus the value column).
   std::vector<std::string> AttrColumns() const;
-  size_t num_rows() const { return data_.rows.size(); }
-  const std::vector<std::vector<std::string>>& rows() const {
-    return data_.rows;
-  }
+  size_t num_rows() const { return keys_.size(); }
+  /// The stored rows rebuilt from the index, in served order: attribute
+  /// tuple ascending, equal tuples in stored order (a stable sort of the
+  /// stored rows by attribute tuple).
+  std::vector<std::vector<std::string>> Rows() const;
 
-  /// O(log n) point lookup by attribute tuple (one value per attribute
-  /// column, in header order). Returns the released count verbatim;
-  /// NotFound when the combination is not in the released domain.
+  /// Point lookup by attribute tuple (one value per attribute column, in
+  /// header order): O(log) per label, then O(log n) over the packed keys.
+  /// Returns the released count verbatim (the first stored row's, when
+  /// the tuple repeats); NotFound when the combination is not in the
+  /// released domain.
   Result<std::string> Lookup(const std::vector<std::string>& key) const;
 
   /// Map-form lookup mirroring lodes::MarginalQuery::FindCell: requires
@@ -78,14 +92,24 @@ class ServedTable {
   std::vector<RankedCell> TopK(size_t k) const;
 
  private:
+  /// One attribute column's dictionary and its field in the packed key.
+  struct Column {
+    std::vector<std::string> labels;  // distinct labels, byte order
+    uint32_t shift = 0;               // field offset within the key
+    uint32_t bits = 0;                // field width; 0 for a single label
+  };
+
   ServedTable() = default;
 
-  /// Compares two rows by attribute tuple (all columns but the last).
-  bool RowKeyLess(uint32_t a, uint32_t b) const;
+  /// The attribute values packed into `key`, in header order.
+  std::vector<std::string> Unpack(uint64_t key) const;
 
-  store::TableData data_;
-  std::vector<uint32_t> by_key_;
-  std::vector<uint32_t> by_rank_;
+  std::string name_;
+  std::vector<std::string> header_;
+  std::vector<Column> columns_;      // one per attribute column
+  std::vector<uint64_t> keys_;       // ascending; row position = index
+  std::vector<std::string> counts_;  // verbatim, by row position
+  std::vector<uint32_t> by_rank_;    // row positions, rank order
 };
 
 /// \brief One committed epoch, decoded and indexed. Immutable; shared

@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <map>
 
 #include "common/failpoint.h"
+#include "common/random.h"
 #include "lodes/generator.h"
 #include "release/pipeline.h"
 #include "serve/snapshot.h"
@@ -46,27 +50,171 @@ store::TableData MakeTable(const std::string& name, int rows, int salt = 0) {
   return table;
 }
 
-TEST_F(ServeTest, LookupMatchesLinearScanOnEveryRow) {
-  const store::TableData data = MakeTable("t", 50, 3);
-  auto table = ServedTable::Build(data);
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-  for (const auto& row : data.rows) {
-    auto got = table.value().Lookup({row[0], row[1]});
+// Labels whose byte order differs from any first-seen order: "M" sorts
+// after "F", "9" after "10", "" before everything, "\xff" after every
+// ASCII label, and prefix pairs sort short-first.
+const std::vector<std::string>& TrickyLabels() {
+  static const std::vector<std::string> labels = {
+      "M", "F", "9", "10", "", "\xff", "a", "ab", "abc", "place-2",
+      "place-10", std::string("\0x", 2)};
+  return labels;
+}
+
+// A seeded random table with `attrs` attribute columns: small per-column
+// label pools (so tuples repeat), integer counts (so counts tie) and %.4f
+// counts, some negative.
+store::TableData RandomTable(uint64_t seed, size_t attrs) {
+  Rng rng(seed);
+  store::TableData table;
+  table.name = "random-" + std::to_string(seed);
+  const std::vector<std::string>& tricky = TrickyLabels();
+  std::vector<std::vector<std::string>> pools(attrs);
+  for (size_t c = 0; c < attrs; ++c) {
+    table.header.push_back("c" + std::to_string(c));
+    const int64_t pool_size = rng.UniformInt(1, 6);
+    for (int64_t i = 0; i < pool_size; ++i) {
+      const int64_t pick =
+          rng.UniformInt(0, static_cast<int64_t>(tricky.size()) - 1);
+      pools[c].push_back(rng.Bernoulli(0.6)
+                             ? tricky[static_cast<size_t>(pick)]
+                             : "L" + std::to_string(rng.UniformInt(0, 99)));
+    }
+  }
+  table.header.push_back("count");
+  const int64_t rows = rng.UniformInt(0, 80);
+  for (int64_t r = 0; r < rows; ++r) {
+    std::vector<std::string> row;
+    for (size_t c = 0; c < attrs; ++c) {
+      const auto& pool = pools[c];
+      row.push_back(pool[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))]);
+    }
+    if (rng.Bernoulli(0.5)) {
+      row.push_back(std::to_string(rng.UniformInt(-2, 6)));
+    } else {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.4f", rng.Uniform(-5.0, 5.0));
+      row.push_back(buf);
+    }
+    table.rows.push_back(std::move(row));
+  }
+  return table;
+}
+
+std::vector<std::string> Attrs(const std::vector<std::string>& row) {
+  return std::vector<std::string>(row.begin(), row.end() - 1);
+}
+
+// Checks every served answer of `data` against a brute-force scan of its
+// stored rows: each row's lookup (first stored row wins on a duplicated
+// tuple), misses, the served row order, and top-k at k in {0, 1, n, n+5}.
+void ExpectMatchesBruteForce(const store::TableData& data) {
+  SCOPED_TRACE(data.name);
+  auto built = ServedTable::Build(data);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ServedTable& table = built.value();
+  const auto& rows = data.rows;
+  ASSERT_EQ(table.num_rows(), rows.size());
+
+  for (const auto& row : rows) {
+    const std::vector<std::string> key = Attrs(row);
+    auto got = table.Lookup(key);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    // Duplicate attribute tuples keep a deterministic winner; the answer
-    // must be SOME stored count for that tuple, verbatim.
-    bool matches_a_row = false;
-    for (const auto& r : data.rows) {
-      if (r[0] == row[0] && r[1] == row[1] && r[2] == got.value()) {
-        matches_a_row = true;
+    const auto first = std::find_if(
+        rows.begin(), rows.end(),
+        [&](const std::vector<std::string>& r) { return Attrs(r) == key; });
+    EXPECT_EQ(got.value(), first->back());
+    std::map<std::string, std::string> cell;
+    for (size_t c = 0; c < key.size(); ++c) cell[data.header[c]] = key[c];
+    EXPECT_EQ(table.LookupCell(cell).value(), first->back());
+  }
+
+  // Misses: an unknown label, a label extended past a stored one, and
+  // the next row's label swapped in (a known label, maybe an unstored
+  // tuple). Whatever the brute force does not find must be NotFound.
+  const auto stored = [&rows](const std::vector<std::string>& key) {
+    return std::any_of(
+        rows.begin(), rows.end(),
+        [&](const std::vector<std::string>& r) { return Attrs(r) == key; });
+  };
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c + 1 < rows[r].size(); ++c) {
+      for (const std::string& label :
+           {std::string("no-such-label"), rows[r][c] + "\x01",
+            rows[r][c] + "0", rows[(r + 1) % rows.size()][c]}) {
+        std::vector<std::string> key = Attrs(rows[r]);
+        key[c] = label;
+        EXPECT_EQ(table.Lookup(key).status().code(),
+                  stored(key) ? StatusCode::kOk : StatusCode::kNotFound);
       }
     }
-    EXPECT_TRUE(matches_a_row) << row[0] << "," << row[1];
   }
+
+  // Served order: the stored rows stably sorted by attribute tuple.
+  std::vector<std::vector<std::string>> by_tuple = rows;
+  std::stable_sort(by_tuple.begin(), by_tuple.end(),
+                   [](const std::vector<std::string>& a,
+                      const std::vector<std::string>& b) {
+                     return Attrs(a) < Attrs(b);
+                   });
+  EXPECT_EQ(table.Rows(), by_tuple);
+
+  // Ranking: numeric count descending, ties by tuple ascending, equal
+  // tuples in stored order.
+  std::vector<std::vector<std::string>> ranked = by_tuple;
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const std::vector<std::string>& a,
+                      const std::vector<std::string>& b) {
+                     return std::strtod(a.back().c_str(), nullptr) >
+                            std::strtod(b.back().c_str(), nullptr);
+                   });
+  for (size_t k : {size_t{0}, size_t{1}, rows.size(), rows.size() + 5}) {
+    const std::vector<RankedCell> top = table.TopK(k);
+    ASSERT_EQ(top.size(), std::min(k, rows.size())) << "k=" << k;
+    for (size_t i = 0; i < top.size(); ++i) {
+      EXPECT_EQ(top[i].attrs, Attrs(ranked[i])) << "k=" << k << " i=" << i;
+      EXPECT_EQ(top[i].count, ranked[i].back()) << "k=" << k << " i=" << i;
+    }
+  }
+}
+
+TEST_F(ServeTest, LookupMatchesLinearScanOnEveryRow) {
+  const store::TableData data = MakeTable("t", 50, 3);
+  ExpectMatchesBruteForce(data);
+  auto table = ServedTable::Build(data);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ(table.value().Lookup({"no-such-place", "s0"}).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(table.value().Lookup({"only-one-column"}).status().code(),
             StatusCode::kInvalidArgument);
+
+  // Seeded random tables, 1 to 8 attribute columns.
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    ExpectMatchesBruteForce(RandomTable(seed, 1 + seed % 8));
+  }
+
+  // Code widths: 8 columns of 256 labels fill the 64-bit key exactly;
+  // 257 labels need 72 bits and the build refuses.
+  for (const int labels : {256, 257}) {
+    store::TableData wide;
+    wide.name = "wide-" + std::to_string(labels);
+    for (int c = 0; c < 8; ++c) wide.header.push_back("c" + std::to_string(c));
+    wide.header.push_back("count");
+    for (int r = 0; r < labels; ++r) {
+      std::vector<std::string> row;
+      for (int c = 0; c < 8; ++c) {
+        row.push_back("v" + std::to_string((r * (c + 1)) % labels));
+      }
+      row.push_back(std::to_string(r % 17));
+      wide.rows.push_back(std::move(row));
+    }
+    if (labels == 256) {
+      ExpectMatchesBruteForce(wide);
+    } else {
+      EXPECT_EQ(ServedTable::Build(wide).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST_F(ServeTest, LookupCellRequiresExactlyTheAttributeColumns) {
@@ -120,6 +268,17 @@ TEST_F(ServeTest, BuildRejectsMalformedTables) {
   ragged.rows[3].pop_back();
   EXPECT_EQ(ServedTable::Build(ragged).status().code(),
             StatusCode::kInvalidArgument);
+
+  // A value cell must be wholly one finite number: an unparseable cell
+  // would rank as 0, and NaN would break the rank order.
+  for (const char* cell :
+       {"", "abc", "12x", "1 ", " 1", "nan", "NaN", "inf", "-inf", "1e999"}) {
+    store::TableData bad_value = MakeTable("bad-value", 5);
+    bad_value.rows[2].back() = cell;
+    EXPECT_EQ(ServedTable::Build(bad_value).status().code(),
+              StatusCode::kInvalidArgument)
+        << "value cell '" << cell << "'";
+  }
 }
 
 TEST_F(ServeTest, OpenReadOnlyFollowsAWriterWithoutTouchingTheDirectory) {
