@@ -44,15 +44,16 @@ int main(int argc, char** argv) {
     TextTable table({"release", "requested eps", "charged eps", "status",
                      "remaining"});
     for (const auto& planned : calendar) {
-      release::ReleaseConfig config;
-      config.spec = planned.spec;
+      release::WorkloadReleaseConfig config;
+      config.workload = {{planned.spec}};
       config.mechanism = eval::MechanismKind::kSmoothLaplace;
       config.alpha = 0.1;
       config.epsilon = planned.epsilon;
       config.delta = 0.05;
       config.description = planned.description;
       const double before = accountant.spent_epsilon();
-      auto released = release::RunRelease(data, config, &accountant, rng);
+      auto released =
+          release::RunReleaseWorkload(data, config, &accountant, rng);
       table.AddRow(
           {planned.description, FormatDouble(planned.epsilon),
            FormatDouble(accountant.spent_epsilon() - before),

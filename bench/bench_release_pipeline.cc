@@ -1,9 +1,10 @@
-// Scaling bench for the sharded release pipeline: times RunRelease over a
-// large marginal at increasing worker-thread counts, verifies that every
-// thread count produces a bit-identical table for the fixed seed, reports
-// the speedup relative to the single-threaded run, and then compares
-// scalar (default per-cell loop) vs vectorized ReleaseBatch sampling
-// throughput for every mechanism over the same cells.
+// Scaling bench for the sharded release pipeline: times RunReleaseWorkload
+// over a one-marginal workload of a large marginal at increasing
+// worker-thread counts, verifies that every thread count produces a
+// bit-identical table for the fixed seed, reports the speedup relative to
+// the single-threaded run, and then compares scalar (default per-cell
+// loop) vs vectorized ReleaseBatch sampling throughput for every mechanism
+// over the same cells.
 //
 // Extra flags on top of bench_common's (including --paper for the 10.9M
 // extract):
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
   const bench::BenchSetup setup = bench::SetupFromFlags(flags);
   lodes::LodesDataset data = bench::MustGenerate(setup);
 
-  release::ReleaseConfig config;
+  release::WorkloadReleaseConfig config;
   const std::string marginal =
       flags.GetString("marginal", "full_demographics");
   auto spec = lodes::MarginalSpec::ByName(marginal);
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return 1;
   }
-  config.spec = std::move(spec).value();
+  config.workload = {{std::move(spec).value()}};
   auto sweep_kind =
       eval::MechanismKindByName(flags.GetString("mechanism", "smooth_laplace"));
   if (!sweep_kind.ok()) {
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < reps; ++rep) {
       Rng rng(noise_seed);
       const auto start = std::chrono::steady_clock::now();
-      auto released = release::RunRelease(data, config, nullptr, rng);
+      auto released = release::RunReleaseWorkload(data, config, nullptr, rng);
       const auto stop = std::chrono::steady_clock::now();
       if (!released.ok()) {
         std::fprintf(stderr, "release failed: %s\n",
@@ -107,8 +108,8 @@ int main(int argc, char** argv) {
       const double ms =
           std::chrono::duration<double, std::milli>(stop - start).count();
       if (rep == 0 || ms < best_ms) best_ms = ms;
-      hash = HashRows(released.value());
-      num_cells = released.value().rows.size();
+      hash = HashRows(released.value()[0]);
+      num_cells = released.value()[0].rows.size();
     }
     if (threads == 1) {
       base_ms = best_ms;
@@ -136,7 +137,8 @@ int main(int argc, char** argv) {
               all_identical ? "BIT-IDENTICAL" : "DIFFER (BUG!)");
 
   // --- Per-phase breakdown: group-by vs noise vs formatting. --------------
-  // group-by is the wall time of MarginalQuery::Compute; noise and
+  // group-by is the wall time of the scan plus deriving the marginal from
+  // it (the compute stats' base + derive); noise and
   // formatting are CPU time summed across shard workers (at N threads their
   // wall share is roughly 1/N).
   std::printf("\n=== Release phase breakdown (ms) ===\n");
@@ -145,9 +147,10 @@ int main(int argc, char** argv) {
   for (int threads : {1, max_threads}) {
     config.num_threads = threads;
     Rng rng(noise_seed);
-    release::ReleaseStats stats;
+    release::WorkloadReleaseStats stats;
     const auto start = std::chrono::steady_clock::now();
-    auto released = release::RunRelease(data, config, nullptr, rng, &stats);
+    auto released = release::RunReleaseWorkload(data, config, nullptr, rng,
+                                                nullptr, &stats);
     const double total_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
@@ -157,14 +160,16 @@ int main(int argc, char** argv) {
                    released.status().ToString().c_str());
       return 1;
     }
+    const double group_by_ms =
+        stats.compute.base_ms + stats.compute.derive_ms;
     phase_table.AddRow({std::to_string(threads),
-                        FormatDouble(stats.group_by_ms, 2),
+                        FormatDouble(group_by_ms, 2),
                         FormatDouble(stats.noise_ms, 2),
                         FormatDouble(stats.format_ms, 2),
                         FormatDouble(total_ms, 2)});
     bench::BenchJson entry;
     entry["threads"] = bench::BenchJson::Num(threads);
-    entry["group_by_ms"] = bench::BenchJson::Num(stats.group_by_ms);
+    entry["group_by_ms"] = bench::BenchJson::Num(group_by_ms);
     entry["noise_ms"] = bench::BenchJson::Num(stats.noise_ms);
     entry["format_ms"] = bench::BenchJson::Num(stats.format_ms);
     entry["total_wall_ms"] = bench::BenchJson::Num(total_ms);
@@ -179,7 +184,8 @@ int main(int argc, char** argv) {
   // "batch" uses the vectorized override.
   std::printf("\n=== Scalar vs batch ReleaseBatch — %zu cells ===\n",
               num_cells);
-  auto query = lodes::MarginalQuery::Compute(data, config.spec);
+  auto query =
+      lodes::MarginalQuery::Compute(data, config.workload.marginals[0]);
   if (!query.ok()) {
     std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
     return 1;

@@ -1,12 +1,13 @@
 // Fused workload release bench: times RunReleaseWorkload (shared scans +
 // cube roll-ups + cover-group planning, see lodes/workload.h) against the
-// independent path (one RunRelease per marginal, each with its own
-// full-table group-by), checks that every released table is bit-identical
-// between the two paths at every thread count, that the fused path
-// performed EXACTLY ONE full-table group-by PER COVER GROUP — never more
-// than the marginal count; the phase stats prove it, along with how many
-// marginals were served by run-length prefix merges vs parallel re-sort
-// roll-ups — and that a cache-warmed rerun performs zero scans.
+// independent path (each marginal released as its own one-marginal
+// workload, with its own full-table group-by), checks that every released
+// table is bit-identical between the two paths at every thread count,
+// that the fused path performed EXACTLY ONE full-table group-by PER COVER
+// GROUP — never more than the marginal count; the phase stats prove it,
+// along with how many marginals were served by run-length prefix merges vs
+// parallel re-sort roll-ups — and that a cache-warmed rerun performs zero
+// scans.
 //
 // Extra flags on top of bench_common's (including --paper for the 10.9M
 // extract):
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
               eval::MechanismKindName(config.mechanism));
   bench::PrintDatasetSummary(data, setup);
 
-  // --- Independent baseline: one RunRelease (and one scan) per marginal. --
+  // --- Independent baseline: one release (and one scan) per marginal. ----
   double independent_ms = 0.0;
   double independent_group_by_ms = 0.0;
   size_t independent_hash = 0;
@@ -94,24 +95,20 @@ int main(int argc, char** argv) {
     double group_by_ms = 0.0;
     std::vector<release::ReleasedTable> tables;
     const auto start = std::chrono::steady_clock::now();
+    release::WorkloadReleaseConfig single = config;
+    single.num_threads = 1;
     for (const lodes::MarginalSpec& spec : config.workload.marginals) {
-      release::ReleaseConfig single;
-      single.spec = spec;
-      single.mechanism = config.mechanism;
-      single.alpha = config.alpha;
-      single.epsilon = config.epsilon;
-      single.delta = config.delta;
-      single.shard_size = config.shard_size;
-      single.num_threads = 1;
-      release::ReleaseStats stats;
-      auto released = release::RunRelease(data, single, nullptr, rng, &stats);
+      single.workload = {{spec}};
+      release::WorkloadReleaseStats stats;
+      auto released = release::RunReleaseWorkload(data, single, nullptr, rng,
+                                                  nullptr, &stats);
       if (!released.ok()) {
         std::fprintf(stderr, "independent release failed: %s\n",
                      released.status().ToString().c_str());
         return 1;
       }
-      group_by_ms += stats.group_by_ms;
-      tables.push_back(std::move(released).value());
+      group_by_ms += stats.compute.base_ms + stats.compute.derive_ms;
+      tables.push_back(std::move(released).value()[0]);
     }
     const double ms = bench::MsSince(start);
     if (rep == 0 || ms < independent_ms) {

@@ -7,17 +7,17 @@
 //
 // Usage:
 //   ./build/examples/agency_release
-//       --workload=paper            (or e.g. establishment,workplace_sexedu)
-//       --mechanism=smooth_laplace
+//       --workload=paper            (or e.g. establishment,workplace_sexedu;
+//                                    one name is a one-marginal workload)
+//       --mechanism=smooth_laplace  (log_laplace|smooth_laplace|smooth_gamma|
+//                                    edge_laplace|geometric)
 //       --alpha=0.1 --epsilon=1.0 --delta=0.05 --budget=20
 //       --jobs=50000 --threads=1 --out=/tmp/protected.csv
-//
-// --marginal=NAME is still accepted as shorthand for a one-marginal
-// workload.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
 
+#include "common/csv.h"
 #include "common/flags.h"
 #include "lodes/generator.h"
 #include "release/pipeline.h"
@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
   auto data = std::move(generated).value();
 
   release::WorkloadReleaseConfig config;
-  const std::string workload_name =
-      flags.GetString("workload", flags.GetString("marginal", "paper"));
+  const std::string workload_name = flags.GetString("workload", "paper");
   auto workload = lodes::WorkloadSpec::ByName(workload_name);
   if (!workload.ok()) {
     std::cerr << workload.status().ToString() << "\n";
@@ -49,27 +48,22 @@ int main(int argc, char** argv) {
   config.workload = std::move(workload).value();
 
   const std::string mech = flags.GetString("mechanism", "smooth_laplace");
-  if (mech == "smooth_laplace") {
-    config.mechanism = eval::MechanismKind::kSmoothLaplace;
-  } else if (mech == "smooth_gamma") {
-    config.mechanism = eval::MechanismKind::kSmoothGamma;
-  } else if (mech == "log_laplace") {
-    config.mechanism = eval::MechanismKind::kLogLaplace;
-  } else if (mech == "geometric") {
-    config.mechanism = eval::MechanismKind::kSmoothGeometric;
-  } else {
-    std::cerr << "unknown --mechanism "
-                 "(smooth_laplace|smooth_gamma|log_laplace|geometric)\n";
+  auto kind = eval::MechanismKindByName(mech);
+  if (!kind.ok()) {
+    std::cerr << kind.status().ToString() << "\n";
     return 1;
   }
+  config.mechanism = kind.value();
 
   config.alpha = flags.GetDouble("alpha", 0.1);
   config.epsilon = flags.GetDouble("epsilon", 1.0);
-  config.delta = flags.GetDouble("delta",
-                                 mech == "smooth_gamma" ||
-                                         mech == "log_laplace"
-                                     ? 0.0
-                                     : 0.05);
+  // Mechanisms that never use delta default it to 0, so the accountant is
+  // not charged a delta the release does not spend.
+  const eval::MechanismKind k = config.mechanism;
+  const bool pure_epsilon = k == eval::MechanismKind::kSmoothGamma ||
+                            k == eval::MechanismKind::kLogLaplace ||
+                            k == eval::MechanismKind::kEdgeLaplace;
+  config.delta = flags.GetDouble("delta", pure_epsilon ? 0.0 : 0.05);
   config.description = workload_name + " workload via " + mech;
 
   const bool has_worker_attrs =
@@ -107,7 +101,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < released.value().size(); ++i) {
     const std::string path =
         i == 0 ? out : out + "." + std::to_string(i + 1);
-    if (auto st = released.value()[i].WriteCsv(path); !st.ok()) {
+    const release::ReleasedTable& table = released.value()[i];
+    if (auto st = WriteCsvFile(path, table.header, table.rows); !st.ok()) {
       std::cerr << st.ToString() << "\n";
       return 1;
     }
@@ -115,9 +110,8 @@ int main(int argc, char** argv) {
     const std::string provenance =
         source == "exact-hit" ? "grouping: the fused scan (exact hit)"
                               : "rolled up from: " + source;
-    std::printf("wrote %zu protected cells to %s (%s)\n",
-                released.value()[i].rows.size(), path.c_str(),
-                provenance.c_str());
+    std::printf("wrote %zu protected cells to %s (%s)\n", table.rows.size(),
+                path.c_str(), provenance.c_str());
   }
   std::printf("full-table scans for the whole workload: %d\n",
               stats.compute.full_table_scans);

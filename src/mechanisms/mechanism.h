@@ -2,7 +2,7 @@
 //
 // A mechanism releases one cell of a marginal at a time; marginal-level
 // releases (and their composition accounting) are orchestrated by
-// eval::ExperimentRunner and release::RunRelease[Workload] on top of this
+// eval::ExperimentRunner and release::RunReleaseWorkload on top of this
 // interface. The batch-sampling determinism contract (ReleaseBatch as a
 // pure function of the incoming rng state, free to consume the stream
 // differently from the scalar loop) is documented in

@@ -5,17 +5,11 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
-#include <thread>
 
-#include "common/csv.h"
 #include "common/math_util.h"
-#include "store/store.h"
+#include "table/partitioned_group_by.h"
 
 namespace eep::release {
-
-Status ReleasedTable::WriteCsv(const std::string& path) const {
-  return WriteCsvFile(path, header, rows);
-}
 
 namespace {
 
@@ -38,7 +32,7 @@ struct ShardedRelease {
   std::vector<const std::vector<std::string>*> labels;
 
   std::atomic<size_t> next_shard{0};
-  /// Per-phase CPU time summed across shards (see ReleaseStats).
+  /// Per-phase CPU time summed across shards (see WorkloadReleaseStats).
   std::atomic<int64_t> noise_ns{0};
   std::atomic<int64_t> format_ns{0};
   std::mutex error_mu;
@@ -140,19 +134,26 @@ struct ShardedRelease {
   }
 };
 
-/// The noise + formatting stage shared by RunRelease and RunReleaseWorkload:
-/// shards the query's cells, draws shard k's noise from Substream(k) of
-/// `noise_root`, and formats labeled rows. `noise_root` must already fold
-/// in the shard size (see the derivation comment in RunRelease); timing, in
-/// ns of CPU summed across shard workers, accumulates into the non-null
-/// counters.
+/// The noise + formatting stage of one marginal: shards the query's
+/// cells, draws shard k's noise from Substream(k) of `noise_root`, and
+/// formats labeled rows into the workload's table `index`. `noise_root`
+/// must already fold in the shard size (see the derivation comment in
+/// RunReleaseWorkload); timing, in ns of CPU summed across shard workers,
+/// accumulates into the counters.
 Result<ReleasedTable> ReleaseQueryCells(
     const lodes::LodesDataset& data, const lodes::MarginalQuery& query,
     const mechanisms::CountMechanism& mechanism, bool round_counts,
-    size_t shard_size, size_t requested_threads, Rng noise_root,
-    int64_t* noise_ns, int64_t* format_ns) {
+    size_t shard_size, int requested_threads, Rng noise_root,
+    size_t index, int64_t* noise_ns, int64_t* format_ns) {
   ReleasedTable out;
   out.header = query.spec().AllColumns();
+  // "m<i>:<columns>": the index keeps names unique even if two marginals
+  // share a column list; the attribute columns keep them human-readable.
+  out.name = "m" + std::to_string(index);
+  for (size_t c = 0; c < out.header.size(); ++c) {
+    out.name += (c == 0 ? ":" : ",");
+    out.name += out.header[c];
+  }
   out.header.push_back("count");
   out.rows.assign(query.cells().size(), {});
 
@@ -172,96 +173,17 @@ Result<ReleasedTable> ReleaseQueryCells(
     shared.labels.push_back(&field.dictionary->values());
   }
 
-  const size_t threads = std::clamp<size_t>(
-      requested_threads, 1, std::max<size_t>(1, shared.num_shards));
-
-  if (threads == 1) {
-    shared.Worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (size_t w = 0; w < threads; ++w) {
-      pool.emplace_back([&shared] { shared.Worker(); });
-    }
-    for (auto& t : pool) t.join();
-  }
+  const int threads = static_cast<int>(std::clamp<size_t>(
+      static_cast<size_t>(requested_threads), 1,
+      std::max<size_t>(1, shared.num_shards)));
+  table::RunOnWorkers(threads, [&shared](int) { shared.Worker(); });
   if (!shared.first_error.ok()) return shared.first_error;
-  if (noise_ns != nullptr) {
-    *noise_ns += shared.noise_ns.load(std::memory_order_relaxed);
-  }
-  if (format_ns != nullptr) {
-    *format_ns += shared.format_ns.load(std::memory_order_relaxed);
-  }
+  *noise_ns += shared.noise_ns.load(std::memory_order_relaxed);
+  *format_ns += shared.format_ns.load(std::memory_order_relaxed);
   return out;
-}
-
-size_t ResolveThreads(int num_threads) {
-  return num_threads > 0 ? static_cast<size_t>(num_threads)
-                         : std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace
-
-Result<ReleasedTable> RunRelease(const lodes::LodesDataset& data,
-                                 const ReleaseConfig& config,
-                                 privacy::PrivacyAccountant* accountant,
-                                 Rng& rng, ReleaseStats* stats) {
-  EEP_RETURN_NOT_OK(config.spec.Validate());
-  if (config.shard_size < 1) {
-    return Status::InvalidArgument("shard_size must be >= 1");
-  }
-  const size_t requested_threads = ResolveThreads(config.num_threads);
-  const auto group_by_start = std::chrono::steady_clock::now();
-  EEP_ASSIGN_OR_RETURN(
-      lodes::MarginalQuery query,
-      lodes::MarginalQuery::Compute(data, config.spec,
-                                    static_cast<int>(requested_threads)));
-  const double group_by_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - group_by_start)
-          .count();
-
-  // Validate mechanism feasibility first (parameter checks draw no noise),
-  // then charge the budget BEFORE any noise is drawn: a refused release
-  // must neither leak anything nor waste budget.
-  EEP_ASSIGN_OR_RETURN(auto mechanism,
-                       eval::MakeMechanism(config.mechanism, config.alpha,
-                                           config.epsilon, config.delta));
-  if (accountant != nullptr) {
-    if (accountant->alpha() != config.alpha) {
-      return Status::InvalidArgument(
-          "release alpha does not match the accountant's alpha");
-    }
-    EEP_RETURN_NOT_OK(accountant->ChargeMarginal(
-        config.description, config.epsilon, query.WorkerDomainSize(),
-        config.delta));
-  }
-
-  // Exactly one draw from the caller's stream roots every shard substream,
-  // so the caller's rng advances the same way regardless of sharding or
-  // thread count, and shard k's noise is a pure function of (that draw,
-  // shard_size, k). Folding shard_size into the root (rather than only
-  // into the cell->shard assignment) keeps releases with different shard
-  // sizes free of shared noise prefixes: without it, shard 0 of a
-  // 64-cell-shard release would replay the first 64 draws of shard 0 of a
-  // 4096-cell-shard release.
-  const Rng noise_root =
-      Rng(rng.NextUint64()).Substream(static_cast<uint64_t>(config.shard_size));
-  int64_t noise_ns = 0;
-  int64_t format_ns = 0;
-  EEP_ASSIGN_OR_RETURN(
-      ReleasedTable out,
-      ReleaseQueryCells(data, query, *mechanism, config.round_counts,
-                        static_cast<size_t>(config.shard_size),
-                        requested_threads, noise_root, &noise_ns,
-                        &format_ns));
-  if (stats != nullptr) {
-    stats->group_by_ms = group_by_ms;
-    stats->noise_ms = static_cast<double>(noise_ns) * 1e-6;
-    stats->format_ms = static_cast<double>(format_ns) * 1e-6;
-  }
-  return out;
-}
 
 Result<std::vector<ReleasedTable>> RunReleaseWorkload(
     const lodes::LodesDataset& data, const WorkloadReleaseConfig& config,
@@ -271,15 +193,15 @@ Result<std::vector<ReleasedTable>> RunReleaseWorkload(
   if (config.shard_size < 1) {
     return Status::InvalidArgument("shard_size must be >= 1");
   }
-  const size_t requested_threads = ResolveThreads(config.num_threads);
+  const int requested_threads =
+      table::ResolveGroupByThreads(config.num_threads);
 
   // One fused pass answers every marginal (lodes/workload.h): at most one
   // full-table group-by, zero when `cache` already covers the workload.
   lodes::WorkloadComputeStats compute_stats;
   EEP_ASSIGN_OR_RETURN(
       std::vector<lodes::MarginalQuery> queries,
-      lodes::ComputeWorkload(data, config.workload,
-                             static_cast<int>(requested_threads), cache,
+      lodes::ComputeWorkload(data, config.workload, requested_threads, cache,
                              &compute_stats));
 
   EEP_ASSIGN_OR_RETURN(auto mechanism,
@@ -290,14 +212,14 @@ Result<std::vector<ReleasedTable>> RunReleaseWorkload(
         "release alpha does not match the accountant's alpha");
   }
 
-  // The whole workload is charged atomically BEFORE any noise is drawn: a
-  // BUDGET refusal charges nothing and releases nothing (unlike N
-  // sequential RunRelease calls, which deliver — and charge — every
-  // marginal before the refusal). Charging first is the safe order, same
-  // as RunRelease: noise must never be computed without budget backing it,
-  // so if a mechanism fails on some cell AFTER this point the charged
-  // budget is honestly forfeit (noise was already drawn) and no tables are
-  // returned.
+  // Mechanism feasibility is validated above (parameter checks draw no
+  // noise); the whole workload is then charged atomically BEFORE any noise
+  // is drawn: a BUDGET refusal charges nothing and releases nothing (unlike
+  // N sequential one-marginal releases, which deliver — and charge — every
+  // marginal before the refusal). Charging first is the safe order: noise
+  // must never be computed without budget backing it, so if a mechanism
+  // fails on some cell AFTER this point the charged budget is honestly
+  // forfeit (noise was already drawn) and no tables are returned.
   if (accountant != nullptr) {
     std::vector<privacy::PrivacyAccountant::MarginalCharge> charges;
     charges.reserve(queries.size());
@@ -317,25 +239,28 @@ Result<std::vector<ReleasedTable>> RunReleaseWorkload(
     EEP_RETURN_NOT_OK(accountant->ChargeMarginalWorkload(charges));
   }
 
-  // Per-marginal noise mirrors the independent path exactly: marginal i
-  // draws ONE value from the caller's rng to root its shard substreams —
-  // so the caller's stream advances identically to running RunRelease once
-  // per marginal, and every released table is bit-identical to its
-  // independent counterpart.
+  // Marginal i draws exactly ONE value from the caller's rng to root its
+  // shard substreams, so the caller's stream advances the same way
+  // regardless of sharding, thread count or how the marginals are split
+  // into workloads, and shard k's noise is a pure function of (that draw,
+  // shard_size, k). Folding shard_size into the root (rather than only
+  // into the cell->shard assignment) keeps releases with different shard
+  // sizes free of shared noise prefixes: without it, shard 0 of a
+  // 64-cell-shard release would replay the first 64 draws of shard 0 of a
+  // 4096-cell-shard release.
   std::vector<ReleasedTable> tables;
   tables.reserve(queries.size());
   int64_t noise_ns = 0;
   int64_t format_ns = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const lodes::MarginalQuery& query = queries[i];
     const Rng noise_root = Rng(rng.NextUint64())
                                .Substream(static_cast<uint64_t>(
                                    config.shard_size));
     EEP_ASSIGN_OR_RETURN(
         ReleasedTable table,
-        ReleaseQueryCells(data, query, *mechanism, config.round_counts,
+        ReleaseQueryCells(data, queries[i], *mechanism, config.round_counts,
                           static_cast<size_t>(config.shard_size),
-                          requested_threads, noise_root, &noise_ns,
+                          requested_threads, noise_root, i, &noise_ns,
                           &format_ns));
     tables.push_back(std::move(table));
   }
@@ -349,29 +274,12 @@ Result<std::vector<ReleasedTable>> RunReleaseWorkload(
   std::string persisted_fingerprint;
   if (config.persist_to != nullptr) {
     const auto persist_start = std::chrono::steady_clock::now();
-    std::vector<store::TableData> to_persist;
-    to_persist.reserve(tables.size());
-    for (size_t i = 0; i < tables.size(); ++i) {
-      store::TableData persisted;
-      // Index-prefixed names stay unique even if two marginals share a
-      // column list; the attribute columns (the header minus the trailing
-      // "count") keep them human-readable.
-      persisted.name = "m" + std::to_string(i);
-      const std::vector<std::string>& columns = tables[i].header;
-      for (size_t c = 0; c + 1 < columns.size(); ++c) {
-        persisted.name += (c == 0 ? ":" : ",");
-        persisted.name += columns[c];
-      }
-      persisted.header = tables[i].header;
-      persisted.rows = tables[i].rows;
-      to_persist.push_back(std::move(persisted));
-    }
     persisted_fingerprint = store::WorkloadFingerprint(
         config.workload, eval::MechanismKindName(config.mechanism),
         config.alpha, config.epsilon, config.delta);
     EEP_ASSIGN_OR_RETURN(persisted_epoch,
                          config.persist_to->CommitEpoch(persisted_fingerprint,
-                                                        to_persist));
+                                                        tables));
     persist_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - persist_start)
                      .count();

@@ -1,9 +1,9 @@
 // End-to-end release pipeline: what a statistical agency would actually
-// run. Takes a dataset, a marginal spec (or a whole workload of them) and a
-// privacy target; charges the privacy accountant (refusing to release when
-// the budget is exhausted); applies the chosen mechanism to every cell;
-// emits labeled, optionally integer-rounded protected tables ready for CSV
-// publication.
+// run. Takes a dataset, a workload of marginal specs (a single marginal is
+// the one-element workload) and a privacy target; charges the privacy
+// accountant (refusing to release when the budget is exhausted); applies
+// the chosen mechanism to every cell; emits labeled, optionally
+// integer-rounded protected tables ready for CSV publication.
 //
 // The noise-sharding determinism contract (released tables bit-identical
 // for every thread count, shard_size part of the noise derivation) is
@@ -21,17 +21,20 @@
 #include "lodes/marginal.h"
 #include "lodes/workload.h"
 #include "privacy/accountant.h"
+#include "store/store.h"
 #include "table/group_by_cache.h"
-
-namespace eep::store {
-class Store;
-}  // namespace eep::store
 
 namespace eep::release {
 
-/// \brief Configuration of one protected-table release.
-struct ReleaseConfig {
-  lodes::MarginalSpec spec;
+/// \brief A protected table ready for publication: attribute columns
+/// followed by "count" in `header`, one labeled row per released cell, and
+/// the name the table carries in a store epoch ("m<i>:<columns>").
+using ReleasedTable = store::TableData;
+
+/// \brief Configuration of one fused workload release: every marginal of
+/// the workload under the same mechanism and per-cell privacy parameters.
+struct WorkloadReleaseConfig {
+  lodes::WorkloadSpec workload;
   eval::MechanismKind mechanism = eval::MechanismKind::kSmoothLaplace;
   /// Per-cell privacy parameters. For marginals with worker attributes the
   /// accountant is charged d x epsilon under the weak model (Section 8).
@@ -41,66 +44,19 @@ struct ReleaseConfig {
   /// Round released values to non-negative integers (published tables are
   /// integral counts).
   bool round_counts = true;
-  /// Label for the accountant ledger.
-  std::string description = "marginal release";
-  /// Worker threads for the whole release: the columnar group-by behind
-  /// MarginalQuery::Compute and the per-cell noise loop both shard across
-  /// this many workers. Every noise shard draws from its own substream of
-  /// the caller's rng and the group-by is sort-based, so the released
-  /// table is bit-identical for ANY thread count (including 1); <= 0 means
-  /// std::thread::hardware_concurrency().
+  /// Ledger label; the accountant entry for each marginal appends its
+  /// column list.
+  std::string description = "workload release";
+  /// Worker threads for the whole release: the group-by and the per-cell
+  /// noise loop both shard across this many workers. Every noise shard
+  /// draws from its own substream of the caller's rng and the group-by is
+  /// sort-based, so the released tables are bit-identical for ANY thread
+  /// count (including 1); <= 0 means std::thread::hardware_concurrency().
   int num_threads = 1;
   /// Cells per shard. Part of the noise-stream derivation: changing it
   /// changes the released noise (like changing the seed), while the thread
   /// count never does. The default keeps shards large enough that the
   /// batched mechanism sampling dominates scheduling overhead.
-  int shard_size = 1024;
-};
-
-/// \brief A protected table ready for publication.
-struct ReleasedTable {
-  /// Attribute columns followed by "count".
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-
-  Status WriteCsv(const std::string& path) const;
-};
-
-/// \brief Phase breakdown of one RunRelease call, for benchmarking.
-struct ReleaseStats {
-  /// Wall time of MarginalQuery::Compute (the group-by stage).
-  double group_by_ms = 0.0;
-  /// Batch assembly + mechanism sampling, summed across shard workers
-  /// (CPU time: with N threads the wall share is roughly 1/N of this).
-  double noise_ms = 0.0;
-  /// Label lookup + row formatting, summed across shard workers.
-  double format_ms = 0.0;
-};
-
-/// Runs one release. The accountant enforces the composition rules: the
-/// charge is epsilon for establishment-only marginals and d x epsilon for
-/// marginals containing worker attributes under the weak model. When
-/// `stats` is non-null it receives the per-phase timing breakdown.
-Result<ReleasedTable> RunRelease(const lodes::LodesDataset& data,
-                                 const ReleaseConfig& config,
-                                 privacy::PrivacyAccountant* accountant,
-                                 Rng& rng, ReleaseStats* stats = nullptr);
-
-/// \brief Configuration of one fused workload release: every marginal of
-/// the workload under the same mechanism and per-cell privacy parameters.
-struct WorkloadReleaseConfig {
-  lodes::WorkloadSpec workload;
-  eval::MechanismKind mechanism = eval::MechanismKind::kSmoothLaplace;
-  double alpha = 0.1;
-  double epsilon = 1.0;
-  double delta = 0.0;
-  bool round_counts = true;
-  /// Ledger label; the accountant entry for each marginal appends its
-  /// column list.
-  std::string description = "workload release";
-  /// Same contracts as ReleaseConfig: the thread count never affects the
-  /// released tables, the shard size is part of the noise derivation.
-  int num_threads = 1;
   int shard_size = 1024;
   /// When non-null, the released tables are persisted as one new epoch of
   /// this store AFTER the last marginal is noised: every table written,
@@ -118,8 +74,8 @@ struct WorkloadReleaseConfig {
 /// most 1 (0 when a caller-held cache already covered the workload).
 struct WorkloadReleaseStats {
   lodes::WorkloadComputeStats compute;
-  /// Mechanism sampling / row formatting, CPU ns summed across shard
-  /// workers and marginals (same convention as ReleaseStats).
+  /// Mechanism sampling / row formatting, CPU time summed across shard
+  /// workers and marginals (with N threads the wall share is roughly 1/N).
   double noise_ms = 0.0;
   double format_ms = 0.0;
   /// Wall time of the optional persist step (0 when no store is attached).
@@ -134,16 +90,19 @@ struct WorkloadReleaseStats {
 
 /// Releases every marginal of a workload from ONE shared scan: the fused
 /// group-by + cube roll-ups of lodes::ComputeWorkload replace the
-/// per-marginal table scans, then each marginal is noised and formatted
-/// exactly like RunRelease would. Determinism contract: marginal i draws
-/// one rng value in workload order, so the caller's stream advances — and
-/// every released table is bit-identical to — running RunRelease once per
-/// marginal with the same config; thread count never changes the output.
-/// The accountant is charged for the WHOLE workload atomically before any
-/// noise is drawn (one ledger entry per marginal): a refusal returns
-/// ResourceExhausted with nothing charged and nothing released. `cache`,
-/// when non-null, carries groupings across calls so an overlapping
-/// workload skips the scan entirely.
+/// per-marginal table scans, then each marginal is noised and formatted.
+/// Table i is named "m<i>:<columns>" (unique within the epoch even when
+/// two marginals share a column list). Determinism contract: marginal i
+/// draws one rng value in workload order, so the caller's stream advances
+/// — and every released table is bit-identical to — releasing each
+/// marginal as its own one-marginal workload with the same config; thread
+/// count never changes the output. The accountant is charged for the
+/// WHOLE workload atomically before any noise is drawn (one ledger entry
+/// per marginal: epsilon for establishment-only marginals, d x epsilon for
+/// marginals with worker attributes under the weak model): a refusal
+/// returns ResourceExhausted with nothing charged and nothing released.
+/// `cache`, when non-null, carries groupings across calls so an
+/// overlapping workload skips the scan entirely.
 Result<std::vector<ReleasedTable>> RunReleaseWorkload(
     const lodes::LodesDataset& data, const WorkloadReleaseConfig& config,
     privacy::PrivacyAccountant* accountant, Rng& rng,

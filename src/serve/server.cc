@@ -86,21 +86,6 @@ std::shared_ptr<const Snapshot> Server::snapshot() const {
   return snapshot_;
 }
 
-Result<std::string> Server::LookupCount(
-    const std::string& table,
-    const std::map<std::string, std::string>& values) const {
-  std::shared_ptr<const Snapshot> snap = snapshot();
-  EEP_ASSIGN_OR_RETURN(const ServedTable* served, snap->Find(table));
-  return served->LookupCell(values);
-}
-
-Result<std::vector<RankedCell>> Server::TopK(const std::string& table,
-                                             size_t k) const {
-  std::shared_ptr<const Snapshot> snap = snapshot();
-  EEP_ASSIGN_OR_RETURN(const ServedTable* served, snap->Find(table));
-  return served->TopK(k);
-}
-
 Status Server::RefreshNow() {
   // refresh_mu_ serializes the disk work (Store::Refresh mutates the
   // store's epoch index); mu_ is only taken for the pointer swap, so

@@ -39,12 +39,10 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/retry.h"
@@ -108,9 +106,11 @@ struct ServerHealth {
   int64_t next_poll_delay_ms = 0;
 };
 
-/// \brief The serving layer. Thread-safe: snapshot(), the query
-/// conveniences, RefreshNow, WaitForEpoch and stats() may all be called
-/// concurrently from any number of threads.
+/// \brief The serving layer. Thread-safe: snapshot(), RefreshNow,
+/// WaitForEpoch, stats() and health() may all be called concurrently from
+/// any number of threads. Queries go through a pinned snapshot() (or a
+/// serve::Service over this server): Snapshot::Find, then ServedTable's
+/// LookupCell/TopK, all against one epoch.
 class Server {
  public:
   /// \brief Refresh-loop observability counters.
@@ -140,14 +140,6 @@ class Server {
 
   /// Epoch of the currently serving snapshot (0 before the first one).
   uint64_t serving_epoch() const { return snapshot()->epoch(); }
-
-  /// One-shot conveniences: pin the current snapshot, answer, unpin.
-  /// Multi-lookup requests should pin snapshot() themselves instead.
-  Result<std::string> LookupCount(
-      const std::string& table,
-      const std::map<std::string, std::string>& values) const;
-  Result<std::vector<RankedCell>> TopK(const std::string& table,
-                                       size_t k) const;
 
   /// One synchronous poll: detect a newer committed epoch, load and swap
   /// it in. OK when nothing changed; the error (counted in stats) when

@@ -53,7 +53,8 @@
 
 namespace eep::serve {
 
-/// \brief Point lookup of one released cell (Server::LookupCount shape).
+/// \brief Point lookup of one released cell (ServedTable::LookupCell
+/// shape).
 struct LookupRequest {
   std::string table;
   /// Exactly one value per attribute column, by column name.

@@ -47,9 +47,10 @@
 
 namespace eep::store {
 
-/// \brief One named string table, the unit the store persists — shaped
-/// like release::ReleasedTable (header + rows) plus a name that is unique
-/// within its epoch.
+/// \brief One named string table, the unit the store persists: a name
+/// that is unique within its epoch, a header and rows. The release
+/// pipeline emits this type directly (release::ReleasedTable is an alias),
+/// so a release is committed as-is.
 struct TableData {
   std::string name;
   std::vector<std::string> header;

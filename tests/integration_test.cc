@@ -116,17 +116,19 @@ TEST_F(IntegrationTest, EndToEndAgencyWorkflow) {
                   .value();
   Rng rng(99);
 
-  release::ReleaseConfig config;
-  config.spec = lodes::MarginalSpec::EstablishmentMarginal();
+  release::WorkloadReleaseConfig config;
+  config.workload = {{lodes::MarginalSpec::EstablishmentMarginal()}};
   config.mechanism = eval::MechanismKind::kSmoothLaplace;
   config.alpha = 0.1;
   config.epsilon = 2.0;
   config.delta = 0.05;
-  auto first = release::RunRelease(*data_, config, &acct, rng).value();
+  auto first =
+      release::RunReleaseWorkload(*data_, config, &acct, rng).value()[0];
 
   config.mechanism = eval::MechanismKind::kSmoothGamma;
   config.delta = 0.0;
-  auto second = release::RunRelease(*data_, config, &acct, rng).value();
+  auto second =
+      release::RunReleaseWorkload(*data_, config, &acct, rng).value()[0];
 
   EXPECT_DOUBLE_EQ(acct.spent_epsilon(), 4.0);
   EXPECT_EQ(first.rows.size(), second.rows.size());
@@ -142,16 +144,18 @@ TEST_F(IntegrationTest, EndToEndAgencyWorkflow) {
 // and the true counts never appear verbatim across two large releases
 // (sanity check against accidental identity release).
 TEST_F(IntegrationTest, NoisyReleasesDiffer) {
-  release::ReleaseConfig config;
-  config.spec = lodes::MarginalSpec::EstablishmentMarginal();
+  release::WorkloadReleaseConfig config;
+  config.workload = {{lodes::MarginalSpec::EstablishmentMarginal()}};
   config.mechanism = eval::MechanismKind::kSmoothLaplace;
   config.alpha = 0.1;
   config.epsilon = 2.0;
   config.delta = 0.05;
   config.round_counts = false;
   Rng rng1(1), rng2(2);
-  auto a = release::RunRelease(*data_, config, nullptr, rng1).value();
-  auto b = release::RunRelease(*data_, config, nullptr, rng2).value();
+  auto a =
+      release::RunReleaseWorkload(*data_, config, nullptr, rng1).value()[0];
+  auto b =
+      release::RunReleaseWorkload(*data_, config, nullptr, rng2).value()[0];
   int differing = 0;
   for (size_t i = 0; i < a.rows.size(); ++i) {
     if (a.rows[i].back() != b.rows[i].back()) ++differing;

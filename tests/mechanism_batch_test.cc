@@ -219,8 +219,8 @@ TEST_F(BatchPipelineTest, EveryMechanismKindIsThreadCountInvariant) {
        {eval::MechanismKind::kLogLaplace, eval::MechanismKind::kSmoothLaplace,
         eval::MechanismKind::kSmoothGamma, eval::MechanismKind::kEdgeLaplace,
         eval::MechanismKind::kSmoothGeometric}) {
-    release::ReleaseConfig config;
-    config.spec = lodes::MarginalSpec::EstablishmentMarginal();
+    release::WorkloadReleaseConfig config;
+    config.workload = {{lodes::MarginalSpec::EstablishmentMarginal()}};
     config.mechanism = kind;
     config.alpha = 0.1;
     config.epsilon = 2.0;
@@ -229,16 +229,17 @@ TEST_F(BatchPipelineTest, EveryMechanismKindIsThreadCountInvariant) {
     config.shard_size = 8;        // ~16 shards on the fixture marginal.
     config.num_threads = 1;
     Rng rng1(29);
-    auto single = release::RunRelease(*data_, config, nullptr, rng1);
+    auto single = release::RunReleaseWorkload(*data_, config, nullptr, rng1);
     ASSERT_TRUE(single.ok()) << eval::MechanismKindName(kind) << ": "
                              << single.status().ToString();
-    ASSERT_GT(single.value().rows.size(), 100u);
+    ASSERT_GT(single.value()[0].rows.size(), 100u);
     for (int threads : {2, 4, 8}) {
       config.num_threads = threads;
       Rng rng_n(29);
-      auto parallel = release::RunRelease(*data_, config, nullptr, rng_n);
+      auto parallel =
+          release::RunReleaseWorkload(*data_, config, nullptr, rng_n);
       ASSERT_TRUE(parallel.ok()) << eval::MechanismKindName(kind);
-      EXPECT_EQ(parallel.value().rows, single.value().rows)
+      EXPECT_EQ(parallel.value(), single.value())
           << eval::MechanismKindName(kind) << " threads=" << threads;
     }
   }

@@ -154,8 +154,8 @@ TEST(PaperScaleTest, PaperExtractReleasesBitIdenticallyAcrossThreads) {
     }
   }
 
-  release::ReleaseConfig release_config;
-  release_config.spec = lodes::MarginalSpec::ByName("establishment").value();
+  release::WorkloadReleaseConfig release_config;
+  release_config.workload = {{lodes::MarginalSpec::EstablishmentMarginal()}};
   release_config.mechanism = eval::MechanismKind::kSmoothLaplace;
   release_config.alpha = 0.1;
   release_config.epsilon = 2.0;
@@ -164,16 +164,17 @@ TEST(PaperScaleTest, PaperExtractReleasesBitIdenticallyAcrossThreads) {
   release_config.shard_size = 1024;
   release_config.num_threads = 1;
   Rng rng1(99);
-  auto single = release::RunRelease(data, release_config, nullptr, rng1);
+  auto single =
+      release::RunReleaseWorkload(data, release_config, nullptr, rng1);
   ASSERT_TRUE(single.ok()) << single.status().ToString();
-  EXPECT_GT(single.value().rows.size(), 5'000u);
+  EXPECT_GT(single.value()[0].rows.size(), 5'000u);
   for (int threads : {2, 4, 8}) {
     release_config.num_threads = threads;
     Rng rng_n(99);
-    auto parallel = release::RunRelease(data, release_config, nullptr, rng_n);
+    auto parallel =
+        release::RunReleaseWorkload(data, release_config, nullptr, rng_n);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(parallel.value().rows, single.value().rows)
-        << "threads=" << threads;
+    EXPECT_EQ(parallel.value(), single.value()) << "threads=" << threads;
   }
 }
 

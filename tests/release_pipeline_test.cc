@@ -21,14 +21,25 @@ class ReleasePipelineTest : public ::testing::Test {
         lodes::SyntheticLodesGenerator(config).Generate().value());
   }
   static void TearDownTestSuite() { delete data_; }
+
+  /// The table of a one-marginal release with no accountant attached.
+  static ReleasedTable ReleaseOne(const WorkloadReleaseConfig& config,
+                                  Rng& rng) {
+    std::vector<ReleasedTable> tables =
+        RunReleaseWorkload(*data_, config, nullptr, rng).value();
+    EXPECT_EQ(tables.size(), 1u);
+    return std::move(tables.front());
+  }
+
   static lodes::LodesDataset* data_;
 };
 
 lodes::LodesDataset* ReleasePipelineTest::data_ = nullptr;
 
-ReleaseConfig EstabConfig() {
-  ReleaseConfig config;
-  config.spec = lodes::MarginalSpec::EstablishmentMarginal();
+// A one-marginal workload: the establishment marginal alone.
+WorkloadReleaseConfig EstabConfig() {
+  WorkloadReleaseConfig config;
+  config.workload = {{lodes::MarginalSpec::EstablishmentMarginal()}};
   config.mechanism = eval::MechanismKind::kSmoothLaplace;
   config.alpha = 0.1;
   config.epsilon = 2.0;
@@ -38,7 +49,8 @@ ReleaseConfig EstabConfig() {
 
 TEST_F(ReleasePipelineTest, ReleasesLabeledTable) {
   Rng rng(1);
-  auto table = RunRelease(*data_, EstabConfig(), nullptr, rng).value();
+  auto table = ReleaseOne(EstabConfig(), rng);
+  EXPECT_EQ(table.name, "m0:place,naics,ownership");
   ASSERT_EQ(table.header.size(), 4u);  // place, naics, ownership, count
   EXPECT_EQ(table.header.back(), "count");
   EXPECT_GT(table.rows.size(), 100u);
@@ -54,7 +66,7 @@ TEST_F(ReleasePipelineTest, ChargesAccountantOnce) {
                   0.1, 4.0, 0.1, privacy::AdversaryModel::kInformed)
                   .value();
   Rng rng(2);
-  ASSERT_TRUE(RunRelease(*data_, EstabConfig(), &acct, rng).ok());
+  ASSERT_TRUE(RunReleaseWorkload(*data_, EstabConfig(), &acct, rng).ok());
   EXPECT_DOUBLE_EQ(acct.spent_epsilon(), 2.0);
   EXPECT_EQ(acct.ledger().size(), 1u);
 }
@@ -63,10 +75,10 @@ TEST_F(ReleasePipelineTest, WeakModelChargesSurcharge) {
   auto acct = privacy::PrivacyAccountant::Create(
                   0.1, 20.0, 0.5, privacy::AdversaryModel::kWeak)
                   .value();
-  ReleaseConfig config = EstabConfig();
-  config.spec = lodes::MarginalSpec::WorkplaceBySexEducation();
+  WorkloadReleaseConfig config = EstabConfig();
+  config.workload = {{lodes::MarginalSpec::WorkplaceBySexEducation()}};
   Rng rng(3);
-  ASSERT_TRUE(RunRelease(*data_, config, &acct, rng).ok());
+  ASSERT_TRUE(RunReleaseWorkload(*data_, config, &acct, rng).ok());
   // d = 8 worker cells -> 8 x 2.0.
   EXPECT_DOUBLE_EQ(acct.spent_epsilon(), 16.0);
 }
@@ -76,8 +88,8 @@ TEST_F(ReleasePipelineTest, RefusesWhenBudgetExhausted) {
                   0.1, 3.0, 0.1, privacy::AdversaryModel::kInformed)
                   .value();
   Rng rng(4);
-  ASSERT_TRUE(RunRelease(*data_, EstabConfig(), &acct, rng).ok());
-  auto second = RunRelease(*data_, EstabConfig(), &acct, rng);
+  ASSERT_TRUE(RunReleaseWorkload(*data_, EstabConfig(), &acct, rng).ok());
+  auto second = RunReleaseWorkload(*data_, EstabConfig(), &acct, rng);
   EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
 }
 
@@ -86,14 +98,14 @@ TEST_F(ReleasePipelineTest, RejectsAlphaMismatch) {
                   0.2, 4.0, 0.1, privacy::AdversaryModel::kInformed)
                   .value();
   Rng rng(5);
-  EXPECT_FALSE(RunRelease(*data_, EstabConfig(), &acct, rng).ok());
+  EXPECT_FALSE(RunReleaseWorkload(*data_, EstabConfig(), &acct, rng).ok());
 }
 
 TEST_F(ReleasePipelineTest, UnroundedReleaseKeepsFractions) {
-  ReleaseConfig config = EstabConfig();
+  WorkloadReleaseConfig config = EstabConfig();
   config.round_counts = false;
   Rng rng(6);
-  auto table = RunRelease(*data_, config, nullptr, rng).value();
+  auto table = ReleaseOne(config, rng);
   bool any_fraction = false;
   for (const auto& row : table.rows) {
     if (row.back().find('.') != std::string::npos) any_fraction = true;
@@ -103,9 +115,9 @@ TEST_F(ReleasePipelineTest, UnroundedReleaseKeepsFractions) {
 
 TEST_F(ReleasePipelineTest, WritesCsv) {
   Rng rng(7);
-  auto table = RunRelease(*data_, EstabConfig(), nullptr, rng).value();
+  auto table = ReleaseOne(EstabConfig(), rng);
   const std::string path = testing::TempDir() + "/eep_release_test.csv";
-  ASSERT_TRUE(table.WriteCsv(path).ok());
+  ASSERT_TRUE(WriteCsvFile(path, table.header, table.rows).ok());
   auto doc = ReadCsvFile(path);
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc.value().rows.size(), table.rows.size());
@@ -121,14 +133,14 @@ TEST_F(ReleasePipelineTest, FullDemographicsSurchargeIsHuge) {
   auto acct = privacy::PrivacyAccountant::Create(
                   0.01, 200.0, 0.9, privacy::AdversaryModel::kWeak)
                   .value();
-  ReleaseConfig config;
-  config.spec = lodes::MarginalSpec::FullDemographics();
+  WorkloadReleaseConfig config;
+  config.workload = {{lodes::MarginalSpec::FullDemographics()}};
   config.mechanism = eval::MechanismKind::kSmoothLaplace;
   config.alpha = 0.01;
   config.epsilon = 0.15;
   config.delta = 0.001;
   Rng rng(9);
-  auto released = RunRelease(*data_, config, &acct, rng);
+  auto released = RunReleaseWorkload(*data_, config, &acct, rng);
   ASSERT_TRUE(released.ok()) << released.status().ToString();
   EXPECT_DOUBLE_EQ(acct.spent_epsilon(), 0.15 * 768);
   EXPECT_DOUBLE_EQ(acct.spent_delta(), 0.001 * 768);
@@ -138,11 +150,11 @@ TEST_F(ReleasePipelineTest, InfeasibleMechanismDoesNotChargeBudget) {
   auto acct = privacy::PrivacyAccountant::Create(
                   0.2, 4.0, 0.1, privacy::AdversaryModel::kInformed)
                   .value();
-  ReleaseConfig config = EstabConfig();
+  WorkloadReleaseConfig config = EstabConfig();
   config.alpha = 0.2;
   config.epsilon = 0.5;  // below the Table-2 minimum for alpha=0.2
   Rng rng(10);
-  EXPECT_FALSE(RunRelease(*data_, config, &acct, rng).ok());
+  EXPECT_FALSE(RunReleaseWorkload(*data_, config, &acct, rng).ok());
   EXPECT_DOUBLE_EQ(acct.spent_epsilon(), 0.0);
   EXPECT_TRUE(acct.ledger().empty());
 }
@@ -150,21 +162,21 @@ TEST_F(ReleasePipelineTest, InfeasibleMechanismDoesNotChargeBudget) {
 TEST_F(ReleasePipelineTest, ParallelOutputIdenticalToSingleThread) {
   // The sharded runner's core guarantee: for a fixed seed the released
   // table is bit-identical for any worker count.
-  ReleaseConfig config = EstabConfig();
+  WorkloadReleaseConfig config = EstabConfig();
   // The fixture marginal has ~127 cells; a small shard keeps 15+ shards in
   // play so the requested worker counts below survive the threads <=
   // num_shards clamp and genuinely run concurrently.
   config.shard_size = 8;
   config.num_threads = 1;
   Rng rng1(21);
-  auto single = RunRelease(*data_, config, nullptr, rng1).value();
+  auto single = ReleaseOne(config, rng1);
   ASSERT_GT(single.rows.size(), 100u);
   // Both paths must also consume the caller's stream identically.
   const uint64_t stream_after_release = rng1.NextUint64();
   for (int threads : {2, 3, 4, 8}) {
     config.num_threads = threads;
     Rng rngN(21);
-    auto parallel = RunRelease(*data_, config, nullptr, rngN).value();
+    auto parallel = ReleaseOne(config, rngN);
     EXPECT_EQ(parallel.header, single.header);
     EXPECT_EQ(parallel.rows, single.rows) << "threads=" << threads;
     EXPECT_EQ(rngN.NextUint64(), stream_after_release)
@@ -173,15 +185,15 @@ TEST_F(ReleasePipelineTest, ParallelOutputIdenticalToSingleThread) {
 }
 
 TEST_F(ReleasePipelineTest, ParallelUnroundedOutputIdentical) {
-  ReleaseConfig config = EstabConfig();
+  WorkloadReleaseConfig config = EstabConfig();
   config.round_counts = false;
   config.num_threads = 1;
   config.shard_size = 16;  // ~8 shards on the fixture's ~127-cell marginal.
   Rng rng1(22);
-  auto single = RunRelease(*data_, config, nullptr, rng1).value();
+  auto single = ReleaseOne(config, rng1);
   config.num_threads = 4;
   Rng rng4(22);
-  auto parallel = RunRelease(*data_, config, nullptr, rng4).value();
+  auto parallel = ReleaseOne(config, rng4);
   EXPECT_EQ(parallel.rows, single.rows);
 }
 
@@ -189,40 +201,40 @@ TEST_F(ReleasePipelineTest, ShardSizeIsPartOfTheNoiseStream) {
   // Documented contract: shard_size participates in substream derivation
   // (like a seed), so different shard sizes give different — but each
   // internally reproducible — noise.
-  ReleaseConfig config = EstabConfig();
+  WorkloadReleaseConfig config = EstabConfig();
   config.round_counts = false;
   config.shard_size = 64;
   Rng a(23);
-  auto small_shards = RunRelease(*data_, config, nullptr, a).value();
+  auto small_shards = ReleaseOne(config, a);
   config.shard_size = 4096;
   Rng b(23);
-  auto large_shards = RunRelease(*data_, config, nullptr, b).value();
+  auto large_shards = ReleaseOne(config, b);
   EXPECT_NE(small_shards.rows, large_shards.rows);
 }
 
 TEST_F(ReleasePipelineTest, HardwareThreadCountRequestAccepted) {
-  ReleaseConfig config = EstabConfig();
+  WorkloadReleaseConfig config = EstabConfig();
   config.num_threads = 0;  // "use hardware_concurrency"
   config.shard_size = 8;   // Enough shards that workers actually spawn.
   Rng rng(24);
-  auto table = RunRelease(*data_, config, nullptr, rng);
+  auto table = RunReleaseWorkload(*data_, config, nullptr, rng);
   ASSERT_TRUE(table.ok());
-  EXPECT_GT(table.value().rows.size(), 100u);
+  EXPECT_GT(table.value()[0].rows.size(), 100u);
 }
 
 TEST_F(ReleasePipelineTest, RejectsInvalidShardSize) {
-  ReleaseConfig config = EstabConfig();
+  WorkloadReleaseConfig config = EstabConfig();
   config.shard_size = 0;
   Rng rng(25);
-  EXPECT_EQ(RunRelease(*data_, config, nullptr, rng).status().code(),
+  EXPECT_EQ(RunReleaseWorkload(*data_, config, nullptr, rng).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST_F(ReleasePipelineTest, InvalidSpecRejected) {
-  ReleaseConfig config = EstabConfig();
-  config.spec = {};
+  WorkloadReleaseConfig config = EstabConfig();
+  config.workload = {{lodes::MarginalSpec{}}};
   Rng rng(8);
-  EXPECT_FALSE(RunRelease(*data_, config, nullptr, rng).ok());
+  EXPECT_FALSE(RunReleaseWorkload(*data_, config, nullptr, rng).ok());
 }
 
 }  // namespace

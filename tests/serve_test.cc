@@ -317,7 +317,7 @@ TEST_F(ServeTest, ServerServesEmptyStoreThenSwapsInFirstEpoch) {
   auto server = Server::Open(dir_, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   EXPECT_EQ(server.value()->serving_epoch(), 0u);
-  EXPECT_EQ(server.value()->LookupCount("t", {}).status().code(),
+  EXPECT_EQ(server.value()->snapshot()->Find("t").status().code(),
             StatusCode::kNotFound);
 
   auto writer = store::Store::Open(dir_);
@@ -331,8 +331,11 @@ TEST_F(ServeTest, ServerServesEmptyStoreThenSwapsInFirstEpoch) {
   EXPECT_EQ(server.value()->serving_epoch(), 1u);
   EXPECT_EQ(pinned->epoch(), 0u);
 
-  auto count = server.value()->LookupCount(
-      "t", {{"place", "place-1"}, {"sector", "s1"}});
+  std::shared_ptr<const Snapshot> current = server.value()->snapshot();
+  auto served = current->Find("t");
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  auto count =
+      served.value()->LookupCell({{"place", "place-1"}, {"sector", "s1"}});
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   const Server::Stats stats = server.value()->stats();
   EXPECT_EQ(stats.swaps, 1u);

@@ -83,8 +83,9 @@ TEST_F(ServiceTest, LookupAndTopKAnswerVerbatimThroughTheQueue) {
   auto ranked = service.value()->TopK(topk);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
   ASSERT_EQ(ranked.value().size(), 4u);
-  // Same answer the server gives directly: the queue adds no rewriting.
-  EXPECT_EQ(ranked.value()[0].count, server->TopK("jobs", 4).value()[0].count);
+  // Same answer the snapshot gives directly: the queue adds no rewriting.
+  const std::shared_ptr<const Snapshot> snap = server->snapshot();
+  EXPECT_EQ(ranked.value(), snap->Find("jobs").value()->TopK(4));
 
   // A missing table is an executed (completed) request, not a shed one.
   LookupRequest missing;

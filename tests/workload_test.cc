@@ -1,9 +1,10 @@
 // Fused workload engine: every marginal computed by ComputeWorkload (one
 // shared scan + cube roll-ups) must be bit-identical to the independent
 // MarginalQuery::Compute on random datasets for every thread count, and
-// RunReleaseWorkload must release tables bit-identical to running
-// RunRelease once per marginal with the same rng — the determinism
-// contract the whole fused path rests on (docs/ARCHITECTURE.md).
+// RunReleaseWorkload must release tables bit-identical to releasing each
+// marginal as its own one-marginal workload with the same rng — the
+// determinism contract the whole fused path rests on
+// (docs/ARCHITECTURE.md).
 #include <gtest/gtest.h>
 
 #include "lodes/generator.h"
@@ -57,6 +58,31 @@ void ExpectQueriesEqual(const lodes::MarginalQuery& expected,
       ASSERT_EQ(e.contributions[c].count, a.contributions[c].count);
     }
   }
+}
+
+// The independent reference for the fused release: each marginal of
+// `config.workload` released as its own one-marginal workload off one
+// caller rng. Each call scans the table at that marginal's own columns —
+// one full scan, served as an exact hit, no roll-up — so fused ==
+// independent compares the shared-scan path against direct scans.
+std::vector<release::ReleasedTable> ReleaseIndependently(
+    const lodes::LodesDataset& data, release::WorkloadReleaseConfig config,
+    Rng& rng) {
+  const WorkloadSpec workload = config.workload;
+  std::vector<release::ReleasedTable> tables;
+  for (const MarginalSpec& spec : workload.marginals) {
+    config.workload = {{spec}};
+    release::WorkloadReleaseStats stats;
+    auto released =
+        release::RunReleaseWorkload(data, config, nullptr, rng, nullptr,
+                                    &stats);
+    EXPECT_TRUE(released.ok()) << released.status().ToString();
+    if (!released.ok()) return {};
+    EXPECT_EQ(stats.compute.full_table_scans, 1);
+    EXPECT_EQ(stats.compute.rollups, 0);
+    tables.push_back(std::move(released.value()[0]));
+  }
+  return tables;
 }
 
 TEST(WorkloadSpecTest, ValidateAndByName) {
@@ -193,24 +219,6 @@ TEST(RunReleaseWorkloadTest, BitIdenticalToIndependentReleases) {
   const lodes::LodesDataset data = MakeDataset(21, /*jobs=*/8000,
                                                /*places=*/10);
   for (bool round_counts : {true, false}) {
-    // Independent path: one RunRelease per marginal off one caller rng.
-    Rng independent_rng(4242);
-    std::vector<release::ReleasedTable> independent;
-    for (const MarginalSpec& spec :
-         WorkloadSpec::PaperTabulations().marginals) {
-      release::ReleaseConfig config;
-      config.spec = spec;
-      config.mechanism = eval::MechanismKind::kSmoothLaplace;
-      config.alpha = 0.1;
-      config.epsilon = 2.0;
-      config.delta = 0.05;
-      config.round_counts = round_counts;
-      auto released =
-          release::RunRelease(data, config, nullptr, independent_rng);
-      ASSERT_TRUE(released.ok()) << released.status().ToString();
-      independent.push_back(std::move(released).value());
-    }
-
     release::WorkloadReleaseConfig config;
     config.workload = WorkloadSpec::PaperTabulations();
     config.mechanism = eval::MechanismKind::kSmoothLaplace;
@@ -218,6 +226,10 @@ TEST(RunReleaseWorkloadTest, BitIdenticalToIndependentReleases) {
     config.epsilon = 2.0;
     config.delta = 0.05;
     config.round_counts = round_counts;
+    Rng independent_rng(4242);
+    const std::vector<release::ReleasedTable> independent =
+        ReleaseIndependently(data, config, independent_rng);
+    ASSERT_EQ(independent.size(), config.workload.marginals.size());
     for (int threads : {1, 2, 4, 8}) {
       config.num_threads = threads;
       Rng fused_rng(4242);
@@ -233,7 +245,7 @@ TEST(RunReleaseWorkloadTest, BitIdenticalToIndependentReleases) {
             << "marginal " << i << " threads " << threads;
       }
       // The caller's stream advanced exactly like two sequential
-      // RunRelease calls (one root draw per marginal).
+      // one-marginal releases (one root draw per marginal).
       Rng expected_rng(4242);
       expected_rng.NextUint64();
       expected_rng.NextUint64();
@@ -256,27 +268,17 @@ TEST(RunReleaseWorkloadTest, CoverGroupSplitKeepsBitIdentityAndCharging) {
           "establishment,industry_sexedu,sexedu,full_demographics")
           .value();
 
-  Rng independent_rng(777);
-  std::vector<release::ReleasedTable> independent;
-  for (const MarginalSpec& spec : wide.marginals) {
-    release::ReleaseConfig config;
-    config.spec = spec;
-    config.mechanism = eval::MechanismKind::kSmoothLaplace;
-    config.alpha = 0.1;
-    config.epsilon = 2.0;
-    config.delta = 0.001;
-    auto released =
-        release::RunRelease(data, config, nullptr, independent_rng);
-    ASSERT_TRUE(released.ok()) << released.status().ToString();
-    independent.push_back(std::move(released).value());
-  }
-
   release::WorkloadReleaseConfig config;
   config.workload = wide;
   config.mechanism = eval::MechanismKind::kSmoothLaplace;
   config.alpha = 0.1;
   config.epsilon = 2.0;
   config.delta = 0.001;
+  Rng independent_rng(777);
+  const std::vector<release::ReleasedTable> independent =
+      ReleaseIndependently(data, config, independent_rng);
+  ASSERT_EQ(independent.size(), wide.marginals.size());
+
   for (int threads : {1, 2, 4, 8}) {
     config.num_threads = threads;
     Rng fused_rng(777);

@@ -6,7 +6,11 @@ target exists (anchors are stripped; external http(s)/mailto links are
 not fetched), and that every bench binary named in docs/BENCHMARKS.md
 corresponds to a bench/bench_*.cc source (the set bench/CMakeLists.txt
 registers via its glob) — so a bench rename cannot silently rot the
-benchmark book's repro commands. Exits nonzero listing each problem.
+benchmark book's repro commands. API names are cross-checked too: every
+project-namespace-qualified name in README.md / docs/ARCHITECTURE.md
+code, and every `->Name(` call in README's cpp blocks, must still exist
+in some src/**/*.h, so the docs cannot advertise deleted API. Exits
+nonzero listing each problem.
 
 Usage: tools/check_docs.py [repo_root]
 """
@@ -254,6 +258,79 @@ def check_service_contract(root):
     return len(refs), broken
 
 
+# Project namespaces whose qualified names the docs spell out in code:
+# `release::RunReleaseWorkload`, `serve::Server::Open`, ...
+API_NAMESPACES = ("release", "serve", "store", "lodes", "table", "eval",
+                  "privacy")
+QUALIFIED_RE = re.compile(r"\b(?:%s)::(\w+(?:::\w+)*)"
+                          % "|".join(API_NAMESPACES))
+ARROW_CALL_RE = re.compile(r"->\s*(\w+)\s*\(")
+INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
+# Comments and string literals, blanked before collecting header names so
+# an API that survives only in a comment does not count as declared.
+CXX_NON_CODE_RE = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"',
+                             re.S)
+
+
+def header_identifiers(root):
+    """Every identifier in the code (not comments or strings) of
+    src/**/*.h: the names a doc may legitimately call."""
+    names = set()
+    for dirpath, _, files in os.walk(os.path.join(root, "src")):
+        for entry in files:
+            if entry.endswith(".h"):
+                with open(os.path.join(dirpath, entry),
+                          encoding="utf-8") as handle:
+                    code = CXX_NON_CODE_RE.sub(" ", handle.read())
+                names.update(re.findall(r"\b[A-Za-z_]\w*", code))
+    return names
+
+
+def code_in(path):
+    """Yields (line, text, info string) for each line of a fenced block,
+    and (line, span, None) for each inline code span outside fences."""
+    fence = None
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if FENCE_RE.match(stripped):
+                fence = None if fence is not None else stripped[3:].strip()
+                continue
+            if fence is not None:
+                yield number, line, fence
+            else:
+                for span in INLINE_CODE_RE.findall(line):
+                    yield number, span, None
+
+
+def check_api_names(root):
+    """Every component of every project-namespace-qualified name in
+    README.md and docs/ARCHITECTURE.md code (fenced blocks and inline
+    spans), and every `->Name(` call in README's fenced cpp blocks, must
+    be declared in some src/**/*.h — so a deleted function or method
+    cannot live on in a doc snippet. Returns (checked, broken)."""
+    declared = header_identifiers(root)
+    if not declared:
+        return 0, []
+    broken = []
+    checked = set()
+    for rel in ("README.md", os.path.join("docs", "ARCHITECTURE.md")):
+        path = os.path.join(root, rel)
+        if not os.path.exists(path):
+            continue
+        for number, code, fence in code_in(path):
+            names = [(m.group(0), m.group(1).split("::"))
+                     for m in QUALIFIED_RE.finditer(code)]
+            if rel == "README.md" and fence == "cpp":
+                names += [(m.group(0), [m.group(1)])
+                          for m in ARROW_CALL_RE.finditer(code)]
+            for spelled, parts in names:
+                checked.add(spelled)
+                if any(part not in declared for part in parts):
+                    broken.append((rel, number, spelled))
+    return len(checked), broken
+
+
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     broken = []
@@ -291,19 +368,25 @@ def main():
     service_checked, service_broken = check_service_contract(root)
     for path, number, what in service_broken:
         print(f"OVERLOAD CONTRACT {path}:{number}: {what}")
+    api_checked, api_broken = check_api_names(root)
+    for path, number, name in api_broken:
+        print(f"UNKNOWN API {path}:{number}: {name} (declared in no "
+              f"src/**/*.h)")
     print(f"checked {checked} relative links in "
           f"{len(list(markdown_files(root)))} markdown files, "
           f"{bench_checked} bench names in docs/BENCHMARKS.md, "
           f"{lint_checked} eep-lint rule ids, {fp_checked} failpoint "
           f"sites, {serve_checked} serve tests and {service_checked} "
-          f"request-front tests in docs/ARCHITECTURE.md; "
+          f"request-front tests in docs/ARCHITECTURE.md, {api_checked} "
+          f"API names in README.md/docs/ARCHITECTURE.md code; "
           f"{len(broken)} broken links, {len(bench_broken)} unknown benches, "
           f"{len(lint_broken)} unknown lint rules, "
           f"{len(fp_broken)} unknown failpoints, "
           f"{len(serve_broken)} serving-contract mismatches, "
-          f"{len(service_broken)} overload-contract mismatches")
+          f"{len(service_broken)} overload-contract mismatches, "
+          f"{len(api_broken)} unknown API names")
     return 1 if (broken or bench_broken or lint_broken or fp_broken
-                 or serve_broken or service_broken) else 0
+                 or serve_broken or service_broken or api_broken) else 0
 
 
 if __name__ == "__main__":
