@@ -1,9 +1,8 @@
 // Microbench for the parallel columnar group-by engine: times
-// GroupCountByEstablishment over a marginal's group columns against the
-// PR 2 hash-map baseline (reimplemented below as the reference), sweeps
-// worker-thread counts, and verifies every configuration produces a
-// bit-identical grouping. Also reports the engine's phase split (key
-// materialization vs partition/sort/aggregate).
+// GroupCountByEstablishment over a marginal's group columns across a
+// worker-thread sweep and verifies every thread count reproduces the
+// 1-thread grouping bit for bit. Also reports the engine's phase split
+// (key materialization vs partition/sort/aggregate).
 //
 // Extra flags on top of bench_common's (including --paper for the 10.9M
 // extract):
@@ -12,11 +11,7 @@
 //   --max_threads=N    highest thread count in the sweep (default 8)
 //   --reps=N           timed repetitions per configuration, best-of
 //                      (default 3)
-//   --skip_baseline    skip the hash-map reference timing (it is the
-//                      slowest part of the bench at paper scale)
 #include <chrono>
-#include <optional>
-#include <unordered_map>
 
 #include "bench_common.h"
 #include "lodes/marginal.h"
@@ -25,67 +20,7 @@
 
 namespace {
 
-using eep::table::EstabContribution;
 using eep::table::GroupedCell;
-using eep::table::GroupedCounts;
-
-// The PR 2 implementation, kept verbatim as the speedup baseline: per-row
-// gather + Pack into a (key, estab) hash map pre-reserved at num_rows,
-// folded into cells and sorted at the end.
-GroupedCounts HashBaseline(const eep::table::Table& table,
-                           const std::vector<std::string>& group_columns,
-                           const std::string& estab_id_column) {
-  auto codec =
-      eep::table::GroupKeyCodec::Create(table.schema(), group_columns)
-          .value();
-  const std::vector<int64_t>* estab_ids =
-      table.ColumnByName(estab_id_column).value()->AsInt64().value();
-  std::vector<const std::vector<uint32_t>*> code_views;
-  for (size_t idx : codec.column_indices()) {
-    code_views.push_back(&table.column(idx).codes());
-  }
-  struct PairHash {
-    size_t operator()(const std::pair<uint64_t, int64_t>& p) const {
-      return std::hash<uint64_t>()(p.first * 0x9E3779B97F4A7C15ULL ^
-                                   static_cast<uint64_t>(p.second));
-    }
-  };
-  std::unordered_map<std::pair<uint64_t, int64_t>, int64_t, PairHash>
-      pair_counts;
-  pair_counts.reserve(table.num_rows());
-  std::vector<uint32_t> codes(code_views.size());
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    for (size_t c = 0; c < code_views.size(); ++c) {
-      codes[c] = (*code_views[c])[row];
-    }
-    ++pair_counts[{codec.Pack(codes), (*estab_ids)[row]}];
-  }
-  std::unordered_map<uint64_t, GroupedCell> cells;
-  // eep-lint: order-insensitive -- counts sum per key and contributions
-  // are sorted per cell below, so the map walk order cannot show through.
-  for (const auto& [pair, count] : pair_counts) {
-    GroupedCell& cell = cells[pair.first];
-    cell.key = pair.first;
-    cell.count += count;
-    cell.contributions.push_back({pair.second, count});
-  }
-  GroupedCounts result{std::move(codec), {}};
-  result.cells.reserve(cells.size());
-  // eep-lint: order-insensitive -- result.cells is sorted by key right
-  // after this loop, erasing the hash-map visit order.
-  for (auto& [key, cell] : cells) {
-    std::sort(cell.contributions.begin(), cell.contributions.end(),
-              [](const EstabContribution& a, const EstabContribution& b) {
-                return a.estab_id < b.estab_id;
-              });
-    result.cells.push_back(std::move(cell));
-  }
-  std::sort(result.cells.begin(), result.cells.end(),
-            [](const GroupedCell& a, const GroupedCell& b) {
-              return a.key < b.key;
-            });
-  return result;
-}
 
 bool SameCells(const std::vector<GroupedCell>& a,
                const std::vector<GroupedCell>& b) {
@@ -120,53 +55,26 @@ int main(int argc, char** argv) {
   const std::vector<std::string> columns = spec.value().AllColumns();
   const int max_threads = static_cast<int>(flags.GetInt("max_threads", 8));
   const int reps = static_cast<int>(flags.GetInt("reps", 3));
-  const bool skip_baseline = flags.GetBool("skip_baseline", false);
   const table::Table& jobs = data.worker_full();
 
   std::printf("=== Group-by engine — %s marginal (%zu group columns) ===\n",
               marginal.c_str(), columns.size());
   bench::PrintDatasetSummary(data, setup);
 
-  // Reference result + baseline timing.
-  double base_ms = 0.0;
-  std::optional<table::GroupedCounts> reference;
-  if (skip_baseline) {
-    reference =
-        table::GroupCountByEstablishment(jobs, columns, lodes::kColEstabId)
-            .value();
-  } else {
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto start = std::chrono::steady_clock::now();
-      table::GroupedCounts got =
-          HashBaseline(jobs, columns, lodes::kColEstabId);
-      const double ms = bench::MsSince(start);
-      if (rep == 0 || ms < base_ms) base_ms = ms;
-      reference = std::move(got);
-    }
-  }
+  // The 1-thread grouping is the reference every thread count must match.
+  const table::GroupedCounts reference =
+      table::GroupCountByEstablishment(jobs, columns, lodes::kColEstabId)
+          .value();
   std::printf("%zu non-empty cells over a %llu-cell domain\n\n",
-              reference->cells.size(),
-              static_cast<unsigned long long>(reference->codec.DomainSize()));
+              reference.cells.size(),
+              static_cast<unsigned long long>(reference.codec.DomainSize()));
 
-  TextTable table({"impl", "threads", "best ms", "speedup", "Mrows/s",
-                   "identical"});
-  if (!skip_baseline) {
-    table.AddRow({"hash baseline (PR 2)", "1", FormatDouble(base_ms, 2),
-                  "1.00",
-                  FormatDouble(static_cast<double>(jobs.num_rows()) /
-                                   (base_ms * 1000.0),
-                               2),
-                  "ref"});
-  }
-
+  TextTable table({"threads", "best ms", "speedup", "Mrows/s", "identical"});
   bool all_identical = true;
   double engine_1t_ms = 0.0;
   bench::BenchJson json;
   bench::FillJsonHeader(json, "bench_group_by", data, setup);
   json["marginal"] = bench::BenchJson::Str(marginal);
-  if (!skip_baseline) {
-    json["hash_baseline_ms"] = bench::BenchJson::Num(base_ms);
-  }
   bench::BenchJson& json_sweep = json["sweep"];
   json_sweep = bench::BenchJson::Array();
   std::vector<int> sweep;
@@ -185,14 +93,12 @@ int main(int argc, char** argv) {
                      .value();
       const double ms = bench::MsSince(start);
       if (rep == 0 || ms < best_ms) best_ms = ms;
-      identical = SameCells(got.cells, reference->cells);
+      if (!SameCells(got.cells, reference.cells)) identical = false;
     }
     if (threads == 1) engine_1t_ms = best_ms;
     if (!identical) all_identical = false;
-    const double reference_ms = skip_baseline ? engine_1t_ms : base_ms;
-    table.AddRow({"columnar engine", std::to_string(threads),
-                  FormatDouble(best_ms, 2),
-                  FormatDouble(reference_ms / best_ms, 2),
+    table.AddRow({std::to_string(threads), FormatDouble(best_ms, 2),
+                  FormatDouble(engine_1t_ms / best_ms, 2),
                   FormatDouble(static_cast<double>(jobs.num_rows()) /
                                    (best_ms * 1000.0),
                                2),

@@ -63,40 +63,15 @@ struct RetryPolicy {
 /// True for status classes worth retrying: kIOError, kResourceExhausted.
 bool IsRetryableStatus(const Status& status);
 
-/// \brief What a RetryStatus/RetryResult call did, for counters/tests.
+/// \brief What a RetryResult call did, for counters/tests.
 struct RetryStats {
   int attempts = 0;        ///< Calls made (>= 1 unless budget was 0-shot).
   int64_t slept_ms = 0;    ///< Total backoff actually slept.
 };
 
-/// Invokes `fn` (returning Status) until it succeeds, returns a
+/// Invokes `fn` (returning a Result<T>) until it succeeds, returns a
 /// non-retryable error, or the policy's attempt/budget bounds run out.
-/// Returns the last Status either way.
-template <typename Fn>
-Status RetryStatus(const RetryPolicy& policy, Clock* clock, Fn&& fn,
-                   RetryStats* stats = nullptr) {
-  RetryStats local;
-  RetryStats* out = stats != nullptr ? stats : &local;
-  *out = RetryStats{};
-  Status last;
-  const int attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    ++out->attempts;
-    last = fn();
-    if (last.ok() || !IsRetryableStatus(last)) return last;
-    if (attempt + 1 >= attempts) break;
-    const int64_t delay = policy.BackoffMs(attempt);
-    if (policy.budget_ms > 0 && out->slept_ms + delay > policy.budget_ms) {
-      break;  // sleeping would overrun the budget; fail with the last error
-    }
-    clock->SleepMs(delay);
-    out->slept_ms += delay;
-  }
-  return last;
-}
-
-/// Result<T> companion: retries on retryable error statuses, hands back
-/// the first success (or the last Result either way).
+/// Hands back the first success, or the last Result either way.
 template <typename Fn>
 auto RetryResult(const RetryPolicy& policy, Clock* clock, Fn&& fn,
                  RetryStats* stats = nullptr) -> decltype(fn()) {

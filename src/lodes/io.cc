@@ -37,9 +37,6 @@ Status WriteTableCsv(const table::Table& t, const std::string& path) {
           rows[r].push_back(field.dictionary->value(col.codes()[r]));
         }
         break;
-      default:
-        return Status::InvalidArgument("unsupported column type in " +
-                                       field.name);
     }
   }
   return WriteCsvFile(path, header, rows);

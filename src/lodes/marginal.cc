@@ -72,40 +72,19 @@ Result<MarginalQuery> MarginalQuery::Compute(const LodesDataset& data,
                                              int num_threads) {
   EEP_RETURN_NOT_OK(spec.Validate());
 
-  const table::GroupByOptions group_by_options{num_threads};
   EEP_ASSIGN_OR_RETURN(
       table::GroupedCounts grouped,
       table::GroupCountByEstablishment(data.worker_full(), spec.AllColumns(),
-                                       kColEstabId, group_by_options));
-
-  // Which workplace-attribute combinations exist (public knowledge): group
-  // the Workplace table itself, so combos with an employer but zero matching
-  // workers are still released.
-  std::vector<uint64_t> present_wkeys;
-  if (spec.workplace_attrs.empty()) {
-    present_wkeys.push_back(0);
-  } else {
-    EEP_ASSIGN_OR_RETURN(
-        table::GroupKeyCodec wcodec,
-        table::GroupKeyCodec::Create(data.workplaces().schema(),
-                                     spec.workplace_attrs));
-    EEP_ASSIGN_OR_RETURN(
-        auto wcounts,
-        table::GroupCount(data.workplaces(), wcodec, group_by_options));
-    present_wkeys.reserve(wcounts.size());
-    for (const auto& [key, n] : wcounts) present_wkeys.push_back(key);
-  }
-
+                                       kColEstabId,
+                                       table::GroupByOptions{num_threads}));
   return FromGrouped(data, spec,
                      std::make_shared<const table::GroupedCounts>(
-                         std::move(grouped)),
-                     present_wkeys);
+                         std::move(grouped)));
 }
 
 Result<MarginalQuery> MarginalQuery::FromGrouped(
     const LodesDataset& data, const MarginalSpec& spec,
-    std::shared_ptr<const table::GroupedCounts> grouped,
-    const std::vector<uint64_t>& present_wkeys) {
+    std::shared_ptr<const table::GroupedCounts> grouped) {
   EEP_RETURN_NOT_OK(spec.Validate());
   if (grouped == nullptr) {
     return Status::InvalidArgument("FromGrouped needs a grouping");
@@ -113,6 +92,11 @@ Result<MarginalQuery> MarginalQuery::FromGrouped(
   if (grouped->codec.columns() != spec.AllColumns()) {
     return Status::InvalidArgument(
         "grouping columns do not match the marginal spec");
+  }
+  // The released workplace combinations (public knowledge, Section 4.1).
+  std::vector<uint64_t> wkeys = {0};
+  if (!spec.workplace_attrs.empty()) {
+    EEP_ASSIGN_OR_RETURN(wkeys, data.WorkplaceKeys(spec.workplace_attrs));
   }
 
   MarginalQuery query(&data, spec, std::move(grouped));
@@ -146,14 +130,13 @@ Result<MarginalQuery> MarginalQuery::FromGrouped(
     place_radix = radices[static_cast<size_t>(place_slot)];
   }
 
-  // Domain enumeration visits keys in increasing order (present_wkeys is
-  // sorted, worker keys nest inside), and the grouped cells are key-sorted,
-  // so one merge cursor replaces the per-cell binary search.
+  // Domain enumeration visits keys in increasing order (wkeys is sorted,
+  // worker keys nest inside), and the grouped cells are key-sorted, so one
+  // merge cursor replaces the per-cell binary search.
   const auto& gcells = query.grouped_->cells;
   size_t gi = 0;
-  query.cells_.reserve(present_wkeys.size() *
-                       static_cast<size_t>(worker_domain));
-  for (uint64_t wkey : present_wkeys) {
+  query.cells_.reserve(wkeys.size() * static_cast<size_t>(worker_domain));
+  for (uint64_t wkey : wkeys) {
     const uint32_t place_code =
         place_slot >= 0
             ? static_cast<uint32_t>((wkey / place_div) % place_radix)

@@ -4,6 +4,7 @@
 //  * Workplace-attribute combinations are released only for combinations
 //    where at least one establishment exists — establishment existence,
 //    sector, ownership and location are public knowledge (Section 4.1).
+//    The dataset holds that domain (LodesDataset::WorkplaceKeys).
 //  * Worker-attribute combinations are enumerated over their full cross
 //    product for every such workplace combination, because a zero count of
 //    (say) female PhDs at an establishment is confidential — the Sec. 5.2
@@ -92,16 +93,15 @@ class MarginalQuery {
   /// Builds the marginal from an already-computed grouping — the fused
   /// workload path (lodes/workload.h), where `grouped` is derived from one
   /// shared scan by cube roll-up instead of scanning per marginal.
-  /// `grouped->codec` must be over exactly spec.AllColumns() (same order)
-  /// and `present_wkeys` must be the sorted distinct packed workplace-attr
-  /// keys with at least one establishment (pass {0} when the spec has no
-  /// workplace attributes). Output is bit-identical to Compute whenever the
-  /// inputs match what Compute would derive itself — which the roll-up
-  /// guarantees (see table/rollup.h).
+  /// `grouped->codec` must be over exactly spec.AllColumns() (same order).
+  /// The released workplace combinations come from
+  /// data.WorkplaceKeys(spec.workplace_attrs); a spec without workplace
+  /// attributes has the single combination 0. Output is bit-identical to
+  /// Compute whenever `grouped` matches what Compute would derive itself —
+  /// which the roll-up guarantees (see table/rollup.h).
   static Result<MarginalQuery> FromGrouped(
       const LodesDataset& data, const MarginalSpec& spec,
-      std::shared_ptr<const table::GroupedCounts> grouped,
-      const std::vector<uint64_t>& present_wkeys);
+      std::shared_ptr<const table::GroupedCounts> grouped);
 
   const MarginalSpec& spec() const { return spec_; }
   const table::GroupKeyCodec& codec() const { return grouped_->codec; }

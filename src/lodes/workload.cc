@@ -318,23 +318,7 @@ Result<std::vector<MarginalQuery>> ComputeWorkload(
   }
   collected.base_ms = MsSince(base_start);
 
-  // The released workplace-combination domain is public knowledge: group
-  // the (establishment-count-sized) Workplace table once per cover group
-  // at the group's workplace-attribute union; each marginal's combinations
-  // project from it through the same cache, so a warmed cache re-scans
-  // NEITHER table.
   const auto derive_start = std::chrono::steady_clock::now();
-  for (const CoverGroup& group : groups) {
-    if (!group.union_spec.workplace_attrs.empty()) {
-      EEP_RETURN_NOT_OK(
-          cache
-              ->GetOrComputeKeyCounts(data.workplaces(),
-                                      group.union_spec.workplace_attrs,
-                                      options)
-              .status());
-    }
-  }
-
   // Lattice order: walk the cover groups in plan order and, within each
   // group, materialize wide marginals first, so narrower ones can roll up
   // from an already-derived small grouping instead of the (much larger)
@@ -394,22 +378,9 @@ Result<std::vector<MarginalQuery>> ComputeWorkload(
         break;
     }
 
-    std::vector<uint64_t> present_wkeys;
-    if (spec.workplace_attrs.empty()) {
-      present_wkeys.push_back(0);
-    } else {
-      EEP_ASSIGN_OR_RETURN(
-          auto wcounts,
-          cache->GetOrComputeKeyCounts(data.workplaces(),
-                                       spec.workplace_attrs, options));
-      present_wkeys.reserve(wcounts->size());
-      for (const auto& [key, n] : *wcounts) present_wkeys.push_back(key);
-    }
-
     EEP_ASSIGN_OR_RETURN(
         MarginalQuery query,
-        MarginalQuery::FromGrouped(data, spec, std::move(grouped),
-                                   present_wkeys));
+        MarginalQuery::FromGrouped(data, spec, std::move(grouped)));
     derived[index].emplace(std::move(query));
   }
   std::vector<MarginalQuery> queries;

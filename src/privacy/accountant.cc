@@ -65,18 +65,6 @@ std::pair<double, double> MarginalTotals(AdversaryModel model, double epsilon,
 
 }  // namespace
 
-Status PrivacyAccountant::ChargeMarginal(const std::string& description,
-                                         double epsilon,
-                                         int64_t worker_domain_size,
-                                         double delta) {
-  if (worker_domain_size < 1) {
-    return Status::InvalidArgument("worker_domain_size must be >= 1");
-  }
-  const auto [total_epsilon, total_delta] =
-      MarginalTotals(model_, epsilon, worker_domain_size, delta);
-  return Charge(description, total_epsilon, total_delta);
-}
-
 Status PrivacyAccountant::ChargeMarginalWorkload(
     const std::vector<MarginalCharge>& marginals) {
   if (marginals.empty()) {

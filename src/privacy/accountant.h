@@ -50,16 +50,6 @@ class PrivacyAccountant {
   Status ChargeSequential(const std::string& description, double epsilon,
                           double delta = 0.0);
 
-  /// Charges a full marginal released with per-cell budget `epsilon`:
-  ///  * Strong model: cells parallel-compose across both establishments
-  ///    (Thm. 7.4) and workers (Thm. 7.5) -> total charge = epsilon.
-  ///  * Weak model: parallel composition across workers does NOT hold
-  ///    (Thm. 7.5), so a marginal containing worker attributes costs
-  ///    worker_domain_size x epsilon; establishment-only marginals still
-  ///    parallel-compose.
-  Status ChargeMarginal(const std::string& description, double epsilon,
-                        int64_t worker_domain_size, double delta = 0.0);
-
   /// \brief One marginal of an atomically charged workload.
   struct MarginalCharge {
     std::string description;
@@ -69,11 +59,18 @@ class PrivacyAccountant {
   };
 
   /// Charges a whole workload of marginals atomically: either every
-  /// marginal is charged (one ledger entry each, same rules as
-  /// ChargeMarginal) or — when the combined charge would exceed either
-  /// budget — nothing is and ResourceExhausted is returned. Release
-  /// runners use this so a refused workload never spends budget on tables
-  /// the caller does not receive.
+  /// marginal is charged (one ledger entry each) or — when the combined
+  /// charge would exceed either budget — nothing is and ResourceExhausted
+  /// is returned. Release runners use this so a refused workload never
+  /// spends budget on tables the caller does not receive. A marginal
+  /// released with per-cell budget `epsilon` is charged:
+  ///  * Strong model: cells parallel-compose across both establishments
+  ///    (Thm. 7.4) and workers (Thm. 7.5) -> total charge = epsilon.
+  ///  * Weak model: parallel composition across workers does NOT hold
+  ///    (Thm. 7.5), so a marginal containing worker attributes costs
+  ///    worker_domain_size x epsilon; establishment-only marginals still
+  ///    parallel-compose.
+  /// A single marginal is the one-entry workload.
   Status ChargeMarginalWorkload(const std::vector<MarginalCharge>& marginals);
 
  private:

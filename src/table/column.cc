@@ -5,23 +5,12 @@ namespace eep::table {
 Column Column::OfInt64(std::vector<int64_t> values) {
   return Column(Storage(std::move(values)));
 }
-Column Column::OfDouble(std::vector<double> values) {
-  return Column(Storage(std::move(values)));
-}
-Column Column::OfString(std::vector<std::string> values) {
-  return Column(Storage(std::move(values)));
-}
 Column Column::OfCategory(std::vector<uint32_t> codes) {
   return Column(Storage(std::move(codes)));
 }
 
 DataType Column::type() const {
-  switch (values_.index()) {
-    case 0: return DataType::kInt64;
-    case 1: return DataType::kDouble;
-    case 2: return DataType::kString;
-    default: return DataType::kCategory;
-  }
+  return values_.index() == 0 ? DataType::kInt64 : DataType::kCategory;
 }
 
 size_t Column::size() const {
@@ -31,18 +20,6 @@ size_t Column::size() const {
 Result<const std::vector<int64_t>*> Column::AsInt64() const {
   if (auto* v = std::get_if<std::vector<int64_t>>(&values_)) return v;
   return Status::InvalidArgument("column is not int64");
-}
-Result<const std::vector<double>*> Column::AsDouble() const {
-  if (auto* v = std::get_if<std::vector<double>>(&values_)) return v;
-  return Status::InvalidArgument("column is not double");
-}
-Result<const std::vector<std::string>*> Column::AsString() const {
-  if (auto* v = std::get_if<std::vector<std::string>>(&values_)) return v;
-  return Status::InvalidArgument("column is not string");
-}
-Result<const std::vector<uint32_t>*> Column::AsCategory() const {
-  if (auto* v = std::get_if<std::vector<uint32_t>>(&values_)) return v;
-  return Status::InvalidArgument("column is not category");
 }
 
 Column Column::FilterCopy(const std::vector<bool>& mask) const {

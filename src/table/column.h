@@ -3,7 +3,7 @@
 #define EEP_TABLE_COLUMN_H_
 
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -12,16 +12,14 @@
 
 namespace eep::table {
 
-/// \brief One column of a Table: typed, contiguous storage.
+/// \brief One column of a Table: contiguous int64 values or category codes.
 ///
 /// A Column owns its values. Type mismatches between a Column and the
 /// accessor used on it are programming errors and abort in debug builds;
-/// the checked `As*` accessors return Status instead.
+/// the checked AsInt64 returns Status instead.
 class Column {
  public:
   static Column OfInt64(std::vector<int64_t> values);
-  static Column OfDouble(std::vector<double> values);
-  static Column OfString(std::vector<std::string> values);
   static Column OfCategory(std::vector<uint32_t> codes);
 
   DataType type() const;
@@ -32,21 +30,12 @@ class Column {
   const std::vector<int64_t>& int64s() const {
     return std::get<std::vector<int64_t>>(values_);
   }
-  const std::vector<double>& doubles() const {
-    return std::get<std::vector<double>>(values_);
-  }
-  const std::vector<std::string>& strings() const {
-    return std::get<std::vector<std::string>>(values_);
-  }
   const std::vector<uint32_t>& codes() const {
     return std::get<std::vector<uint32_t>>(values_);
   }
 
-  /// Checked typed views.
+  /// Checked int64 view (id columns: join keys, establishment ids).
   Result<const std::vector<int64_t>*> AsInt64() const;
-  Result<const std::vector<double>*> AsDouble() const;
-  Result<const std::vector<std::string>*> AsString() const;
-  Result<const std::vector<uint32_t>*> AsCategory() const;
 
   /// A copy of this column keeping only rows where mask[i] is true.
   /// mask.size() must equal size().
@@ -57,9 +46,7 @@ class Column {
   Column TakeCopy(const std::vector<uint32_t>& indices) const;
 
  private:
-  using Storage = std::variant<std::vector<int64_t>, std::vector<double>,
-                               std::vector<std::string>,
-                               std::vector<uint32_t>>;
+  using Storage = std::variant<std::vector<int64_t>, std::vector<uint32_t>>;
   explicit Column(Storage values) : values_(std::move(values)) {}
   Storage values_;
 };

@@ -110,30 +110,4 @@ Result<GroupedCounts> GroupCountByEstablishment(
   return result;
 }
 
-Result<std::vector<std::pair<uint64_t, int64_t>>> GroupCount(
-    const Table& table, const GroupKeyCodec& codec,
-    const GroupByOptions& options) {
-  // The codec may come from a different schema; check it fits this table
-  // before the engine relies on its keys[i] < DomainSize() precondition.
-  for (size_t i = 0; i < codec.column_indices().size(); ++i) {
-    const size_t idx = codec.column_indices()[i];
-    if (idx >= table.num_columns()) {
-      return Status::OutOfRange("codec column index outside table");
-    }
-    const Field& field = table.schema().field(idx);
-    if (field.type != DataType::kCategory || field.dictionary == nullptr) {
-      return Status::InvalidArgument(
-          "codec column is not categorical in this table");
-    }
-    if (field.dictionary->size() > codec.radices()[i]) {
-      return Status::InvalidArgument(
-          "codec radix smaller than the table column's dictionary");
-    }
-  }
-  std::vector<uint64_t> keys =
-      MaterializeGroupKeys(table, codec, options.num_threads);
-  return AggregateByKey(std::move(keys), codec.DomainSize(),
-                        options.num_threads);
-}
-
 }  // namespace eep::table

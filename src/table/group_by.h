@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -96,12 +95,6 @@ struct GroupedCounts {
 Result<GroupedCounts> GroupCountByEstablishment(
     const Table& table, const std::vector<std::string>& group_columns,
     const std::string& estab_id_column, const GroupByOptions& options = {});
-
-/// Plain per-cell row counts without establishment tracking: (key, count)
-/// pairs of the non-empty cells, sorted by key.
-Result<std::vector<std::pair<uint64_t, int64_t>>> GroupCount(
-    const Table& table, const GroupKeyCodec& codec,
-    const GroupByOptions& options = {});
 
 }  // namespace eep::table
 

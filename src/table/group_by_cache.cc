@@ -23,29 +23,6 @@ size_t CountItems(const GroupedCounts& grouped) {
   return items;
 }
 
-/// Modeled cost of serving `columns` by roll-up from a cached entry with
-/// `items` items — the one formula both entry families rank with.
-double RollupCandidateCost(const std::vector<std::string>& cached_columns,
-                           const std::vector<std::string>& columns,
-                           size_t items) {
-  return IsColumnPrefix(cached_columns, columns)
-             ? RollupCostModel::PrefixMerge(items)
-             : RollupCostModel::Resort(items);
-}
-
-/// Books a roll-up that ran: the kind the roll-up reports always agrees
-/// with the column-level prefix test the ranking used.
-void RecordRollupServed(RollupKind kind, GroupByCache::Stats* stats,
-                        GroupByCache::Outcome* outcome) {
-  if (kind == RollupKind::kPrefixMerge) {
-    ++stats->prefix_merges;
-    if (outcome != nullptr) *outcome = GroupByCache::Outcome::kPrefixMerge;
-  } else {
-    ++stats->rollups;
-    if (outcome != nullptr) *outcome = GroupByCache::Outcome::kRollup;
-  }
-}
-
 }  // namespace
 
 Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
@@ -83,8 +60,9 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
   double best_cost = RollupCostModel::Scan(table.num_rows());
   for (const auto& [cached_columns, entry] : entries_) {
     if (!Covers(cached_columns, columns)) continue;
-    const double cost =
-        RollupCandidateCost(cached_columns, columns, entry.num_items);
+    const double cost = IsColumnPrefix(cached_columns, columns)
+                            ? RollupCostModel::PrefixMerge(entry.num_items)
+                            : RollupCostModel::Resort(entry.num_items);
     if (source == nullptr ? cost <= best_cost : cost < best_cost) {
       source = &entry;
       source_key = &cached_columns;
@@ -102,7 +80,13 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
                                              std::move(codec),
                                              options.num_threads, &kind));
     entry.grouped = std::make_shared<const GroupedCounts>(std::move(rolled));
-    RecordRollupServed(kind, &stats_, outcome);
+    if (kind == RollupKind::kPrefixMerge) {
+      ++stats_.prefix_merges;
+      if (outcome != nullptr) *outcome = Outcome::kPrefixMerge;
+    } else {
+      ++stats_.rollups;
+      if (outcome != nullptr) *outcome = Outcome::kRollup;
+    }
     if (source_columns != nullptr) *source_columns = *source_key;
   } else {
     EEP_ASSIGN_OR_RETURN(GroupedCounts grouped,
@@ -116,63 +100,6 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
   return entries_.emplace(columns, std::move(entry)).first->second.grouped;
 }
 
-Result<std::shared_ptr<const std::vector<std::pair<uint64_t, int64_t>>>>
-GroupByCache::GetOrComputeKeyCounts(const Table& table,
-                                    const std::vector<std::string>& columns,
-                                    const GroupByOptions& options,
-                                    Outcome* outcome) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (keycount_table_ == nullptr) {
-    keycount_table_ = &table;
-  } else if (keycount_table_ != &table) {
-    return Status::InvalidArgument(
-        "GroupByCache key-count entries are bound to a different table; "
-        "use one cache per dataset");
-  }
-
-  if (auto it = keycount_entries_.find(columns);
-      it != keycount_entries_.end()) {
-    ++stats_.exact_hits;
-    if (outcome != nullptr) *outcome = Outcome::kExactHit;
-    return it->second.counts;
-  }
-
-  // Same cost-model ranking as GetOrCompute, with the entry's pair count
-  // as the item count.
-  const KeyCountEntry* source = nullptr;
-  double best_cost = RollupCostModel::Scan(table.num_rows());
-  for (const auto& [cached_columns, entry] : keycount_entries_) {
-    if (!Covers(cached_columns, columns)) continue;
-    const double cost =
-        RollupCandidateCost(cached_columns, columns, entry.counts->size());
-    if (source == nullptr ? cost <= best_cost : cost < best_cost) {
-      source = &entry;
-      best_cost = cost;
-    }
-  }
-
-  EEP_ASSIGN_OR_RETURN(GroupKeyCodec codec,
-                       GroupKeyCodec::Create(table.schema(), columns));
-  std::vector<std::pair<uint64_t, int64_t>> counts;
-  if (source != nullptr) {
-    RollupKind kind;
-    EEP_ASSIGN_OR_RETURN(counts,
-                         RollupKeyCounts(*source->counts, source->codec,
-                                         codec, options.num_threads, &kind));
-    RecordRollupServed(kind, &stats_, outcome);
-  } else {
-    EEP_ASSIGN_OR_RETURN(counts, GroupCount(table, codec, options));
-    ++stats_.scans;
-    if (outcome != nullptr) *outcome = Outcome::kScan;
-  }
-  KeyCountEntry entry{
-      std::make_shared<const std::vector<std::pair<uint64_t, int64_t>>>(
-          std::move(counts)),
-      std::move(codec)};
-  return keycount_entries_.emplace(columns, std::move(entry))
-      .first->second.counts;
-}
-
 GroupByCache::Stats GroupByCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -183,8 +110,6 @@ void GroupByCache::Clear() {
   table_ = nullptr;
   estab_id_column_.clear();
   entries_.clear();
-  keycount_table_ = nullptr;
-  keycount_entries_.clear();
   stats_ = Stats{};
 }
 

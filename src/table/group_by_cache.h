@@ -14,10 +14,12 @@
 // one served them except through stats(). Entries are shared_ptrs, so a
 // workload holding a marginal alive keeps only that grouping pinned.
 //
-// The cache binds to the first (table, estab column) it serves and rejects
-// other tables: grouped counts are only reusable against the identical row
-// multiset. It is NOT invalidated by mutation of the underlying table —
-// callers own that (tables here are immutable after dataset construction).
+// The cache holds establishment-tracked groupings (GroupedCounts) of one
+// table: it binds to the first (table, estab column) it serves and rejects
+// other tables, since grouped counts are only reusable against the
+// identical row multiset. It is NOT invalidated by mutation of the
+// underlying table — callers own that (tables here are immutable after
+// dataset construction).
 // All methods are thread-safe.
 #ifndef EEP_TABLE_GROUP_BY_CACHE_H_
 #define EEP_TABLE_GROUP_BY_CACHE_H_
@@ -26,7 +28,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -68,20 +69,9 @@ class GroupByCache {
       Outcome* outcome = nullptr,
       std::vector<std::string>* source_columns = nullptr);
 
-  /// Same serving policy for plain (key, count) groupings (GroupCount /
-  /// RollupKeyCounts), over their own table — typically the Workplace
-  /// table whose distinct attribute combinations define the released cell
-  /// domain, scanned once and projected per marginal. Outcomes count into
-  /// the same stats() as the establishment groupings.
-  Result<std::shared_ptr<const std::vector<std::pair<uint64_t, int64_t>>>>
-  GetOrComputeKeyCounts(const Table& table,
-                        const std::vector<std::string>& columns,
-                        const GroupByOptions& options = {},
-                        Outcome* outcome = nullptr);
-
   Stats stats() const;
 
-  /// Drops all entries and the table bindings.
+  /// Drops all entries and the table binding.
   void Clear();
 
  private:
@@ -89,17 +79,11 @@ class GroupByCache {
     std::shared_ptr<const GroupedCounts> grouped;
     size_t num_items = 0;  ///< Total contributions: roll-up input size.
   };
-  struct KeyCountEntry {
-    std::shared_ptr<const std::vector<std::pair<uint64_t, int64_t>>> counts;
-    GroupKeyCodec codec;  ///< Needed to roll the entry up further.
-  };
 
   mutable std::mutex mu_;
   const Table* table_ = nullptr;
   std::string estab_id_column_;
   std::map<std::vector<std::string>, Entry> entries_;
-  const Table* keycount_table_ = nullptr;
-  std::map<std::vector<std::string>, KeyCountEntry> keycount_entries_;
   Stats stats_;
 };
 

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <limits>
 #include <thread>
+#include <utility>
 
 namespace eep::table {
 namespace {
@@ -270,7 +271,7 @@ std::vector<uint64_t> MaterializeGroupKeys(const Table& table,
 namespace {
 
 /// Weight of one input item in the run-compression phase: the unweighted
-/// entry points count each row once, the weighted ones read the caller's
+/// entry point counts each row once, the weighted one reads the caller's
 /// weight array. Summing weights over a run generalizes the original
 /// run-length (j - i) without changing it for unit weights.
 struct UnitWeight {
@@ -398,85 +399,6 @@ std::vector<GroupedCell> AggregateByKeyAndEstabImpl(
   return ConcatPartitions(std::move(per_partition));
 }
 
-template <typename WeightFn>
-std::vector<std::pair<uint64_t, int64_t>> AggregateByKeyImpl(
-    std::vector<uint64_t> keys, WeightFn weight_of, uint64_t domain_size,
-    int num_threads) {
-  assert(domain_size > 0);
-  const size_t n = keys.size();
-  if (n == 0) return {};
-  const PartitionPlan plan = PlanFor(n, domain_size, num_threads);
-  const size_t P = plan.num_partitions;
-  const int key_bytes = (BitWidth(domain_size - 1) + 7) / 8;
-
-  std::vector<CompressedBlock> blocks(static_cast<size_t>(plan.threads));
-  RunWorkers(plan.threads, [&](int w) {
-    const size_t begin = static_cast<size_t>(w) * plan.block_size;
-    const size_t end = std::min(n, begin + plan.block_size);
-    CompressedBlock& block = blocks[static_cast<size_t>(w)];
-    block.hist.assign(P, 0);
-    size_t i = begin;
-    while (i < end) {
-      const uint64_t key = keys[i];
-      int64_t weight = weight_of(i);
-      size_t j = i + 1;
-      while (j < end && keys[j] == key) weight += weight_of(j++);
-      block.keys.push_back(key);
-      block.weights.push_back(weight);
-      ++block.hist[key >> plan.shift];
-      i = j;
-    }
-  });
-  keys = {};
-  const std::vector<size_t> starts = CursorsFromHists(&blocks, P);
-  const size_t items = starts[P];
-
-  std::vector<uint64_t> vals(items);
-  std::vector<int64_t> weights(items);
-  // eep-lint: disjoint-writes -- CursorsFromHists slices vals/weights
-  // disjointly per (block, partition); worker w owns block w's cursors.
-  RunWorkers(plan.threads, [&](int w) {
-    CompressedBlock& block = blocks[static_cast<size_t>(w)];
-    for (size_t i = 0; i < block.keys.size(); ++i) {
-      const size_t slot = block.hist[block.keys[i] >> plan.shift]++;
-      vals[slot] = block.keys[i];
-      weights[slot] = block.weights[i];
-    }
-    block = CompressedBlock{};
-  });
-
-  std::vector<std::vector<std::pair<uint64_t, int64_t>>> per_partition(P);
-  std::atomic<size_t> next{0};
-  RunWorkers(plan.threads, [&](int) {
-    std::vector<uint64_t> val_scratch;
-    std::vector<int64_t> weight_scratch;
-    for (size_t p = next.fetch_add(1); p < P; p = next.fetch_add(1)) {
-      uint64_t* v = vals.data() + starts[p];
-      int64_t* wt = weights.data() + starts[p];
-      const size_t m = starts[p + 1] - starts[p];
-      RadixSortWithWeights(v, wt, m, key_bytes, val_scratch, weight_scratch);
-      auto& out = per_partition[p];
-      size_t i = 0;
-      while (i < m) {
-        const uint64_t key = v[i];
-        int64_t count = wt[i];
-        size_t j = i + 1;
-        while (j < m && v[j] == key) count += wt[j++];
-        out.emplace_back(key, count);
-        i = j;
-      }
-    }
-  });
-  size_t total = 0;
-  for (const auto& runs : per_partition) total += runs.size();
-  std::vector<std::pair<uint64_t, int64_t>> result;
-  result.reserve(total);
-  for (auto& runs : per_partition) {
-    result.insert(result.end(), runs.begin(), runs.end());
-  }
-  return result;
-}
-
 }  // namespace
 
 std::vector<GroupedCell> AggregateByKeyAndEstab(
@@ -494,20 +416,6 @@ std::vector<GroupedCell> AggregateWeightedByKeyAndEstab(
   return AggregateByKeyAndEstabImpl(std::move(keys), estab_ids,
                                     SpanWeight{weights.data()}, domain_size,
                                     num_threads);
-}
-
-std::vector<std::pair<uint64_t, int64_t>> AggregateByKey(
-    std::vector<uint64_t> keys, uint64_t domain_size, int num_threads) {
-  return AggregateByKeyImpl(std::move(keys), UnitWeight{}, domain_size,
-                            num_threads);
-}
-
-std::vector<std::pair<uint64_t, int64_t>> AggregateWeightedByKey(
-    std::vector<uint64_t> keys, const std::vector<int64_t>& weights,
-    uint64_t domain_size, int num_threads) {
-  assert(weights.size() == keys.size());
-  return AggregateByKeyImpl(std::move(keys), SpanWeight{weights.data()},
-                            domain_size, num_threads);
 }
 
 }  // namespace eep::table

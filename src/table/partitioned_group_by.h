@@ -1,15 +1,16 @@
-// Parallel partitioned aggregation: the execution engine behind the
-// group-by entry points in group_by.h.
+// Parallel partitioned aggregation: the execution engine behind
+// GroupCountByEstablishment (group_by.h) and the re-sort roll-up
+// (rollup.h).
 //
 // The pipeline is columnar and sort-based instead of hash-based:
 //
 //   1. MaterializeGroupKeys packs every row's group key with one contiguous
 //      loop per group column (auto-vectorizable; no per-row gather).
-//   2. Aggregate* range-partitions the rows by key (partition p holds keys
-//      in [p, p+1) * domain/P), sorts each partition — as packed
-//      (key, estab) uint64s through an LSD radix sort when they fit in one
-//      word, as (key, estab) pairs through std::sort otherwise — and
-//      run-length aggregates the sorted runs.
+//   2. Aggregate(Weighted)ByKeyAndEstab range-partitions the rows by key
+//      (partition p holds keys in [p, p+1) * domain/P), sorts each
+//      partition — as packed (key, estab) uint64s through an LSD radix
+//      sort when they fit in one word, as (key, estab) pairs through
+//      std::sort otherwise — and run-length aggregates the sorted runs.
 //   3. Partitions concatenate in order, so the result is globally
 //      key-sorted without a merge.
 //
@@ -25,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "table/group_by.h"
@@ -61,12 +61,6 @@ std::vector<GroupedCell> AggregateByKeyAndEstab(
     std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
     uint64_t domain_size, int num_threads);
 
-/// Aggregates keys alone into (key, count) runs sorted by key. Requires
-/// keys[i] < domain_size. Consumes `keys`. Deterministic for every thread
-/// count.
-std::vector<std::pair<uint64_t, int64_t>> AggregateByKey(
-    std::vector<uint64_t> keys, uint64_t domain_size, int num_threads);
-
 /// Weighted form of AggregateByKeyAndEstab: item i carries weights[i]
 /// instead of an implicit weight of 1, so already-aggregated inputs (e.g.
 /// the contribution items of a finer grouping being rolled up to a coarser
@@ -79,12 +73,6 @@ std::vector<GroupedCell> AggregateWeightedByKeyAndEstab(
     std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
     const std::vector<int64_t>& weights, uint64_t domain_size,
     int num_threads);
-
-/// Weighted form of AggregateByKey, same contract as above without the
-/// establishment breakdown.
-std::vector<std::pair<uint64_t, int64_t>> AggregateWeightedByKey(
-    std::vector<uint64_t> keys, const std::vector<int64_t>& weights,
-    uint64_t domain_size, int num_threads);
 
 }  // namespace eep::table
 

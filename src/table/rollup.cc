@@ -1,6 +1,7 @@
 #include "table/rollup.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "table/partitioned_group_by.h"
 
@@ -288,52 +289,6 @@ Result<GroupedCounts> RollupGroupedCounts(const GroupedCounts& base,
       AggregateWeightedByKeyAndEstab(std::move(keys), estabs, weights,
                                      proj.coarse_domain_size(), num_threads);
   return result;
-}
-
-Result<std::vector<std::pair<uint64_t, int64_t>>> RollupKeyCounts(
-    const std::vector<std::pair<uint64_t, int64_t>>& base,
-    const GroupKeyCodec& base_codec, const GroupKeyCodec& coarse_codec,
-    int num_threads, RollupKind* kind) {
-  EEP_ASSIGN_OR_RETURN(KeyProjection proj,
-                       KeyProjection::Create(base_codec, coarse_codec));
-  if (IsKeyPrefix(base_codec, coarse_codec)) {
-    // Key-sorted input + division projection = one run-length pass; with no
-    // establishment lists to merge there is nothing else to do.
-    if (kind != nullptr) *kind = RollupKind::kPrefixMerge;
-    const uint64_t divisor =
-        SuffixDivisor(base_codec, coarse_codec.columns().size());
-    std::vector<std::pair<uint64_t, int64_t>> result;
-    size_t i = 0;
-    while (i < base.size()) {
-      const uint64_t key = base[i].first / divisor;
-      int64_t count = 0;
-      while (i < base.size() && base[i].first / divisor == key) {
-        count += base[i++].second;
-      }
-      result.emplace_back(key, count);
-    }
-    return result;
-  }
-  if (kind != nullptr) *kind = RollupKind::kResort;
-  std::vector<uint64_t> keys(base.size());
-  std::vector<int64_t> weights(base.size());
-  const int threads =
-      std::min<int>(ResolveGroupByThreads(num_threads),
-                    std::max<int>(1, static_cast<int>(base.size())));
-  const size_t block = (base.size() + static_cast<size_t>(threads) - 1) /
-                       static_cast<size_t>(threads);
-  // eep-lint: disjoint-writes -- worker w projects into keys/weights at
-  // [begin, end) only, its contiguous block of base items.
-  RunOnWorkers(threads, [&](int w) {
-    const size_t begin = static_cast<size_t>(w) * block;
-    const size_t end = std::min(base.size(), begin + block);
-    for (size_t i = begin; i < end; ++i) {
-      keys[i] = proj.Project(base[i].first);
-      weights[i] = base[i].second;
-    }
-  });
-  return AggregateWeightedByKey(std::move(keys), weights,
-                                proj.coarse_domain_size(), num_threads);
 }
 
 }  // namespace eep::table

@@ -31,7 +31,7 @@
 #define EEP_TABLE_ROLLUP_H_
 
 #include <cstdint>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -102,15 +102,6 @@ Result<GroupedCounts> RollupGroupedCounts(const GroupedCounts& base,
                                           GroupKeyCodec coarse_codec,
                                           int num_threads = 1,
                                           RollupKind* kind = nullptr);
-
-/// Plain-count form: rolls key-sorted (key, count) pairs in the base
-/// codec's domain up to the coarse codec's domain. Bit-identical to
-/// GroupCount on the coarse columns directly. Prefix subsets reduce to a
-/// single run-length pass over the sorted pairs.
-Result<std::vector<std::pair<uint64_t, int64_t>>> RollupKeyCounts(
-    const std::vector<std::pair<uint64_t, int64_t>>& base,
-    const GroupKeyCodec& base_codec, const GroupKeyCodec& coarse_codec,
-    int num_threads = 1, RollupKind* kind = nullptr);
 
 /// \brief Shared cost model for choosing how to obtain a grouping, in
 /// abstract units of "input elements touched". Used by GroupByCache to rank

@@ -2,16 +2,6 @@
 
 namespace eep::table {
 
-const char* DataTypeName(DataType type) {
-  switch (type) {
-    case DataType::kInt64: return "int64";
-    case DataType::kDouble: return "double";
-    case DataType::kString: return "string";
-    case DataType::kCategory: return "category";
-  }
-  return "unknown";
-}
-
 Dictionary::Dictionary(std::vector<std::string> values)
     : values_(std::move(values)) {
   index_.reserve(values_.size());
@@ -73,12 +63,6 @@ Result<size_t> Schema::IndexOf(const std::string& name) const {
 
 bool Schema::Contains(const std::string& name) const {
   return index_.count(name) > 0;
-}
-
-Schema Schema::WithPrefix(const std::string& prefix) const {
-  std::vector<Field> renamed = fields_;
-  for (auto& f : renamed) f.name = prefix + f.name;
-  return Schema(std::move(renamed));
 }
 
 }  // namespace eep::table

@@ -1,4 +1,5 @@
-// Schema and dictionary types for the in-memory columnar engine.
+// Schema and dictionary types for the in-memory columnar engine: int64 id
+// columns and dictionary-encoded category columns.
 #ifndef EEP_TABLE_SCHEMA_H_
 #define EEP_TABLE_SCHEMA_H_
 
@@ -14,14 +15,9 @@ namespace eep::table {
 
 /// Physical type of a column.
 enum class DataType {
-  kInt64,     ///< 64-bit integers (ids, counts, populations).
-  kDouble,    ///< doubles (noise-infused values, weights).
-  kString,    ///< raw strings (rarely used; labels only).
+  kInt64,     ///< 64-bit integers (worker and establishment ids).
   kCategory,  ///< dictionary-encoded categorical values (uint32 codes).
 };
-
-/// Name of a DataType ("int64", ...).
-const char* DataTypeName(DataType type);
 
 /// \brief Immutable mapping between categorical string values and dense
 /// uint32 codes. Shared between a Field and its Column.
@@ -73,10 +69,6 @@ class Schema {
   /// Index of the field named `name`, or NotFound.
   Result<size_t> IndexOf(const std::string& name) const;
   bool Contains(const std::string& name) const;
-
-  /// A new schema with `prefix` prepended to every field name (used to
-  /// disambiguate join outputs).
-  Schema WithPrefix(const std::string& prefix) const;
 
  private:
   explicit Schema(std::vector<Field> fields);

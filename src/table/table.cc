@@ -38,28 +38,6 @@ Result<const Column*> Table::ColumnByName(const std::string& name) const {
   return &columns_[idx];
 }
 
-Result<Table> Table::Filter(const std::vector<bool>& mask) const {
-  if (mask.size() != num_rows_) {
-    return Status::InvalidArgument("filter mask length mismatch");
-  }
-  std::vector<Column> out;
-  out.reserve(columns_.size());
-  for (const auto& col : columns_) out.push_back(col.FilterCopy(mask));
-  return Table::Create(schema_, std::move(out));
-}
-
-Result<Table> Table::Select(const std::vector<std::string>& names) const {
-  std::vector<Field> fields;
-  std::vector<Column> cols;
-  for (const auto& name : names) {
-    EEP_ASSIGN_OR_RETURN(size_t idx, schema_.IndexOf(name));
-    fields.push_back(schema_.field(idx));
-    cols.push_back(columns_[idx]);
-  }
-  EEP_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(fields)));
-  return Table::Create(std::move(schema), std::move(cols));
-}
-
 Result<Table> Table::HashJoin(const Table& left, const std::string& left_key,
                               const Table& right,
                               const std::string& right_key) {
@@ -107,74 +85,6 @@ Result<Table> Table::HashJoin(const Table& left, const std::string& left_key,
   }
   EEP_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(fields)));
   return Table::Create(std::move(schema), std::move(cols));
-}
-
-TableBuilder::TableBuilder(Schema schema) : schema_(std::move(schema)) {
-  for (size_t i = 0; i < schema_.num_fields(); ++i) {
-    switch (schema_.field(i).type) {
-      case DataType::kInt64:
-        slots_.emplace_back(DataType::kInt64, int64_cols_.size());
-        int64_cols_.emplace_back();
-        break;
-      case DataType::kDouble:
-        slots_.emplace_back(DataType::kDouble, double_cols_.size());
-        double_cols_.emplace_back();
-        break;
-      case DataType::kString:
-        slots_.emplace_back(DataType::kString, string_cols_.size());
-        string_cols_.emplace_back();
-        break;
-      case DataType::kCategory:
-        slots_.emplace_back(DataType::kCategory, code_cols_.size());
-        code_cols_.emplace_back();
-        break;
-    }
-  }
-}
-
-Status TableBuilder::AppendRow(const std::vector<int64_t>& int64s,
-                               const std::vector<double>& doubles,
-                               const std::vector<std::string>& strings,
-                               const std::vector<uint32_t>& codes) {
-  if (int64s.size() != int64_cols_.size() ||
-      doubles.size() != double_cols_.size() ||
-      strings.size() != string_cols_.size() ||
-      codes.size() != code_cols_.size()) {
-    return Status::InvalidArgument("AppendRow arity mismatch");
-  }
-  for (size_t i = 0; i < int64s.size(); ++i) int64_cols_[i].push_back(int64s[i]);
-  for (size_t i = 0; i < doubles.size(); ++i) {
-    double_cols_[i].push_back(doubles[i]);
-  }
-  for (size_t i = 0; i < strings.size(); ++i) {
-    string_cols_[i].push_back(strings[i]);
-  }
-  for (size_t i = 0; i < codes.size(); ++i) code_cols_[i].push_back(codes[i]);
-  ++num_rows_;
-  return Status::OK();
-}
-
-Result<Table> TableBuilder::Finish() {
-  std::vector<Column> cols;
-  cols.reserve(schema_.num_fields());
-  for (const auto& [type, slot] : slots_) {
-    switch (type) {
-      case DataType::kInt64:
-        cols.push_back(Column::OfInt64(std::move(int64_cols_[slot])));
-        break;
-      case DataType::kDouble:
-        cols.push_back(Column::OfDouble(std::move(double_cols_[slot])));
-        break;
-      case DataType::kString:
-        cols.push_back(Column::OfString(std::move(string_cols_[slot])));
-        break;
-      case DataType::kCategory:
-        cols.push_back(Column::OfCategory(std::move(code_cols_[slot])));
-        break;
-    }
-  }
-  num_rows_ = 0;
-  return Table::Create(schema_, std::move(cols));
 }
 
 }  // namespace eep::table

@@ -1,11 +1,11 @@
-// The Table type: an immutable set of equal-length named columns, plus the
-// relational operators the LODES pipeline needs (filter, select, hash join).
+// The Table type: an immutable set of equal-length named int64 and category
+// columns, plus the one relational operator the LODES pipeline needs (hash
+// join).
 #ifndef EEP_TABLE_TABLE_H_
 #define EEP_TABLE_TABLE_H_
 
-#include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -29,12 +29,6 @@ class Table {
   /// Column by field name, or NotFound.
   Result<const Column*> ColumnByName(const std::string& name) const;
 
-  /// Rows where mask[i] is true. mask must have num_rows() entries.
-  Result<Table> Filter(const std::vector<bool>& mask) const;
-
-  /// Keeps only the named columns, in the given order.
-  Result<Table> Select(const std::vector<std::string>& names) const;
-
   /// Inner hash join on int64 key columns. Every right key must be unique
   /// (the joins in this codebase are fact-to-dimension: Job -> Worker,
   /// Job -> Workplace). Output columns: all left columns, then all right
@@ -53,37 +47,6 @@ class Table {
   Schema schema_;
   std::vector<Column> columns_;
   size_t num_rows_;
-};
-
-/// \brief Row-at-a-time builder that produces a Table.
-///
-/// Convenient for generators and tests; columnar appends are available via
-/// Table::Create for hot paths.
-class TableBuilder {
- public:
-  explicit TableBuilder(Schema schema);
-
-  /// Appends one row. `int64s`, `doubles`, `strings`, `codes` must supply
-  /// values for the schema's fields of the matching type, in field order.
-  Status AppendRow(const std::vector<int64_t>& int64s,
-                   const std::vector<double>& doubles,
-                   const std::vector<std::string>& strings,
-                   const std::vector<uint32_t>& codes);
-
-  size_t num_rows() const { return num_rows_; }
-
-  /// Finalizes into a Table; the builder is left empty.
-  Result<Table> Finish();
-
- private:
-  Schema schema_;
-  std::vector<std::vector<int64_t>> int64_cols_;
-  std::vector<std::vector<double>> double_cols_;
-  std::vector<std::vector<std::string>> string_cols_;
-  std::vector<std::vector<uint32_t>> code_cols_;
-  // Maps field index -> (which type bucket, index within bucket).
-  std::vector<std::pair<DataType, size_t>> slots_;
-  size_t num_rows_ = 0;
 };
 
 }  // namespace eep::table

@@ -61,7 +61,9 @@ TEST(AccountantTest, StrongModelMarginalParallelComposes) {
                   .value();
   // Thms 7.4 + 7.5: a full marginal costs one epsilon under strong privacy
   // even with worker attributes.
-  ASSERT_TRUE(acct.ChargeMarginal("m", 1.0, /*worker_domain_size=*/8).ok());
+  ASSERT_TRUE(
+      acct.ChargeMarginalWorkload({{"m", 1.0, /*worker_domain_size=*/8}})
+          .ok());
   EXPECT_DOUBLE_EQ(acct.spent_epsilon(), 1.0);
 }
 
@@ -71,10 +73,10 @@ TEST(AccountantTest, WeakModelWorkerMarginalSurcharge) {
           .value();
   // Weak privacy: the 8 worker cells of one establishment compose
   // sequentially (Thm 7.5 fails) -> 8 x epsilon.
-  ASSERT_TRUE(acct.ChargeMarginal("m", 1.0, 8).ok());
+  ASSERT_TRUE(acct.ChargeMarginalWorkload({{"m", 1.0, 8}}).ok());
   EXPECT_DOUBLE_EQ(acct.spent_epsilon(), 8.0);
   // Establishment-only marginal (d = 1) still parallel-composes.
-  ASSERT_TRUE(acct.ChargeMarginal("m2", 1.0, 1).ok());
+  ASSERT_TRUE(acct.ChargeMarginalWorkload({{"m2", 1.0, 1}}).ok());
   EXPECT_DOUBLE_EQ(acct.spent_epsilon(), 9.0);
 }
 
@@ -82,7 +84,7 @@ TEST(AccountantTest, WeakSurchargeCanExhaustBudget) {
   auto acct =
       PrivacyAccountant::Create(0.1, 4.0, 0.0, AdversaryModel::kWeak)
           .value();
-  EXPECT_EQ(acct.ChargeMarginal("m", 1.0, 8).code(),
+  EXPECT_EQ(acct.ChargeMarginalWorkload({{"m", 1.0, 8}}).code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -92,7 +94,7 @@ TEST(AccountantTest, InvalidCharges) {
                   .value();
   EXPECT_FALSE(acct.ChargeSequential("bad", 0.0).ok());
   EXPECT_FALSE(acct.ChargeSequential("bad", -1.0).ok());
-  EXPECT_FALSE(acct.ChargeMarginal("bad", 1.0, 0).ok());
+  EXPECT_FALSE(acct.ChargeMarginalWorkload({{"bad", 1.0, 0}}).ok());
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "lodes/generator.h"
+#include "table/group_by.h"
 #include "table/table.h"
 
 namespace eep::lodes {
@@ -114,6 +119,44 @@ TEST(LodesDatasetTest, BuildGraphMatchesJobs) {
   EXPECT_EQ(graph.num_edges(), 4);
   EXPECT_EQ(graph.EstabDegree(100), 2);
   EXPECT_EQ(graph.EstabDegree(200), 2);
+}
+
+TEST(LodesDatasetTest, WorkplaceKeysMatchBruteForceForEveryOrderedSubset) {
+  GeneratorConfig config;
+  config.target_jobs = 20000;
+  config.num_places = 20;
+  const LodesDataset data = SyntheticLodesGenerator(config).Generate().value();
+  const table::Table& workplaces = data.workplaces();
+  const std::vector<std::string> all = {kColNaics, kColOwnership, kColPlace};
+  int subsets = 0;
+  for (int mask = 1; mask < 8; ++mask) {
+    std::vector<std::string> attrs;
+    for (int bit = 0; bit < 3; ++bit) {
+      if ((mask >> bit) & 1) attrs.push_back(all[static_cast<size_t>(bit)]);
+    }
+    do {
+      const auto codec =
+          table::GroupKeyCodec::Create(workplaces.schema(), attrs).value();
+      std::set<uint64_t> expected;
+      for (size_t row = 0; row < workplaces.num_rows(); ++row) {
+        std::vector<uint32_t> codes;
+        for (size_t idx : codec.column_indices()) {
+          codes.push_back(workplaces.column(idx).codes()[row]);
+        }
+        expected.insert(codec.Pack(codes));
+      }
+      EXPECT_EQ(data.WorkplaceKeys(attrs).value(),
+                std::vector<uint64_t>(expected.begin(), expected.end()))
+          << "attrs=" << ::testing::PrintToString(attrs);
+      ++subsets;
+    } while (std::next_permutation(attrs.begin(), attrs.end()));
+  }
+  EXPECT_EQ(subsets, 15);
+
+  EXPECT_EQ(data.WorkplaceKeys({}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(data.WorkplaceKeys({kColSex}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -83,16 +83,6 @@ TEST_P(GroupByFuzzTest, MatchesNaiveReference) {
     EXPECT_EQ(cell->MaxEstabContribution(), max_contrib);
   }
 
-  // Plain GroupCount agrees with the establishment-tracked counts (both
-  // are key-sorted, so the rows line up index for index).
-  auto codec = GroupKeyCodec::Create(schema, {"attr_a", "attr_b"}).value();
-  auto plain = GroupCount(t, codec).value();
-  ASSERT_EQ(plain.size(), grouped.cells.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i].first, grouped.cells[i].key);
-    EXPECT_EQ(plain[i].second, grouped.cells[i].count);
-  }
-
   // The parallel engine is thread-count-invariant: 2/4/8 workers must
   // reproduce the single-threaded grouping bit for bit.
   for (int threads : {2, 4, 8}) {

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include "lodes/generator.h"
+#include "lodes/workload.h"
+#include "table/group_by_cache.h"
 #include "table/table.h"
 
 namespace eep::lodes {
 namespace {
 
-// Tiny dataset: two places, three establishments, six workers.
-LodesDataset TinyData() {
+// Tiny dataset: two places, three establishments, six workers. With
+// `jobless_estab`, establishment 300 is added with no jobs, alone in the
+// (town, "23", Federal) workplace combination.
+LodesDataset TinyData(bool jobless_estab = false) {
   auto domains =
       AttributeDomains::Create({{"town", 80}, {"city", 200000}}).value();
   using table::Column;
@@ -24,12 +28,22 @@ LodesDataset TinyData() {
                       Column::OfCategory({1, 1, 3, 1, 1, 1})})  // edu
                      .value();
   // Estabs: 100 & 101 in (sector 0, private, town); 200 in (15, SL, city).
+  std::vector<int64_t> estab_ids = {100, 101, 200};
+  std::vector<uint32_t> naics = {0, 0, 15};
+  std::vector<uint32_t> ownership = {0, 0, 1};
+  std::vector<uint32_t> places = {0, 0, 1};
+  if (jobless_estab) {
+    estab_ids.push_back(300);
+    naics.push_back(3);
+    ownership.push_back(2);
+    places.push_back(0);
+  }
   auto workplaces = table::Table::Create(
                         domains.WorkplaceSchema().value(),
-                        {Column::OfInt64({100, 101, 200}),
-                         Column::OfCategory({0, 0, 15}),
-                         Column::OfCategory({0, 0, 1}),
-                         Column::OfCategory({0, 0, 1})})
+                        {Column::OfInt64(std::move(estab_ids)),
+                         Column::OfCategory(std::move(naics)),
+                         Column::OfCategory(std::move(ownership)),
+                         Column::OfCategory(std::move(places))})
                         .value();
   // Jobs: estab 100 gets workers 1,2,3; estab 101 gets worker 4;
   // estab 200 gets workers 5,6.
@@ -287,6 +301,74 @@ TEST(MarginalQueryTest, PlaceCodeMatchesCodecUnpack) {
       EXPECT_EQ(cell.place_code,
                 query.codec().Unpack(cell.key)[place_slot]);
     }
+  }
+}
+
+// The jobless establishment's combination is public (Section 4.1), so it is
+// released: one cell per worker-attribute combination (1 for the
+// establishment marginal, 8 for sex x education), each with count 0 and
+// x_v 0.
+void ExpectJoblessCombinationReleased(const MarginalQuery& query) {
+  const std::map<std::string, std::string> workplace = {
+      {kColPlace, "town"}, {kColNaics, "23"}, {kColOwnership, "Federal"}};
+  std::vector<std::map<std::string, std::string>> cells;
+  if (query.spec().HasWorkerAttrs()) {
+    for (const std::string& sex : SexCodes()) {
+      for (const std::string& education : EducationCodes()) {
+        auto values = workplace;
+        values[kColSex] = sex;
+        values[kColEducation] = education;
+        cells.push_back(std::move(values));
+      }
+    }
+  } else {
+    cells.push_back(workplace);
+  }
+  EXPECT_EQ(static_cast<int64_t>(cells.size()), query.WorkerDomainSize());
+  for (const auto& values : cells) {
+    auto cell = query.FindCell(values);
+    ASSERT_TRUE(cell.ok()) << cell.status().ToString();
+    EXPECT_EQ(cell.value()->count, 0);
+    EXPECT_EQ(cell.value()->x_v, 0);
+  }
+}
+
+TEST(JoblessEstablishmentTest, ComputeReleasesItsCombination) {
+  const LodesDataset data = TinyData(/*jobless_estab=*/true);
+  const auto establishment =
+      MarginalQuery::Compute(data, MarginalSpec::EstablishmentMarginal())
+          .value();
+  EXPECT_EQ(establishment.cells().size(), 3u);
+  ExpectJoblessCombinationReleased(establishment);
+  const auto sexedu =
+      MarginalQuery::Compute(data, MarginalSpec::WorkplaceBySexEducation())
+          .value();
+  EXPECT_EQ(sexedu.cells().size(), 24u);
+  ExpectJoblessCombinationReleased(sexedu);
+}
+
+TEST(JoblessEstablishmentTest, WorkloadReleasesItsCombination) {
+  const LodesDataset data = TinyData(/*jobless_estab=*/true);
+  const auto queries =
+      ComputeWorkload(data, WorkloadSpec::PaperTabulations()).value();
+  ASSERT_EQ(queries.size(), 2u);
+  for (const MarginalQuery& query : queries) {
+    ExpectJoblessCombinationReleased(query);
+  }
+}
+
+TEST(JoblessEstablishmentTest, CacheWarmedWorkloadReleasesItsCombination) {
+  const LodesDataset data = TinyData(/*jobless_estab=*/true);
+  table::GroupByCache cache;
+  const WorkloadSpec workload = WorkloadSpec::PaperTabulations();
+  ASSERT_TRUE(ComputeWorkload(data, workload, 1, &cache).ok());
+  WorkloadComputeStats stats;
+  const auto queries =
+      ComputeWorkload(data, workload, 1, &cache, &stats).value();
+  EXPECT_EQ(stats.full_table_scans, 0);
+  ASSERT_EQ(queries.size(), 2u);
+  for (const MarginalQuery& query : queries) {
+    ExpectJoblessCombinationReleased(query);
   }
 }
 

@@ -111,14 +111,15 @@ TEST(RetryTest, RetriesTransientFailuresThenSucceeds) {
   policy.max_attempts = 5;
   int calls = 0;
   RetryStats stats;
-  const Status status = RetryStatus(
+  const Result<int> result = RetryResult(
       policy, &clock,
-      [&] {
+      [&]() -> Result<int> {
         ++calls;
-        return calls < 3 ? Status::IOError("transient") : Status::OK();
+        if (calls < 3) return Status::IOError("transient");
+        return calls;
       },
       &stats);
-  EXPECT_TRUE(status.ok());
+  EXPECT_TRUE(result.ok());
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(stats.attempts, 3);
   // Two failures -> the first two schedule steps, and nothing more.
@@ -131,11 +132,11 @@ TEST(RetryTest, NonRetryableStatusReturnsImmediately) {
   RetryPolicy policy;
   policy.max_attempts = 5;
   int calls = 0;
-  const Status status = RetryStatus(policy, &clock, [&] {
+  const Result<int> result = RetryResult(policy, &clock, [&]() -> Result<int> {
     ++calls;
     return Status::FailedPrecondition("corrupt manifest");
   });
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(clock.sleeps().empty());
 }
@@ -147,14 +148,15 @@ TEST(RetryTest, AttemptCapEndsWithTheLastError) {
   policy.max_attempts = 3;
   int calls = 0;
   RetryStats stats;
-  const Status status = RetryStatus(
-      policy, &clock, [&] {
+  const Result<int> result = RetryResult(
+      policy, &clock,
+      [&]() -> Result<int> {
         ++calls;
         return Status::IOError("attempt " + std::to_string(calls));
       },
       &stats);
-  EXPECT_EQ(status.code(), StatusCode::kIOError);
-  EXPECT_EQ(status.message(), "attempt 3");
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(result.status().message(), "attempt 3");
   EXPECT_EQ(stats.attempts, 3);
   // No sleep after the final attempt: 2 delays for 3 tries.
   EXPECT_EQ(clock.sleeps(), (std::vector<int64_t>{5, 10}));
@@ -168,13 +170,14 @@ TEST(RetryTest, BudgetStopsBeforeOverrunningSleep) {
   policy.budget_ms = 35;  // 10 + 20 fit; the 40ms third delay would not
   int calls = 0;
   RetryStats stats;
-  const Status status = RetryStatus(
-      policy, &clock, [&] {
+  const Result<int> result = RetryResult(
+      policy, &clock,
+      [&]() -> Result<int> {
         ++calls;
         return Status::IOError("still down");
       },
       &stats);
-  EXPECT_EQ(status.code(), StatusCode::kIOError);
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(clock.sleeps(), (std::vector<int64_t>{10, 20}));
   EXPECT_EQ(stats.slept_ms, 30);

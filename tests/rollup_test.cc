@@ -1,6 +1,6 @@
-// Cube roll-up correctness: a grouping derived by RollupGroupedCounts /
-// RollupKeyCounts from a finer grouping must be BIT-IDENTICAL to grouping
-// the table directly on the coarse columns, for every thread count and any
+// Cube roll-up correctness: a grouping derived by RollupGroupedCounts from
+// a finer grouping must be BIT-IDENTICAL to grouping the table directly on
+// the coarse columns, for every thread count and any
 // column-subset shape (suffix, prefix, middle, permuted). Also covers the
 // weighted aggregation primitives the roll-up rides on and the
 // GroupByCache serving policy (exact hit / superset roll-up / scan).
@@ -232,33 +232,6 @@ TEST(RollupTest, RollupFromIntermediateGroupingStaysExact) {
   ExpectCellsEqual(direct.cells, leaf.cells, "two-step lattice");
 }
 
-TEST(RollupTest, KeyCountsMatchDirectGroupCount) {
-  const Table t = MakeRandomTable(/*seed=*/31, /*num_rows=*/12000,
-                                  /*num_estabs=*/40);
-  const GroupKeyCodec base_codec =
-      GroupKeyCodec::Create(t.schema(), {"attr_a", "attr_b", "attr_c"})
-          .value();
-  const auto base = GroupCount(t, base_codec).value();
-  for (const std::vector<std::string>& columns :
-       {std::vector<std::string>{"attr_a", "attr_c"},
-        std::vector<std::string>{"attr_c", "attr_b"},
-        std::vector<std::string>{"attr_a", "attr_b"},  // prefix run-length
-        std::vector<std::string>{"attr_a"}}) {         // prefix run-length
-    const GroupKeyCodec coarse_codec =
-        GroupKeyCodec::Create(t.schema(), columns).value();
-    const auto direct = GroupCount(t, coarse_codec).value();
-    for (int threads : {1, 2, 4, 8}) {
-      RollupKind kind;
-      const auto rolled =
-          RollupKeyCounts(base, base_codec, coarse_codec, threads, &kind)
-              .value();
-      EXPECT_EQ(kind == RollupKind::kPrefixMerge,
-                IsKeyPrefix(base_codec, coarse_codec));
-      EXPECT_EQ(direct, rolled) << "threads=" << threads;
-    }
-  }
-}
-
 TEST(RollupTest, RejectsColumnsOutsideTheBaseGrouping) {
   const Table t = MakeRandomTable(/*seed=*/5, /*num_rows=*/100,
                                   /*num_estabs=*/5);
@@ -295,12 +268,6 @@ TEST(WeightedAggregateTest, MatchesUnweightedExpansion) {
                                                        domain, threads);
     ExpectCellsEqual(expected, actual,
                      "threads=" + std::to_string(threads));
-  }
-  const auto plain_expected = AggregateByKey(expanded_keys, domain, 1);
-  for (int threads : {1, 2, 4, 8}) {
-    EXPECT_EQ(plain_expected,
-              AggregateWeightedByKey(keys, weights, domain, threads))
-        << "threads=" << threads;
   }
 }
 

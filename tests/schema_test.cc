@@ -42,24 +42,9 @@ TEST(SchemaTest, RejectsCategoryWithoutDictionary) {
 
 TEST(SchemaTest, RejectsDuplicateOrEmptyNames) {
   EXPECT_FALSE(Schema::Create({{"a", DataType::kInt64, nullptr},
-                               {"a", DataType::kDouble, nullptr}})
+                               {"a", DataType::kInt64, nullptr}})
                    .ok());
   EXPECT_FALSE(Schema::Create({{"", DataType::kInt64, nullptr}}).ok());
-}
-
-TEST(SchemaTest, WithPrefixRenames) {
-  auto schema =
-      Schema::Create({{"id", DataType::kInt64, nullptr}}).value();
-  Schema prefixed = schema.WithPrefix("w_");
-  EXPECT_TRUE(prefixed.Contains("w_id"));
-  EXPECT_FALSE(prefixed.Contains("id"));
-}
-
-TEST(DataTypeTest, Names) {
-  EXPECT_STREQ(DataTypeName(DataType::kInt64), "int64");
-  EXPECT_STREQ(DataTypeName(DataType::kDouble), "double");
-  EXPECT_STREQ(DataTypeName(DataType::kString), "string");
-  EXPECT_STREQ(DataTypeName(DataType::kCategory), "category");
 }
 
 }  // namespace

@@ -7,7 +7,8 @@ namespace {
 
 Schema TwoColumnSchema() {
   return Schema::Create({{"id", DataType::kInt64, nullptr},
-                         {"score", DataType::kDouble, nullptr}})
+                         {"cat", DataType::kCategory,
+                          Dictionary::Create({"x", "y", "z"}).value()}})
       .value();
 }
 
@@ -15,17 +16,17 @@ TEST(TableTest, CreateValidatesShapes) {
   auto schema = TwoColumnSchema();
   // Length mismatch.
   EXPECT_FALSE(Table::Create(schema, {Column::OfInt64({1, 2}),
-                                      Column::OfDouble({1.0})})
+                                      Column::OfCategory({1})})
                    .ok());
   // Type mismatch.
-  EXPECT_FALSE(Table::Create(schema, {Column::OfDouble({1.0}),
-                                      Column::OfDouble({1.0})})
+  EXPECT_FALSE(Table::Create(schema, {Column::OfCategory({1}),
+                                      Column::OfCategory({1})})
                    .ok());
   // Count mismatch.
   EXPECT_FALSE(Table::Create(schema, {Column::OfInt64({1})}).ok());
   // Valid.
   auto t = Table::Create(schema,
-                         {Column::OfInt64({1, 2}), Column::OfDouble({1.0, 2.0})});
+                         {Column::OfInt64({1, 2}), Column::OfCategory({1, 2})});
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t.value().num_rows(), 2u);
   EXPECT_EQ(t.value().num_columns(), 2u);
@@ -41,40 +42,21 @@ TEST(TableTest, CreateValidatesCategoryCodes) {
 
 TEST(TableTest, ColumnByName) {
   auto t = Table::Create(TwoColumnSchema(), {Column::OfInt64({7}),
-                                             Column::OfDouble({2.5})})
+                                             Column::OfCategory({2})})
                .value();
   EXPECT_EQ((*t.ColumnByName("id").value()->AsInt64().value())[0], 7);
   EXPECT_EQ(t.ColumnByName("nope").status().code(), StatusCode::kNotFound);
 }
 
-TEST(TableTest, FilterKeepsMatchingRows) {
-  auto t = Table::Create(TwoColumnSchema(),
-                         {Column::OfInt64({1, 2, 3}),
-                          Column::OfDouble({0.1, 0.2, 0.3})})
-               .value();
-  auto filtered = t.Filter({false, true, true}).value();
-  EXPECT_EQ(filtered.num_rows(), 2u);
-  EXPECT_EQ(filtered.column(0).int64s()[0], 2);
-  EXPECT_FALSE(t.Filter({true}).ok());  // mask length mismatch
-}
-
-TEST(TableTest, SelectReordersColumns) {
-  auto t = Table::Create(TwoColumnSchema(), {Column::OfInt64({1}),
-                                             Column::OfDouble({9.0})})
-               .value();
-  auto sel = t.Select({"score", "id"}).value();
-  EXPECT_EQ(sel.schema().field(0).name, "score");
-  EXPECT_EQ(sel.schema().field(1).name, "id");
-  EXPECT_FALSE(t.Select({"missing"}).ok());
-}
-
 TEST(TableTest, HashJoinInner) {
   auto left = Table::Create(
                   Schema::Create({{"k", DataType::kInt64, nullptr},
-                                  {"lv", DataType::kDouble, nullptr}})
+                                  {"lv", DataType::kCategory,
+                                   Dictionary::Create({"a", "b", "c", "d"})
+                                       .value()}})
                       .value(),
                   {Column::OfInt64({1, 2, 3, 2}),
-                   Column::OfDouble({0.1, 0.2, 0.3, 0.4})})
+                   Column::OfCategory({0, 1, 2, 3})})
                   .value();
   auto right = Table::Create(
                    Schema::Create({{"k", DataType::kInt64, nullptr},
@@ -115,29 +97,6 @@ TEST(TableTest, HashJoinRejectsDuplicateOutputColumns) {
                    .value();
   // Both sides carry a non-key column "v".
   EXPECT_FALSE(Table::HashJoin(left, "k", right, "k").ok());
-}
-
-TEST(TableBuilderTest, AppendAndFinish) {
-  auto dict = Dictionary::Create({"x", "y"}).value();
-  auto schema = Schema::Create({{"id", DataType::kInt64, nullptr},
-                                {"cat", DataType::kCategory, dict},
-                                {"w", DataType::kDouble, nullptr}})
-                    .value();
-  TableBuilder builder(schema);
-  ASSERT_TRUE(builder.AppendRow({1}, {0.5}, {}, {0}).ok());
-  ASSERT_TRUE(builder.AppendRow({2}, {1.5}, {}, {1}).ok());
-  EXPECT_EQ(builder.num_rows(), 2u);
-  auto t = builder.Finish().value();
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.ColumnByName("cat").value()->codes()[1], 1u);
-  EXPECT_EQ(t.ColumnByName("w").value()->doubles()[0], 0.5);
-}
-
-TEST(TableBuilderTest, ArityMismatchRejected) {
-  auto schema = TwoColumnSchema();
-  TableBuilder builder(schema);
-  EXPECT_FALSE(builder.AppendRow({1, 2}, {0.5}, {}, {}).ok());
-  EXPECT_FALSE(builder.AppendRow({1}, {}, {}, {}).ok());
 }
 
 }  // namespace

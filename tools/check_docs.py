@@ -7,10 +7,11 @@ not fetched), and that every bench binary named in docs/BENCHMARKS.md
 corresponds to a bench/bench_*.cc source (the set bench/CMakeLists.txt
 registers via its glob) — so a bench rename cannot silently rot the
 benchmark book's repro commands. API names are cross-checked too: every
-project-namespace-qualified name in README.md / docs/ARCHITECTURE.md
-code, and every `->Name(` call in README's cpp blocks, must still exist
-in some src/**/*.h, so the docs cannot advertise deleted API. Exits
-nonzero listing each problem.
+project-namespace-qualified name in README.md / docs/ARCHITECTURE.md /
+docs/BENCHMARKS.md code, every inline span that is one bare
+UpperCamelCase identifier, and every `->Name(` call in README's cpp
+blocks, must still exist in some src/**/*.h, so the docs cannot
+advertise deleted API. Exits nonzero listing each problem.
 
 Usage: tools/check_docs.py [repo_root]
 """
@@ -265,6 +266,12 @@ API_NAMESPACES = ("release", "serve", "store", "lodes", "table", "eval",
 QUALIFIED_RE = re.compile(r"\b(?:%s)::(\w+(?:::\w+)*)"
                           % "|".join(API_NAMESPACES))
 ARROW_CALL_RE = re.compile(r"->\s*(\w+)\s*\(")
+# An inline span that is one bare UpperCamelCase identifier, optionally
+# called: `GroupByCache`, `RunReleaseWorkload()`. Only names with a
+# lowercase letter count, which keeps all-caps file names (`MANIFEST`) out.
+BARE_NAME_RE = re.compile(r"([A-Z][A-Za-z0-9]*)(?:\(\))?")
+API_DOCS = ("README.md", os.path.join("docs", "ARCHITECTURE.md"),
+            os.path.join("docs", "BENCHMARKS.md"))
 INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
 # Comments and string literals, blanked before collecting header names so
 # an API that survives only in a comment does not count as declared.
@@ -304,23 +311,27 @@ def code_in(path):
 
 
 def check_api_names(root):
-    """Every component of every project-namespace-qualified name in
-    README.md and docs/ARCHITECTURE.md code (fenced blocks and inline
-    spans), and every `->Name(` call in README's fenced cpp blocks, must
-    be declared in some src/**/*.h — so a deleted function or method
-    cannot live on in a doc snippet. Returns (checked, broken)."""
+    """Every component of every project-namespace-qualified name in the
+    API_DOCS' code (fenced blocks and inline spans), every inline span
+    that is one bare UpperCamelCase identifier, and every `->Name(` call
+    in README's fenced cpp blocks, must be declared in some src/**/*.h —
+    so a deleted function or method cannot live on in a doc snippet.
+    Returns (checked, broken)."""
     declared = header_identifiers(root)
     if not declared:
         return 0, []
     broken = []
     checked = set()
-    for rel in ("README.md", os.path.join("docs", "ARCHITECTURE.md")):
+    for rel in API_DOCS:
         path = os.path.join(root, rel)
         if not os.path.exists(path):
             continue
         for number, code, fence in code_in(path):
             names = [(m.group(0), m.group(1).split("::"))
                      for m in QUALIFIED_RE.finditer(code)]
+            bare = BARE_NAME_RE.fullmatch(code) if fence is None else None
+            if bare and any(c.islower() for c in bare.group(1)):
+                names.append((code, [bare.group(1)]))
             if rel == "README.md" and fence == "cpp":
                 names += [(m.group(0), [m.group(1)])
                           for m in ARROW_CALL_RE.finditer(code)]
@@ -378,7 +389,8 @@ def main():
           f"{lint_checked} eep-lint rule ids, {fp_checked} failpoint "
           f"sites, {serve_checked} serve tests and {service_checked} "
           f"request-front tests in docs/ARCHITECTURE.md, {api_checked} "
-          f"API names in README.md/docs/ARCHITECTURE.md code; "
+          f"API names in README.md/docs/ARCHITECTURE.md/docs/BENCHMARKS.md "
+          f"code; "
           f"{len(broken)} broken links, {len(bench_broken)} unknown benches, "
           f"{len(lint_broken)} unknown lint rules, "
           f"{len(fp_broken)} unknown failpoints, "
