@@ -14,6 +14,7 @@
 // index paper-shaped tables, not toy ones.
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -166,7 +167,7 @@ int main(int argc, char** argv) {
     const double per_s = static_cast<double>(released_cells) /
                          (best_ms / 1000.0);
     sweep_table.AddRow({std::to_string(threads), FormatDouble(best_ms, 2),
-                        FormatDouble(per_s, 0),
+                        std::to_string(std::llround(per_s)),
                         round_identical ? "yes" : "NO (BUG!)"});
     bench::BenchJson& entry = sweep.Append(bench::BenchJson());
     entry["threads"] = bench::BenchJson::Num(threads);

@@ -1,21 +1,23 @@
 // Request-front load sweep: client threads flood the admission-controlled
-// Service (bounded queue + fixed worker pool) with deadline-stamped
-// lookups, scaling offered load past saturation. Reported per client
-// count: sustained answers/s, shed rate, and completed-request latency
-// percentiles (p50/p95/p99). Every completed answer is validated against
-// the released tables, and the outcome accounting must reconcile to the
-// exact request count with snapshot_pins == completions — nonzero exit on
-// either failing, the overload contract is part of the measurement.
+// Service (a concurrency limit plus bounded waiting places; each caller
+// runs its own request) with deadline-stamped lookups, scaling offered
+// load past saturation. Reported per client count: sustained answers/s,
+// shed rate, and completed-request latency percentiles (p50/p95/p99).
+// Every completed answer is validated against the released tables, and
+// the outcome accounting must reconcile to the exact request count with
+// snapshot_pins == completions — nonzero exit on either failing, the
+// overload contract is part of the measurement.
 //
 // Extra flags on top of bench_common's:
 //   --requests=N     requests per client per round (default 4000)
-//   --workers=N      service worker pool size (default 2)
-//   --capacity=N     admission queue capacity (default 16)
+//   --workers=N      concurrency limit: requests running at once (default 2)
+//   --capacity=N     waiting places for requests beyond it (default 16)
 //   --deadline-ms=N  per-request deadline budget (default 250)
 //   --dir=PATH       store directory (default /tmp/eep_bench_service; wiped)
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -100,19 +102,6 @@ int main(int argc, char** argv) {
   }
   serve::Server* server = opened.value().get();
 
-  // The store's table names, reconstructed the way the persist step
-  // builds them: "m<i>:<attr1>,<attr2>,..." (release/pipeline.cc).
-  std::vector<std::string> table_names;
-  table_names.reserve(released.size());
-  for (size_t t = 0; t < released.size(); ++t) {
-    std::string name = "m" + std::to_string(t);
-    for (size_t c = 0; c + 1 < released[t].header.size(); ++c) {
-      name += (c == 0 ? ":" : ",");
-      name += released[t].header[c];
-    }
-    table_names.push_back(std::move(name));
-  }
-
   // Flatten (table, row) request targets so clients can stride cheaply.
   std::vector<std::pair<size_t, size_t>> targets;
   for (size_t t = 0; t < released.size(); ++t) {
@@ -125,7 +114,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("%zu released cells; queue capacity %zu, %d workers, "
+  std::printf("%zu released cells; %zu waiting places, %d slots, "
               "deadline %lld ms, %d requests/client\n\n",
               targets.size(), capacity, workers,
               static_cast<long long>(deadline_ms), requests);
@@ -165,7 +154,7 @@ int main(int argc, char** argv) {
                        static_cast<size_t>(r)) % targets.size()];
           const auto& want = released[t].rows[row];
           serve::LookupRequest lookup;
-          lookup.table = table_names[t];
+          lookup.table = released[t].name;
           lookup.values.clear();
           for (size_t a = 0; a + 1 < released[t].header.size(); ++a) {
             lookup.values[released[t].header[a]] = want[a];
@@ -218,7 +207,8 @@ int main(int argc, char** argv) {
     const double expired_pct =
         100.0 * static_cast<double>(expired_count.load()) /
         static_cast<double>(total);
-    table.AddRow({std::to_string(clients), FormatDouble(answers_per_s, 0),
+    table.AddRow({std::to_string(clients),
+                  std::to_string(std::llround(answers_per_s)),
                   FormatDouble(shed_pct, 2), FormatDouble(expired_pct, 2),
                   FormatDouble(Percentile(&merged, 0.50), 3),
                   FormatDouble(Percentile(&merged, 0.95), 3),

@@ -17,39 +17,24 @@ Result<std::unique_ptr<Service>> Service::Create(Server* server,
     return Status::InvalidArgument(
         "Service::Create: num_workers must be >= 1");
   }
-  std::unique_ptr<Service> service(new Service(server, std::move(options)));
-  service->workers_.reserve(
-      static_cast<size_t>(service->options_.num_workers));
-  for (int i = 0; i < service->options_.num_workers; ++i) {
-    service->workers_.emplace_back(&Service::WorkerLoop, service.get());
-  }
-  return service;
+  return std::unique_ptr<Service>(new Service(server, std::move(options)));
 }
 
 Service::Service(Server* server, ServiceOptions options)
     : server_(server),
       options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : server->clock()),
-      suspended_(options_.start_suspended) {}
+      open_(!options_.start_suspended) {}
 
 Service::~Service() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    // Shutdown unparks a suspended service: queued callers are blocked on
-    // their outcomes and MUST get one (deadline re-check included) before
-    // the workers join.
-    suspended_ = false;
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  // Every queued task is done now, but its caller may still be inside
-  // AwaitDone (between being notified and releasing mu_). Wait for the
-  // last one to leave before the mutex and condvars are destroyed.
   std::unique_lock<std::mutex> lock(mu_);
-  drain_cv_.wait(lock, [this] { return awaiting_ == 0; });
+  stop_ = true;
+  // Shutdown opens a closed gate: waiting callers are blocked on their
+  // outcomes and MUST get one (deadline re-check included) before the
+  // members go away.
+  open_ = true;
+  cv_.notify_all();
+  cv_.wait(lock, [this] { return running_ == 0 && waiting_ == 0; });
 }
 
 int64_t Service::NowMs() const { return clock_->NowMs(); }
@@ -61,63 +46,99 @@ int64_t Service::DeadlineAfterMs(int64_t budget_ms) const {
 void Service::Resume() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    suspended_ = false;
+    open_ = true;
   }
-  work_cv_.notify_all();
+  cv_.notify_all();
 }
 
-Status Service::Enqueue(Task* task) {
+Status Service::Admit(int64_t deadline_ms) {
   // Deadline gate first: an expired request is refused before it can
   // displace viable work, and without any snapshot being pinned.
-  if (task->deadline_ms > 0 && clock_->NowMs() >= task->deadline_ms) {
-    expired_at_admission_.fetch_add(1, std::memory_order_relaxed);
+  const bool expired = deadline_ms > 0 && clock_->NowMs() >= deadline_ms;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (expired) {
+    ++stats_.expired_at_admission;
     return Status::DeadlineExceeded("deadline expired before admission");
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      return Status::FailedPrecondition("service is shutting down");
-    }
-    if (queue_.size() >= options_.queue_capacity) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          "admission queue full (" +
-          std::to_string(options_.queue_capacity) + " waiting)");
-    }
-    queue_.push_back(task);
-    admitted_.fetch_add(1, std::memory_order_relaxed);
-    // Counted before mu_ is released: the destructor's drain cannot see
-    // zero awaiters while this caller is still on its way to AwaitDone.
-    ++awaiting_;
+  if (stop_) {
+    return Status::FailedPrecondition("service is shutting down");
   }
-  work_cv_.notify_one();
+  // A new arrival never takes a slot ahead of a waiting caller.
+  const bool must_wait =
+      !open_ || running_ == options_.num_workers || waiting_ > 0;
+  if (must_wait && waiting_ >= options_.queue_capacity) {
+    ++stats_.shed;
+    return Status::ResourceExhausted(
+        "admission queue full (" + std::to_string(options_.queue_capacity) +
+        " waiting)");
+  }
+  ++stats_.admitted;
+  if (must_wait) {
+    ++waiting_;
+    cv_.wait(lock,
+             [this] { return open_ && running_ < options_.num_workers; });
+    --waiting_;
+    // The second deadline check: a request that expired while waiting is
+    // answered without pinning a snapshot, and the free slot goes on to
+    // the next waiter — under overload the slots go only to requests that
+    // can still meet their deadline.
+    if (deadline_ms > 0 && clock_->NowMs() >= deadline_ms) {
+      ++stats_.expired_in_queue;
+      PassSlotOnLocked();
+      return Status::DeadlineExceeded("deadline expired in queue");
+    }
+  }
+  ++running_;
+  ++stats_.snapshot_pins;
   return Status::OK();
 }
 
-void Service::AwaitDone(Task* task) {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [task] { return task->done; });
-  if (--awaiting_ == 0) drain_cv_.notify_all();
+void Service::FreeSlot() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.completed;
+  --running_;
+  PassSlotOnLocked();
+}
+
+void Service::PassSlotOnLocked() {
+  // Notified under mu_: once the caller releases it, the destructor may
+  // run and the condition variable may be gone.
+  if (stop_) {
+    cv_.notify_all();
+  } else if (waiting_ > 0) {
+    cv_.notify_one();
+  }
+}
+
+template <typename T, typename Body>
+Result<T> Service::Run(int64_t deadline_ms, Body body) {
+  EEP_RETURN_NOT_OK(Admit(deadline_ms));
+  // Frees the slot after the answer is built, on every exit path.
+  struct SlotGuard {
+    Service* service;
+    ~SlotGuard() { service->FreeSlot(); }
+  } slot{this};
+  return body(*server_->snapshot());
 }
 
 Result<std::string> Service::Lookup(const LookupRequest& request) {
-  Task task(Task::Kind::kLookup);
-  task.lookup = &request;
-  task.deadline_ms = request.deadline_ms;
-  EEP_RETURN_NOT_OK(Enqueue(&task));
-  AwaitDone(&task);
-  if (!task.status.ok()) return task.status;
-  return std::move(task.count);
+  return Run<std::string>(
+      request.deadline_ms,
+      [&request](const Snapshot& snap) -> Result<std::string> {
+        EEP_ASSIGN_OR_RETURN(const ServedTable* served,
+                             snap.Find(request.table));
+        return served->LookupCell(request.values);
+      });
 }
 
 Result<std::vector<RankedCell>> Service::TopK(const TopKRequest& request) {
-  Task task(Task::Kind::kTopK);
-  task.topk = &request;
-  task.deadline_ms = request.deadline_ms;
-  EEP_RETURN_NOT_OK(Enqueue(&task));
-  AwaitDone(&task);
-  if (!task.status.ok()) return task.status;
-  return std::move(task.ranked);
+  return Run<std::vector<RankedCell>>(
+      request.deadline_ms,
+      [&request](const Snapshot& snap) -> Result<std::vector<RankedCell>> {
+        EEP_ASSIGN_OR_RETURN(const ServedTable* served,
+                             snap.Find(request.table));
+        return served->TopK(request.k);
+      });
 }
 
 ServiceHealth Service::Health(const HealthRequest&) const {
@@ -130,75 +151,8 @@ ServiceHealth Service::Health(const HealthRequest&) const {
 }
 
 ServiceStats Service::stats() const {
-  ServiceStats stats;
-  stats.admitted = admitted_.load(std::memory_order_relaxed);
-  stats.completed = completed_.load(std::memory_order_relaxed);
-  stats.shed = shed_.load(std::memory_order_relaxed);
-  stats.expired_at_admission =
-      expired_at_admission_.load(std::memory_order_relaxed);
-  stats.expired_in_queue = expired_in_queue_.load(std::memory_order_relaxed);
-  stats.snapshot_pins = snapshot_pins_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void Service::Execute(Task* task) {
-  // The second deadline check: a request that expired while queued is
-  // answered without pinning a snapshot — under overload the pool's time
-  // goes only to requests that can still meet their deadline.
-  if (task->deadline_ms > 0 && clock_->NowMs() >= task->deadline_ms) {
-    expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
-    task->status = Status::DeadlineExceeded("deadline expired in queue");
-    return;
-  }
-  snapshot_pins_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<const Snapshot> snap = server_->snapshot();
-  switch (task->kind) {
-    case Task::Kind::kLookup: {
-      Result<const ServedTable*> served = snap->Find(task->lookup->table);
-      if (!served.ok()) {
-        task->status = served.status();
-        break;
-      }
-      Result<std::string> count =
-          served.value()->LookupCell(task->lookup->values);
-      task->status = count.status();
-      if (count.ok()) task->count = std::move(count).value();
-      break;
-    }
-    case Task::Kind::kTopK: {
-      Result<const ServedTable*> served = snap->Find(task->topk->table);
-      if (!served.ok()) {
-        task->status = served.status();
-        break;
-      }
-      Result<std::vector<RankedCell>> ranked =
-          served.value()->TopK(task->topk->k);
-      task->status = ranked.status();
-      if (ranked.ok()) task->ranked = std::move(ranked).value();
-      break;
-    }
-  }
-  completed_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Service::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [this] {
-      return stop_ || (!suspended_ && !queue_.empty());
-    });
-    if (queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    Task* task = queue_.front();
-    queue_.pop_front();
-    lock.unlock();
-    Execute(task);
-    lock.lock();
-    task->done = true;
-    done_cv_.notify_all();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 }  // namespace eep::serve

@@ -1,49 +1,59 @@
 // The resilient request front over serve::Server: typed requests with
-// per-request deadlines, a bounded admission queue feeding a fixed worker
-// pool, and explicit degraded-mode reporting. This is the process-local
-// core of the paper's OnTheMap deployment — a public web application
-// taking heavy interactive traffic over pre-released tabulations — where
-// the failure mode that matters is OVERLOAD, not just faults.
+// per-request deadlines, an admission gate that bounds how many requests
+// run and wait, and explicit degraded-mode reporting. This is the
+// process-local core of the paper's OnTheMap deployment — a public web
+// application taking heavy interactive traffic over pre-released
+// tabulations — where the failure mode that matters is OVERLOAD, not just
+// faults.
+//
+// Every caller blocks until it is answered, so the front has no threads
+// of its own: a caller passes the gate and runs its own request on its
+// own thread. The gate has num_workers execution slots and queue_capacity
+// waiting places, guarded by one mutex and one condition variable.
 //
 // Overload contract (docs/ARCHITECTURE.md, "Overload & degradation
 // contract"):
 //
-//   * BOUNDED ADMISSION. The queue holds at most queue_capacity waiting
-//     requests. A request arriving at a full queue is SHED immediately
-//     with kResourceExhausted — no buffering, no snapshot work, no
-//     unbounded latency. Admitted work is therefore bounded: at most
-//     (capacity + workers) requests are in the system at once.
+//   * BOUNDED ADMISSION. At most num_workers requests run and at most
+//     queue_capacity wait for a slot. A request arriving when every
+//     waiting place is taken is SHED immediately with kResourceExhausted —
+//     no buffering, no snapshot work, no unbounded latency. At most
+//     (capacity + workers) requests are in the system at once. A new
+//     arrival never takes a slot ahead of a waiting caller; waiters take
+//     freed slots in the order the condition variable wakes them, which
+//     is not promised to be FIFO.
 //   * DEADLINES, TWICE. A request's deadline is checked at admission
 //     (an already-expired request is refused with kDeadlineExceeded
-//     before it costs anything) and AGAIN when a worker picks it up (a
-//     request that expired waiting in the queue is answered
-//     kDeadlineExceeded without touching a snapshot). Snapshot work is
-//     only ever spent on requests that can still meet their deadline.
+//     before it costs anything) and AGAIN when a waiting caller gets its
+//     slot (a request that expired while waiting is answered
+//     kDeadlineExceeded without touching a snapshot). Waits are not
+//     timed: the second check runs when a slot frees, never on a timer.
+//     Snapshot work is only ever spent on requests that can still meet
+//     their deadline.
 //   * ACCOUNTED, EXACTLY. Every request ends in exactly one of
 //     {completed, shed, expired-at-admission, expired-in-queue}; the
 //     counters reconcile to the request total and snapshot_pins ==
-//     completed (the "zero snapshot work for refused requests" proof the
-//     saturation test asserts).
-//   * NEVER DEAD. Health() answers without queueing — during overload or
-//     store faults it still reports the service state: the server's
-//     degraded flag (consecutive refresh failures past the threshold,
-//     pinned epoch still serving), epoch age, backoff position, and the
-//     admission counters.
+//     completed once the service is idle (the "zero snapshot work for
+//     refused requests" proof the saturation test asserts).
+//   * NEVER DEAD. Health() answers without waiting for a slot — during
+//     overload or store faults it still reports the service state: the
+//     server's degraded flag (consecutive refresh failures past the
+//     threshold, pinned epoch still serving), epoch age, backoff
+//     position, and the admission counters.
 //
 // Time is injected (common/clock.h): deadlines, epoch age and the
 // backoff schedule all read the server's clock, so every path above is
-// unit-testable with a FakeClock and zero sleeps.
+// unit-testable with a FakeClock and zero sleeps. Nothing waits in real
+// time on the clock.
 #ifndef EEP_SERVE_SERVICE_H_
 #define EEP_SERVE_SERVICE_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -78,15 +88,21 @@ struct HealthRequest {};
 
 /// \brief Admission/outcome counters. Every request finishes in exactly
 /// one bucket: completed + shed + expired_at_admission + expired_in_queue
-/// == requests received (stopped-service refusals excepted).
+/// == requests received (stopped-service refusals excepted). All six are
+/// read under the gate's lock, so one sample is consistent: at any
+/// instant completed + expired_in_queue <= admitted <= that sum +
+/// queue_capacity + num_workers, and completed <= snapshot_pins <=
+/// completed + num_workers.
 struct ServiceStats {
-  uint64_t admitted = 0;     ///< Entered the queue.
-  uint64_t completed = 0;    ///< Executed against a snapshot.
-  uint64_t shed = 0;         ///< Refused at admission: queue full.
+  /// Passed the gate: took a slot or a waiting place.
+  uint64_t admitted = 0;
+  uint64_t completed = 0;    ///< Ran against a snapshot.
+  uint64_t shed = 0;         ///< Refused at admission: no waiting place.
   uint64_t expired_at_admission = 0;  ///< Deadline already past on arrival.
-  uint64_t expired_in_queue = 0;      ///< Deadline passed while queued.
-  /// Snapshots pinned for execution. Equal to completed: shed and
-  /// expired requests never touch one.
+  uint64_t expired_in_queue = 0;  ///< Deadline passed while waiting.
+  /// Snapshots pinned for execution, counted as a slot is taken. Equal to
+  /// completed once no request is running: shed and expired requests
+  /// never touch one.
   uint64_t snapshot_pins = 0;
 };
 
@@ -108,37 +124,40 @@ struct ServiceHealth {
 
 /// \brief Service configuration.
 struct ServiceOptions {
-  /// Waiting requests beyond the ones workers are executing. Full queue
-  /// => shed. Must be >= 1.
+  /// Waiting places: requests admitted while every slot is busy (or the
+  /// gate is closed) wait here. Every place taken => shed. Must be >= 1.
   size_t queue_capacity = 128;
-  /// Fixed worker pool size. Must be >= 1.
+  /// The concurrency limit: at most this many requests run at once, each
+  /// on its caller's thread (the service starts no threads). Must be >= 1.
   int num_workers = 2;
   /// Deadline/backoff time source; nullptr = the server's clock.
   Clock* clock = nullptr;
-  /// When true, workers start parked and execute nothing until Resume().
-  /// Admission still runs — overload tests use this to fill the queue
-  /// deterministically (without it, shedding depends on scheduling).
+  /// When true, the gate starts closed and nothing runs until Resume().
+  /// Admission still runs — overload tests use this to fill the waiting
+  /// places deterministically (without it, shedding depends on
+  /// scheduling).
   bool start_suspended = false;
 };
 
 /// \brief The request front. Thread-safe: any number of threads may call
-/// Lookup/TopK/Health/stats concurrently; requests block the calling
-/// thread until their outcome (which is why admitted latency stays
-/// bounded — there is no fire-and-forget buffering anywhere).
+/// Lookup/TopK/Health/stats concurrently; requests run on and block the
+/// calling thread until their outcome (which is why admitted latency
+/// stays bounded — there is no fire-and-forget buffering anywhere).
 class Service {
  public:
   /// `server` must outlive the service.
   static Result<std::unique_ptr<Service>> Create(Server* server,
                                                  ServiceOptions options = {});
 
-  /// Stops admission, drains queued requests (each still gets its
-  /// deadline re-checked) and joins the workers.
+  /// Stops admission and opens the gate, then returns once no caller
+  /// holds a slot or a waiting place: waiting callers still run, each
+  /// with its deadline re-checked.
   ~Service();
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Blocking point lookup: admitted, executed by a worker against one
-  /// pinned snapshot, answered verbatim. kResourceExhausted when shed,
+  /// Blocking point lookup: admitted, run on the calling thread against
+  /// one pinned snapshot, answered verbatim. kResourceExhausted when shed,
   /// kDeadlineExceeded when expired (either check), kNotFound/
   /// kInvalidArgument from the lookup itself, kFailedPrecondition after
   /// shutdown began.
@@ -147,8 +166,8 @@ class Service {
   /// Blocking top-k ranking; same admission semantics as Lookup.
   Result<std::vector<RankedCell>> TopK(const TopKRequest& request);
 
-  /// Never queued, never sheds, no deadline: one consistent health
-  /// sample even (especially) under overload or store faults.
+  /// Never waits for a slot, never sheds, no deadline: one consistent
+  /// health sample even (especially) under overload or store faults.
   ServiceHealth Health(const HealthRequest& request = {}) const;
 
   ServiceStats stats() const;
@@ -159,66 +178,41 @@ class Service {
   /// NowMs() + budget_ms, the usual way to stamp a request's deadline.
   int64_t DeadlineAfterMs(int64_t budget_ms) const;
 
-  /// Unparks the workers of a start_suspended service. Idempotent.
+  /// Opens the gate of a start_suspended service. Idempotent.
   void Resume();
 
  private:
-  /// One in-flight request, owned by the calling thread's stack frame
-  /// for its whole life (the caller outlives it by blocking).
-  struct Task {
-    enum class Kind { kLookup, kTopK };
-    explicit Task(Kind k) : kind(k) {}
-    Kind kind;
-    const LookupRequest* lookup = nullptr;
-    const TopKRequest* topk = nullptr;
-    int64_t deadline_ms = 0;
-    Status status;  ///< Outcome; OK means the payload below is set.
-    std::string count;
-    std::vector<RankedCell> ranked;
-    bool done = false;  ///< Guarded by mu_.
-  };
-
   Service(Server* server, ServiceOptions options);
 
-  /// Admission: deadline gate, then the capacity gate, then enqueue.
-  /// Returns non-OK without the task ever entering the queue.
-  Status Enqueue(Task* task);
-  /// Blocks until a worker marked the task done.
-  void AwaitDone(Task* task);
-  /// Worker-side: deadline recheck, then the snapshot work. Lock-free —
-  /// counters are atomics and the snapshot is immutable.
-  void Execute(Task* task);
-  void WorkerLoop();
+  /// The gate, in order: the deadline check, the stop check, a free slot
+  /// (gate open, nobody waiting), a waiting place, else shed. A waiter
+  /// re-checks its deadline once a slot is free for it. OK means the
+  /// caller holds a slot and counts as a snapshot pin.
+  Status Admit(int64_t deadline_ms);
+  /// Counts the caller's request completed and frees its slot. The
+  /// caller must touch no member afterwards: the destructor may run.
+  void FreeSlot();
+  /// With mu_ held, when a slot is free: wakes one waiter if any, or
+  /// everyone (the destructor included) once the service is stopping.
+  void PassSlotOnLocked();
+  /// Admit, then `body` on the calling thread against a pinned snapshot,
+  /// then FreeSlot.
+  template <typename T, typename Body>
+  Result<T> Run(int64_t deadline_ms, Body body);
 
   Server* const server_;
   const ServiceOptions options_;
   Clock* clock_;  ///< Never null.
 
-  /// Guards queue_, suspended_, stop_, awaiting_ and every Task::done
-  /// flag.
+  /// Guards everything below.
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< Wakes workers (work/stop/resume).
-  std::condition_variable done_cv_;  ///< Wakes callers awaiting outcomes.
-  std::condition_variable drain_cv_;  ///< Wakes the destructor's drain.
-  /// Admitted callers that have not yet left AwaitDone. The destructor
-  /// joins the workers (every queued task gets its outcome) and then
-  /// waits for this to reach zero, so no caller is still inside a
-  /// member function when the members are destroyed.
-  uint64_t awaiting_ = 0;
-  /// The bounded admission queue; Enqueue's explicit capacity check
-  /// against options_.queue_capacity is the bound (eep-lint rule
-  /// `unbounded-queue` watches growth sites like this one).
-  std::deque<Task*> queue_;
-  bool suspended_ = false;
+  /// Wakes waiters (a freed slot, Resume, shutdown) and the destructor.
+  std::condition_variable cv_;
+  int running_ = 0;     ///< Callers holding a slot.
+  size_t waiting_ = 0;  ///< Callers holding a waiting place.
+  bool open_;           ///< False until Resume() when start_suspended.
   bool stop_ = false;
-  std::vector<std::thread> workers_;
-
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> expired_at_admission_{0};
-  std::atomic<uint64_t> expired_in_queue_{0};
-  std::atomic<uint64_t> snapshot_pins_{0};
+  ServiceStats stats_;
 };
 
 }  // namespace eep::serve

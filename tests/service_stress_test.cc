@@ -1,22 +1,31 @@
-// The saturation proof for the request front, in two halves:
+// The saturation proof for the request front, in three parts:
 //
-//   1. A DETERMINISTIC overload: workers parked, queue capacity K, a
+//   1. A DETERMINISTIC overload: the gate closed, K waiting places, a
 //      flood of M >> K concurrent requests. Exactly K are admitted and
 //      exactly M-K are shed with kResourceExhausted — then the fake
-//      clock expires the queued K, and every one of them is answered
+//      clock expires the waiting K, and every one of them is answered
 //      kDeadlineExceeded with ZERO snapshot work (snapshot_pins == 0).
-//   2. A LIVE flood with running workers on the real clock: every
-//      request ends in exactly one outcome bucket, the client-observed
-//      tallies reconcile with the service counters to the last request,
-//      and snapshot pins equal completions exactly.
+//   2. A LIVE flood with the gate open on the real clock: every request
+//      ends in exactly one outcome bucket, the client-observed tallies
+//      reconcile with the service counters to the last request, snapshot
+//      pins equal completions exactly, and every Health() sample taken
+//      during the flood is consistent.
+//   3. The WAKE CHAIN: a top-k holds the only slot long enough for four
+//      lookups to wait behind it, and each freed slot must wake the next
+//      waiter. A lost wake-up fails within seconds instead of hanging.
 //
 // This file runs under the CI TSan sweep (the `service` group): the
-// counters, the queue, and the done-flag handoff must all be clean under
-// a genuinely saturating thread count.
+// counters, the gate's slot and waiting-place handoff, and callers
+// running their own requests must all be clean under a genuinely
+// saturating thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +36,23 @@
 
 namespace eep::serve {
 namespace {
+
+// Waits until `done` reaches `want`. Blocked callers only move when a
+// freed slot wakes them, so a lost wake-up would hang them forever: after
+// 10 s this fails and exits instead of waiting for the ctest timeout.
+void AwaitOrExit(const std::atomic<int>& done, int want) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (done.load() < want) {
+    if (std::chrono::steady_clock::now() >= give_up) {
+      ADD_FAILURE() << "only " << done.load() << " of " << want
+                    << " callers answered within 10 s";
+      std::fflush(stdout);
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 class ServiceStressTest : public ::testing::Test {
  protected:
@@ -82,7 +108,7 @@ TEST_F(ServiceStressTest, FloodAgainstParkedWorkersShedsExactly) {
     });
   }
 
-  // With the workers parked, the flood can only partition into "queued"
+  // With the gate closed, the flood can only partition into "waiting"
   // (exactly the capacity) and "shed" (everyone else, refused without
   // blocking) — wait for that partition to complete.
   while (true) {
@@ -96,8 +122,8 @@ TEST_F(ServiceStressTest, FloodAgainstParkedWorkersShedsExactly) {
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_EQ(stats.snapshot_pins, 0u);  // shedding touched no snapshot
 
-  // Expire every queued request, then let the workers at them: each is
-  // answered kDeadlineExceeded without pinning a snapshot.
+  // Expire every waiting request, then open the gate: each is answered
+  // kDeadlineExceeded without pinning a snapshot.
   clock.AdvanceMs(100);
   service.value()->Resume();
   for (auto& t : clients) t.join();
@@ -144,7 +170,32 @@ TEST_F(ServiceStressTest, LiveFloodReconcilesEveryRequestExactly) {
   constexpr int64_t kDeadlineMs = 30000;
 
   std::atomic<int> ok_count{0}, shed_count{0}, expired_count{0},
-      unexpected{0};
+      unexpected{0}, clients_finished{0};
+  // Health() is one consistent sample: polled throughout the flood, every
+  // sample must satisfy the gate's bounds. Only the poller writes these.
+  uint64_t samples = 0, inconsistent = 0;
+  std::string first_inconsistent;
+  std::thread poller([&] {
+    const uint64_t slots = static_cast<uint64_t>(options.num_workers);
+    const uint64_t places = options.queue_capacity;
+    while (clients_finished.load() < kClients) {
+      const ServiceStats st = service.value()->Health().stats;
+      ++samples;
+      const uint64_t left = st.completed + st.expired_in_queue;
+      if (left <= st.admitted && st.admitted <= left + places + slots &&
+          st.completed <= st.snapshot_pins &&
+          st.snapshot_pins <= st.completed + slots) {
+        continue;
+      }
+      if (inconsistent++ == 0) {
+        first_inconsistent =
+            "admitted " + std::to_string(st.admitted) + ", completed " +
+            std::to_string(st.completed) + ", expired_in_queue " +
+            std::to_string(st.expired_in_queue) + ", snapshot_pins " +
+            std::to_string(st.snapshot_pins);
+      }
+    }
+  });
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -187,9 +238,15 @@ TEST_F(ServiceStressTest, LiveFloodReconcilesEveryRequestExactly) {
           unexpected.fetch_add(1);
         }
       }
+      clients_finished.fetch_add(1);
     });
   }
+  AwaitOrExit(clients_finished, kClients);
   for (auto& t : clients) t.join();
+  poller.join();
+  EXPECT_GT(samples, 0u);
+  EXPECT_EQ(inconsistent, 0u) << "first inconsistent Health() sample: "
+                              << first_inconsistent;
 
   constexpr uint64_t kTotal = static_cast<uint64_t>(kClients) * kPerClient;
   EXPECT_EQ(unexpected.load(), 0);
@@ -208,6 +265,81 @@ TEST_F(ServiceStressTest, LiveFloodReconcilesEveryRequestExactly) {
             static_cast<uint64_t>(expired_count.load()));
   // Refused work cost nothing: pins track completions exactly.
   EXPECT_EQ(stats.snapshot_pins, stats.completed);
+}
+
+TEST_F(ServiceStressTest, FreedSlotWakesEachWaiterInTurn) {
+  // A 2^18-row table: top-k over all of it copies every ranked cell, so
+  // it holds the only slot for tens of milliseconds.
+  constexpr int kBigRows = 1 << 18;
+  constexpr int kWaiters = 4;
+  {
+    store::TableData big;
+    big.name = "big";
+    big.header = {"place", "count"};
+    big.rows.reserve(kBigRows);
+    for (int r = 0; r < kBigRows; ++r) {
+      big.rows.push_back(
+          {"q" + std::to_string(r), std::to_string(r * 31 % 100000)});
+    }
+    auto writer = store::Store::Open(dir_);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    auto committed = writer.value()->CommitEpoch("fp-1", {big});
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  }
+  ServerOptions server_options;
+  server_options.poll_interval_ms = 0;
+  auto server = Server::Open(dir_, server_options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_EQ(server.value()->serving_epoch(), 2u);
+
+  ServiceOptions options;
+  options.queue_capacity = 8;
+  options.num_workers = 1;
+  auto service = Service::Create(server.value().get(), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  Service* raw = service.value().get();
+
+  std::atomic<int> answered{0}, answered_ok{0};
+  std::thread holder([&] {
+    TopKRequest topk;
+    topk.table = "big";
+    topk.k = kBigRows;
+    auto got = raw->TopK(topk);
+    if (got.ok() && got.value().size() == static_cast<size_t>(kBigRows)) {
+      answered_ok.fetch_add(1);
+    }
+    answered.fetch_add(1);
+  });
+  while (raw->stats().snapshot_pins < 1) std::this_thread::yield();
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.emplace_back([&, i] {
+      LookupRequest lookup;
+      lookup.table = "big";
+      lookup.values = {{"place", "q" + std::to_string(i)}};
+      if (raw->Lookup(lookup).ok()) answered_ok.fetch_add(1);
+      answered.fetch_add(1);
+    });
+  }
+  // Every lookup took a waiting place while the top-k held the slot.
+  ServiceStats stats = raw->stats();
+  while (stats.admitted < 1 + kWaiters) {
+    std::this_thread::yield();
+    stats = raw->stats();
+  }
+  EXPECT_EQ(stats.completed, 0u)
+      << "the top-k finished before the lookups waited behind it";
+
+  // Only the freed slots' wake-ups move the waiters.
+  AwaitOrExit(answered, 1 + kWaiters);
+  holder.join();
+  for (auto& t : waiters) t.join();
+
+  EXPECT_EQ(answered_ok.load(), 1 + kWaiters);
+  stats = raw->stats();
+  EXPECT_EQ(stats.admitted, 1u + kWaiters);
+  EXPECT_EQ(stats.completed, 1u + kWaiters);
+  EXPECT_EQ(stats.snapshot_pins, 1u + kWaiters);
 }
 
 }  // namespace

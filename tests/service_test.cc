@@ -1,5 +1,5 @@
-// The request front's deterministic halves: admission and execution
-// deadline gates, queue-full shedding, exact outcome accounting
+// The request front's deterministic halves: admission and slot
+// deadline gates, full-waiting-places shedding, exact outcome accounting
 // (snapshot_pins == completed), health transitions healthy -> degraded ->
 // recovered with the exact failure-backoff schedule, and the retry wiring
 // of Server::Open — all driven by a FakeClock, no real sleeps, no timing
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <thread>
 #include <vector>
@@ -83,7 +84,7 @@ TEST_F(ServiceTest, LookupAndTopKAnswerVerbatimThroughTheQueue) {
   auto ranked = service.value()->TopK(topk);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
   ASSERT_EQ(ranked.value().size(), 4u);
-  // Same answer the snapshot gives directly: the queue adds no rewriting.
+  // Same answer the snapshot gives directly: the gate adds no rewriting.
   const std::shared_ptr<const Snapshot> snap = server->snapshot();
   EXPECT_EQ(ranked.value(), snap->Find("jobs").value()->TopK(4));
 
@@ -131,7 +132,7 @@ TEST_F(ServiceTest, ExpiredDeadlineIsRefusedAtAdmission) {
   EXPECT_EQ(service.value()->Lookup(lookup).status().code(),
             StatusCode::kDeadlineExceeded);
 
-  // Refused before the queue and before any snapshot: nothing admitted,
+  // Refused before the gate and before any snapshot: nothing admitted,
   // nothing pinned.
   const ServiceStats stats = service.value()->stats();
   EXPECT_EQ(stats.expired_at_admission, 1u);
@@ -151,7 +152,7 @@ TEST_F(ServiceTest, DeadlineExpiredInQueueNeverTouchesASnapshot) {
   CommitEpoch("fp-1");
   auto server = OpenServer();
   ServiceOptions options;
-  options.start_suspended = true;  // park the workers: the queue holds
+  options.start_suspended = true;  // the gate starts closed
   options.num_workers = 1;
   auto service = Service::Create(server.get(), options);
   ASSERT_TRUE(service.ok());
@@ -164,7 +165,7 @@ TEST_F(ServiceTest, DeadlineExpiredInQueueNeverTouchesASnapshot) {
   std::thread client([&] {
     got = service.value()->Lookup(lookup).status();
   });
-  // The request is admitted (workers parked), then its deadline passes
+  // The request is admitted (gate closed), then its deadline passes
   // while it waits.
   while (service.value()->stats().admitted < 1) std::this_thread::yield();
   clock_.AdvanceMs(100);
@@ -202,7 +203,7 @@ TEST_F(ServiceTest, FullQueueShedsImmediatelyWithoutBlocking) {
   }
   while (service.value()->stats().admitted < 2) std::this_thread::yield();
 
-  // Queue full, workers parked: the next request is refused on the
+  // Waiting places full, gate closed: the next request is refused on the
   // calling thread, immediately — this call would otherwise deadlock.
   EXPECT_EQ(service.value()->Lookup(lookup).status().code(),
             StatusCode::kResourceExhausted);
@@ -230,17 +231,24 @@ TEST_F(ServiceTest, DestructorDrainsParkedRequests) {
   // drain contract is about the Service object, not its handle.
   Service* raw = service.value().get();
 
+  // Four callers wait behind the closed gate for its one slot.
+  constexpr int kParked = 4;
   LookupRequest lookup;
   lookup.table = "jobs";
   lookup.values = {{"place", "p5"}};
-  Status got = Status::Internal("never finished");
-  std::thread client([&] { got = raw->Lookup(lookup).status(); });
-  while (raw->stats().admitted < 1) std::this_thread::yield();
-  // Shutdown with a parked queue: the request still gets an outcome (its
-  // deadline-free lookup executes during the drain).
+  std::atomic<int> answered{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kParked; ++i) {
+    clients.emplace_back([&] {
+      if (raw->Lookup(lookup).ok()) answered.fetch_add(1);
+    });
+  }
+  while (raw->stats().admitted < kParked) std::this_thread::yield();
+  // Shutdown with parked callers: each request still gets an outcome (its
+  // deadline-free lookup runs during the drain, one slot at a time).
   service.value().reset();
-  client.join();
-  EXPECT_TRUE(got.ok()) << got.ToString();
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(answered.load(), kParked);
 }
 
 TEST_F(ServiceTest, HealthReportsDegradedThenRecoversWithExactBackoff) {
