@@ -32,10 +32,14 @@ namespace {
 uint64_t LookupSlice(const eep::serve::Snapshot& snap,
                      const std::vector<eep::release::ReleasedTable>& released,
                      int reader, int threads, uint64_t* answered) {
+  if (snap.tables().size() != released.size()) return 1;
   uint64_t mismatches = 0;
   for (size_t i = 0; i < released.size(); ++i) {
     const auto& rows = released[i].rows;
     const eep::serve::ServedTable& served = snap.tables()[i];
+    // Tables pair up by committed position; a different name would make
+    // every answer below an answer from the wrong table.
+    if (served.name() != released[i].name) ++mismatches;
     for (size_t r = static_cast<size_t>(reader); r < rows.size();
          r += static_cast<size_t>(threads)) {
       std::vector<std::string> key(rows[r].begin(), rows[r].end() - 1);

@@ -23,22 +23,6 @@
 #include "release/pipeline.h"
 #include "store/store.h"
 
-namespace {
-
-bool TablesEqual(const std::vector<eep::release::ReleasedTable>& released,
-                 const std::vector<eep::store::TableData>& persisted) {
-  if (released.size() != persisted.size()) return false;
-  for (size_t i = 0; i < released.size(); ++i) {
-    if (released[i].header != persisted[i].header ||
-        released[i].rows != persisted[i].rows) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace eep;
   const Flags flags = Flags::Parse(argc, argv);
@@ -115,11 +99,9 @@ int main(int argc, char** argv) {
         persist_ms = stats.persist_ms;
       }
       if (rep == 0 || ms < release_with_store_ms) release_with_store_ms = ms;
-      // Persisting must never perturb the noise stream.
-      if (result.value().size() != released.size()) identical = false;
-      for (size_t i = 0; identical && i < released.size(); ++i) {
-        if (result.value()[i].rows != released[i].rows) identical = false;
-      }
+      // Persisting must never perturb the noise stream (or the names and
+      // headers of the released tables).
+      if (!(result.value() == released)) identical = false;
     }
     auto info = store.value()->CurrentEpoch();
     if (!info.ok()) {
@@ -168,7 +150,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       if (rep == 0 || ms < readback_ms) readback_ms = ms;
-      if (!TablesEqual(released, read.value())) identical = false;
+      if (!(read.value() == released)) identical = false;
     }
   }
 

@@ -4,8 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <numeric>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 
 namespace eep::serve {
@@ -39,70 +37,54 @@ Status NoSuchCell(const std::string& table,
 }  // namespace
 
 Result<ServedTable> ServedTable::Build(store::TableData data) {
-  if (data.header.size() < 2) {
+  EEP_ASSIGN_OR_RETURN(store::CodedTable coded, store::EncodeTable(data));
+  return FromCoded(std::move(coded));
+}
+
+Result<ServedTable> ServedTable::FromCoded(store::CodedTable coded) {
+  if (coded.columns.size() < 2) {
     return Status::InvalidArgument(
-        "served table '" + data.name +
+        "served table '" + coded.name +
         "' needs at least one attribute column plus the value column");
   }
-  const size_t n = data.rows.size();
+  const size_t n = coded.num_rows;
   if (n > UINT32_MAX) {
-    return Status::InvalidArgument("served table '" + data.name +
+    return Status::InvalidArgument("served table '" + coded.name +
                                    "' has more rows than 32-bit positions");
   }
-  std::vector<double> values(n);
-  for (size_t r = 0; r < n; ++r) {
-    const std::vector<std::string>& row = data.rows[r];
-    if (row.size() != data.header.size()) {
-      return Status::InvalidArgument("served table '" + data.name +
-                                     "' has a row arity mismatch");
-    }
-    if (!ParseCount(row.back(), &values[r])) {
+  store::CodedColumn& value = coded.columns.back();
+  std::vector<double> numbers(value.dict.size());
+  for (size_t v = 0; v < value.dict.size(); ++v) {
+    if (!ParseCount(value.dict[v], &numbers[v])) {
       return Status::InvalidArgument(
-          "served table '" + data.name + "' row " + std::to_string(r) +
-          " has value cell '" + row.back() + "', not a finite number");
+          "served table '" + coded.name + "' has value cell '" +
+          value.dict[v] + "', not a finite number");
     }
   }
 
   ServedTable table;
-  const size_t attrs = data.header.size() - 1;
+  const size_t attrs = coded.columns.size() - 1;
   table.columns_.resize(attrs);
-  // Intern each column's labels, recode them by byte-order rank so that
-  // comparing codes compares the strings, and append the codes to the
-  // row keys: the first column ends up in the most significant bits, so
-  // key order is attribute-tuple order.
+  // The codes are byte-order ranks, so appending them to the row keys
+  // makes key order attribute-tuple order: the first column ends up in the
+  // most significant bits.
   std::vector<uint64_t> keys(n, 0);
-  std::vector<uint32_t> first_seen(n);
   uint32_t total_bits = 0;
   for (size_t c = 0; c < attrs; ++c) {
-    std::unordered_map<std::string_view, uint32_t> interned;
-    std::vector<std::string_view> distinct;
-    for (size_t r = 0; r < n; ++r) {
-      const auto [it, inserted] = interned.try_emplace(
-          data.rows[r][c], static_cast<uint32_t>(distinct.size()));
-      if (inserted) distinct.push_back(it->first);
-      first_seen[r] = it->second;
-    }
-    std::vector<uint32_t> order(distinct.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&distinct](uint32_t a, uint32_t b) {
-      return distinct[a] < distinct[b];
-    });
-    std::vector<uint32_t> rank(distinct.size());
+    store::CodedColumn& coded_column = coded.columns[c];
     Column& column = table.columns_[c];
-    column.labels.reserve(distinct.size());
-    for (uint32_t i = 0; i < order.size(); ++i) {
-      rank[order[i]] = i;
-      column.labels.emplace_back(distinct[order[i]]);
-    }
-    column.bits = distinct.empty() ? 0 : BitWidth(distinct.size() - 1);
+    column.bits = coded_column.dict.empty()
+                      ? 0
+                      : BitWidth(coded_column.dict.size() - 1);
     total_bits += column.bits;
     for (size_t r = 0; r < n; ++r) {
-      keys[r] = (keys[r] << column.bits) | rank[first_seen[r]];
+      keys[r] = (keys[r] << column.bits) | coded_column.codes[r];
     }
+    column.labels = std::move(coded_column.dict);
   }
   if (total_bits > 64) {
     return Status::InvalidArgument(
-        "served table '" + data.name + "' needs " +
+        "served table '" + coded.name + "' needs " +
         std::to_string(total_bits) +
         " key bits for its label dictionaries; at most 64 fit");
   }
@@ -119,29 +101,39 @@ Result<ServedTable> ServedTable::Build(store::TableData data) {
     sorted[r] = {keys[r], static_cast<uint32_t>(r)};
   }
   std::sort(sorted.begin(), sorted.end());
-
   table.keys_.resize(n);
-  table.counts_.resize(n);
-  std::vector<std::pair<double, uint32_t>> ranked(n);
+  table.value_codes_.resize(n);
   for (size_t pos = 0; pos < n; ++pos) {
-    const auto [key, row] = sorted[pos];
-    table.keys_[pos] = key;
-    table.counts_[pos] = std::move(data.rows[row].back());
-    ranked[pos] = {values[row], static_cast<uint32_t>(pos)};
+    table.keys_[pos] = sorted[pos].first;
+    table.value_codes_[pos] = value.codes[sorted[pos].second];
   }
-  // Count descending; positions are in tuple order, so ascending position
-  // breaks ties by attribute tuple.
-  std::sort(ranked.begin(), ranked.end(),
-            [](const std::pair<double, uint32_t>& a,
-               const std::pair<double, uint32_t>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  table.by_rank_.resize(n);
-  for (size_t i = 0; i < n; ++i) table.by_rank_[i] = ranked[i].second;
 
-  table.name_ = std::move(data.name);
-  table.header_ = std::move(data.header);
+  // Rank: count descending, ties by attribute tuple ascending. Value
+  // codes whose numbers are equal ("2", "2.0000") share a bucket; filling
+  // the buckets in ascending position (= tuple) order breaks the ties.
+  std::vector<uint32_t> by_number(value.dict.size());
+  std::iota(by_number.begin(), by_number.end(), 0u);
+  std::sort(by_number.begin(), by_number.end(),
+            [&numbers](uint32_t a, uint32_t b) {
+              return numbers[a] > numbers[b];
+            });
+  std::vector<uint32_t> bucket_of(value.dict.size());
+  for (size_t i = 0, bucket = 0; i < by_number.size(); ++i) {
+    if (i > 0 && numbers[by_number[i]] != numbers[by_number[i - 1]]) ++bucket;
+    bucket_of[by_number[i]] = static_cast<uint32_t>(bucket);
+  }
+  std::vector<uint32_t> next(value.dict.size() + 1, 0);
+  for (const uint32_t code : table.value_codes_) ++next[bucket_of[code] + 1];
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  table.by_rank_.resize(n);
+  for (size_t pos = 0; pos < n; ++pos) {
+    table.by_rank_[next[bucket_of[table.value_codes_[pos]]]++] =
+        static_cast<uint32_t>(pos);
+  }
+
+  table.values_ = std::move(value.dict);
+  table.name_ = std::move(coded.name);
+  table.header_ = std::move(coded.header);
   return table;
 }
 
@@ -164,7 +156,7 @@ std::vector<std::vector<std::string>> ServedTable::Rows() const {
   rows.reserve(keys_.size());
   for (size_t pos = 0; pos < keys_.size(); ++pos) {
     rows.push_back(Unpack(keys_[pos]));
-    rows.back().push_back(counts_[pos]);
+    rows.back().push_back(values_[value_codes_[pos]]);
   }
   return rows;
 }
@@ -186,7 +178,7 @@ Result<std::string> ServedTable::Lookup(
   }
   const auto it = std::lower_bound(keys_.begin(), keys_.end(), packed);
   if (it == keys_.end() || *it != packed) return NoSuchCell(name_, key);
-  return counts_[static_cast<size_t>(it - keys_.begin())];
+  return values_[value_codes_[static_cast<size_t>(it - keys_.begin())]];
 }
 
 Result<std::string> ServedTable::LookupCell(
@@ -217,7 +209,7 @@ std::vector<RankedCell> ServedTable::TopK(size_t k) const {
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t pos = by_rank_[i];
-    out.push_back({Unpack(keys_[pos]), counts_[pos]});
+    out.push_back({Unpack(keys_[pos]), values_[value_codes_[pos]]});
   }
   return out;
 }
@@ -229,9 +221,10 @@ Result<Snapshot> Snapshot::Load(const store::Store& store, uint64_t epoch) {
   snapshot.fingerprint_ = info->fingerprint;
   snapshot.tables_.reserve(info->tables.size());
   for (const store::TableMeta& meta : info->tables) {
-    EEP_ASSIGN_OR_RETURN(store::TableData data,
-                         store.ReadTable(epoch, meta.name));
-    EEP_ASSIGN_OR_RETURN(ServedTable table, ServedTable::Build(std::move(data)));
+    EEP_ASSIGN_OR_RETURN(store::CodedTable coded,
+                         store.ReadCoded(epoch, meta.name));
+    EEP_ASSIGN_OR_RETURN(ServedTable table,
+                         ServedTable::FromCoded(std::move(coded)));
     snapshot.tables_.push_back(std::move(table));
   }
   return snapshot;

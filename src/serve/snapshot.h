@@ -1,14 +1,18 @@
 // The immutable unit the serving layer swaps: one committed epoch's
 // tables decoded into memory and indexed for point lookups and ranking.
 //
-// A Snapshot is built once (Snapshot::Load reads the epoch back through
-// the store's checksummed read path) and never mutated afterwards, so any
-// number of reader threads can query one concurrently with no
-// synchronization at all — the concurrency story lives entirely in
-// serve::Server, which swaps `shared_ptr<const Snapshot>`s behind the
-// readers (docs/ARCHITECTURE.md, "Serving contract").
+// A Snapshot is built once (Snapshot::Load reads the epoch's coded
+// columns back through the store's checksummed read path,
+// Store::ReadCoded) and never mutated afterwards, so any number of reader
+// threads can query one concurrently with no synchronization at all — the
+// concurrency story lives entirely in serve::Server, which swaps
+// `shared_ptr<const Snapshot>`s behind the readers (docs/ARCHITECTURE.md,
+// "Serving contract").
 //
-// Per table, the stored rows are re-laid out as a typed, columnar index:
+// Per table, the stored columns are re-laid out as a typed, columnar
+// index. The store's dictionaries already are the label dictionaries and
+// its codes already are their ranks, so a load builds, hashes and parses
+// no string per row:
 //
 //   labels    per attribute column, its distinct labels sorted in byte
 //             order; a label's code is its rank, so comparing codes
@@ -17,10 +21,13 @@
 //             most significant bits), rows stored in ascending key order —
 //             the packed keys ARE the lookup index: a marginal cell lookup
 //             is one binary search per label plus one over the keys;
-//   counts    the value column verbatim, in key order;
-//   by_rank   positions by released count descending (each count parsed
-//             once, at Build), ties by attribute tuple ascending — top-k
-//             ranking queries are an O(k) walk.
+//   values    the value column's dictionary (the released counts'
+//             verbatim texts) and one code into it per row, in key order;
+//   by_rank   positions by released count descending, ties by attribute
+//             tuple ascending — top-k ranking queries are an O(k) walk.
+//             Each distinct count text is parsed once; texts with equal
+//             numbers ("2", "2.0000") share one bucket, so the rank index
+//             is a counting placement, O(n + d log d) for d distinct texts.
 //
 // Rows with equal attribute tuples keep their stored order, so a lookup of
 // a duplicated tuple answers with the first stored row. Every answer is
@@ -52,12 +59,14 @@ struct RankedCell {
 };
 
 /// \brief One table of a snapshot as a typed index: per-column label
-/// dictionaries, key-sorted packed row keys, verbatim counts and the rank
-/// order. Immutable after Build; all methods are const and thread-safe.
+/// dictionaries, key-sorted packed row keys, coded verbatim counts and the
+/// rank order. Immutable after Build; all methods are const and
+/// thread-safe.
 class ServedTable {
  public:
-  /// Decodes `data` (attribute columns followed by one value column, the
-  /// shape the release pipeline persists) and builds the index.
+  /// Codes `data` (attribute columns followed by one value column, the
+  /// shape the release pipeline persists) with store::EncodeTable and
+  /// builds the index exactly as Snapshot::Load does from the store.
   /// InvalidArgument on a ragged row, a value cell that is not wholly a
   /// finite number, or label dictionaries whose code widths sum past 64
   /// bits.
@@ -99,17 +108,24 @@ class ServedTable {
     uint32_t bits = 0;                // field width; 0 for a single label
   };
 
+  friend class Snapshot;
+
   ServedTable() = default;
+
+  /// The one index build, over validated coded columns (EncodeTable or
+  /// Store::ReadCoded output): dictionaries byte-ordered, codes in range.
+  static Result<ServedTable> FromCoded(store::CodedTable coded);
 
   /// The attribute values packed into `key`, in header order.
   std::vector<std::string> Unpack(uint64_t key) const;
 
   std::string name_;
   std::vector<std::string> header_;
-  std::vector<Column> columns_;      // one per attribute column
-  std::vector<uint64_t> keys_;       // ascending; row position = index
-  std::vector<std::string> counts_;  // verbatim, by row position
-  std::vector<uint32_t> by_rank_;    // row positions, rank order
+  std::vector<Column> columns_;         // one per attribute column
+  std::vector<uint64_t> keys_;          // ascending; row position = index
+  std::vector<std::string> values_;     // value dictionary, verbatim texts
+  std::vector<uint32_t> value_codes_;   // into values_, by row position
+  std::vector<uint32_t> by_rank_;       // row positions, rank order
 };
 
 /// \brief One committed epoch, decoded and indexed. Immutable; shared
@@ -121,8 +137,9 @@ class Snapshot {
   Snapshot() = default;
 
   /// Reads every table of `epoch` back through the store's verifying
-  /// read path and indexes it. IOError surfaces (never wrong data); the
-  /// caller keeps serving its previous snapshot on failure.
+  /// coded read path (Store::ReadCoded) and indexes it. IOError surfaces
+  /// (never wrong data); the caller keeps serving its previous snapshot on
+  /// failure.
   static Result<Snapshot> Load(const store::Store& store, uint64_t epoch);
 
   /// 0 for the empty pre-first-epoch snapshot.

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/crc32c.h"
 #include "common/failpoint.h"
@@ -13,11 +16,22 @@ namespace {
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestTmpName[] = "MANIFEST.tmp";
 constexpr char kManifestMagic[] = "EEPMAN1";
-constexpr char kSegmentMagic[] = "EEPSEG1";
+constexpr char kSegmentMagic[] = "EEPSEG2";
 constexpr char kEpochTag[] = "EPOCH";
 /// Column chunks target this payload size so block checksums localize
 /// corruption and no single frame grows unboundedly.
 constexpr size_t kColumnChunkBytes = 256 * 1024;
+/// Chunk kinds: each column's dictionary chunks precede its code chunks.
+constexpr uint32_t kDictChunk = 0;
+constexpr uint32_t kCodeChunk = 1;
+
+/// Bytes per code for a dictionary of `dict_size` values. Worked out from
+/// the dictionary size, so writer and reader agree without storing it.
+uint32_t CodeWidth(uint64_t dict_size) {
+  if (dict_size <= (uint64_t{1} << 8)) return 1;
+  if (dict_size <= (uint64_t{1} << 16)) return 2;
+  return 4;
+}
 
 // ---------------------------------------------------------------------------
 // Little-endian primitive + length-prefixed coding.
@@ -49,15 +63,30 @@ uint64_t DecodeFixed64(const char* p) {
          (static_cast<uint64_t>(DecodeFixed32(p + 4)) << 32);
 }
 
+/// The low `width` bytes of `code`, little-endian.
+void PutCode(char* out, uint32_t code, uint32_t width) {
+  for (uint32_t b = 0; b < width; ++b) {
+    out[b] = static_cast<char>((code >> (8 * b)) & 0xFFu);
+  }
+}
+
+uint32_t DecodeCode(const char* p, uint32_t width) {
+  uint32_t code = 0;
+  for (uint32_t b = 0; b < width; ++b) {
+    code |= static_cast<uint32_t>(static_cast<unsigned char>(p[b])) << (8 * b);
+  }
+  return code;
+}
+
 void PutLengthPrefixed(std::string* out, const std::string& s) {
   PutFixed32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
 
-/// \brief Bounds-checked cursor over one decoded payload.
+/// \brief Bounds-checked cursor over one frame's payload, read in place.
 class PayloadReader {
  public:
-  PayloadReader(const std::string& data, std::string context)
+  PayloadReader(std::string_view data, std::string context)
       : data_(data), context_(std::move(context)) {}
 
   Status GetFixed32(uint32_t* v) {
@@ -72,35 +101,47 @@ class PayloadReader {
     pos_ += 8;
     return Status::OK();
   }
-  Status GetLengthPrefixed(std::string* s) {
-    uint32_t n = 0;
-    EEP_RETURN_NOT_OK(GetFixed32(&n));
+  /// The next `n` bytes, as a view into the payload.
+  Status GetBytes(size_t n, std::string_view* s) {
     EEP_RETURN_NOT_OK(Need(n));
-    s->assign(data_, pos_, n);
+    *s = data_.substr(pos_, n);
     pos_ += n;
     return Status::OK();
   }
+  Status GetLengthPrefixed(std::string_view* s) {
+    uint32_t n = 0;
+    EEP_RETURN_NOT_OK(GetFixed32(&n));
+    return GetBytes(n, s);
+  }
+  Status GetLengthPrefixed(std::string* s) {
+    std::string_view view;
+    EEP_RETURN_NOT_OK(GetLengthPrefixed(&view));
+    s->assign(view);
+    return Status::OK();
+  }
   Status ExpectTag(const char* tag) {
-    std::string got;
+    std::string_view got;
     EEP_RETURN_NOT_OK(GetLengthPrefixed(&got));
     if (got != tag) {
       return Status::IOError(context_ + ": expected tag '" +
-                             std::string(tag) + "', found '" + got + "'");
+                             std::string(tag) + "', found '" +
+                             std::string(got) + "'");
     }
     return Status::OK();
   }
+  size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
   Status Need(size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > data_.size() - pos_) {
       return Status::IOError(context_ + ": payload truncated at offset " +
                              std::to_string(pos_));
     }
     return Status::OK();
   }
 
-  const std::string& data_;
+  std::string_view data_;
   std::string context_;
   size_t pos_ = 0;
 };
@@ -120,32 +161,58 @@ std::string Frame(const std::string& payload) {
   return out;
 }
 
-/// Decodes the frame at *pos, advancing it. A frame extending past the
-/// end of `data` or failing its checksum is an IOError — callers decide
-/// whether that means corruption (manifest, committed segments) or is
-/// impossible by protocol.
-Status ReadFrame(const std::string& data, size_t* pos, std::string* payload,
+/// Checks the frame at *pos in place, pointing *payload into `data` and
+/// advancing *pos. A frame extending past the end of `data` or failing its
+/// checksum is an IOError — callers decide whether that means corruption
+/// (manifest, committed segments) or is impossible by protocol.
+Status ReadFrame(std::string_view data, size_t* pos, std::string_view* payload,
                  const std::string& context) {
-  if (*pos + kFrameHeaderBytes > data.size()) {
+  if (data.size() - *pos < kFrameHeaderBytes) {
     return Status::IOError(context + ": truncated frame header at offset " +
                            std::to_string(*pos));
   }
   const uint32_t len = DecodeFixed32(data.data() + *pos);
   const uint32_t want_crc = Crc32cUnmask(DecodeFixed32(data.data() + *pos + 4));
-  if (*pos + kFrameHeaderBytes + len > data.size()) {
+  if (data.size() - *pos - kFrameHeaderBytes < len) {
     return Status::IOError(context + ": frame at offset " +
                            std::to_string(*pos) + " claims " +
                            std::to_string(len) +
                            " payload bytes past end of data");
   }
-  payload->assign(data, *pos + kFrameHeaderBytes, len);
-  const uint32_t got_crc = Crc32c(*payload);
-  if (got_crc != want_crc) {
+  *payload = data.substr(*pos + kFrameHeaderBytes, len);
+  if (Crc32c(payload->data(), payload->size()) != want_crc) {
     return Status::IOError(context + ": checksum mismatch in frame at offset " +
                            std::to_string(*pos));
   }
   *pos += kFrameHeaderBytes + len;
   return Status::OK();
+}
+
+/// A column chunk's leading fields: which column, which kind, the index of
+/// its first entry and how many entries it carries.
+std::string ChunkHeader(size_t column, uint32_t kind, uint64_t first,
+                        size_t entries) {
+  std::string chunk;
+  PutFixed32(&chunk, static_cast<uint32_t>(column));
+  PutFixed32(&chunk, kind);
+  PutFixed64(&chunk, first);
+  PutFixed32(&chunk, static_cast<uint32_t>(entries));
+  return chunk;
+}
+
+TableData RenderTable(CodedTable coded) {
+  TableData table;
+  table.name = std::move(coded.name);
+  table.header = std::move(coded.header);
+  table.rows.assign(coded.num_rows,
+                    std::vector<std::string>(coded.columns.size()));
+  for (size_t c = 0; c < coded.columns.size(); ++c) {
+    const CodedColumn& column = coded.columns[c];
+    for (size_t r = 0; r < table.rows.size(); ++r) {
+      table.rows[r][c] = column.dict[column.codes[r]];
+    }
+  }
+  return table;
 }
 
 std::string FormatDoubleKey(double v) {
@@ -180,6 +247,58 @@ std::string WorkloadFingerprint(const lodes::WorkloadSpec& workload,
   return fp;
 }
 
+Result<CodedTable> EncodeTable(const TableData& table) {
+  const size_t n = table.rows.size();
+  if (n > UINT32_MAX) {
+    return Status::InvalidArgument("table '" + table.name +
+                                   "' has more rows than 32-bit codes index");
+  }
+  for (size_t r = 0; r < n; ++r) {
+    if (table.rows[r].size() != table.header.size()) {
+      return Status::InvalidArgument(
+          "table '" + table.name + "' row " + std::to_string(r) + " has " +
+          std::to_string(table.rows[r].size()) + " cells for " +
+          std::to_string(table.header.size()) + " columns");
+    }
+  }
+  CodedTable coded;
+  coded.name = table.name;
+  coded.header = table.header;
+  coded.num_rows = n;
+  coded.columns.resize(table.header.size());
+  // Intern each column's values in first-seen order, then recode them by
+  // byte-order rank so that comparing codes compares the strings.
+  std::unordered_map<std::string_view, uint32_t> interned;
+  std::vector<std::string_view> distinct;
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> rank;
+  for (size_t c = 0; c < coded.columns.size(); ++c) {
+    CodedColumn& column = coded.columns[c];
+    interned.clear();
+    distinct.clear();
+    column.codes.resize(n);
+    for (size_t r = 0; r < n; ++r) {
+      const auto [it, inserted] = interned.try_emplace(
+          table.rows[r][c], static_cast<uint32_t>(distinct.size()));
+      if (inserted) distinct.push_back(it->first);
+      column.codes[r] = it->second;
+    }
+    order.resize(distinct.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&distinct](uint32_t a, uint32_t b) {
+      return distinct[a] < distinct[b];
+    });
+    rank.resize(distinct.size());
+    column.dict.reserve(distinct.size());
+    for (uint32_t i = 0; i < order.size(); ++i) {
+      rank[order[i]] = i;
+      column.dict.emplace_back(distinct[order[i]]);
+    }
+    for (uint32_t& code : column.codes) code = rank[code];
+  }
+  return coded;
+}
+
 // ---------------------------------------------------------------------------
 // Open / recovery.
 // ---------------------------------------------------------------------------
@@ -204,7 +323,7 @@ Status Store::ParseManifestImage(const std::string& image,
                                  std::map<uint64_t, EpochInfo>* epochs,
                                  uint64_t* last_epoch) {
   size_t pos = 0;
-  std::string payload;
+  std::string_view payload;
   EEP_RETURN_NOT_OK(ReadFrame(image, &pos, &payload, "MANIFEST"));
   {
     PayloadReader reader(payload, "MANIFEST header");
@@ -360,7 +479,7 @@ Status Store::Recover() {
 // Commit.
 // ---------------------------------------------------------------------------
 
-Status Store::WriteSegment(const std::string& file, const TableData& table,
+Status Store::WriteSegment(const std::string& file, const CodedTable& table,
                            TableMeta* meta) const {
   Env* env = Env::Default();
   const std::string path = dir_ + "/" + file;
@@ -376,38 +495,45 @@ Status Store::WriteSegment(const std::string& file, const TableData& table,
     return Status::OK();
   };
 
-  // Header block: magic, table name, column names, row count.
+  // Header block: magic, table name, per column its name and dictionary
+  // size, row count.
   std::string header;
   PutLengthPrefixed(&header, kSegmentMagic);
   PutLengthPrefixed(&header, table.name);
   PutFixed32(&header, static_cast<uint32_t>(table.header.size()));
-  for (const std::string& column : table.header) {
-    PutLengthPrefixed(&header, column);
+  for (size_t col = 0; col < table.header.size(); ++col) {
+    PutLengthPrefixed(&header, table.header[col]);
+    PutFixed32(&header, static_cast<uint32_t>(table.columns[col].dict.size()));
   }
-  PutFixed64(&header, table.rows.size());
+  PutFixed64(&header, table.num_rows);
   EEP_RETURN_NOT_OK(append_block(header));
 
-  // Column chunks, column-major: [col index][first row][n rows][values].
-  for (size_t col = 0; col < table.header.size(); ++col) {
-    size_t row = 0;
-    while (row < table.rows.size()) {
-      std::string chunk;
-      PutFixed32(&chunk, static_cast<uint32_t>(col));
-      PutFixed64(&chunk, row);
-      const size_t chunk_rows_pos = chunk.size();
-      PutFixed32(&chunk, 0);  // patched below
-      uint32_t rows_in_chunk = 0;
-      while (row < table.rows.size() && chunk.size() < kColumnChunkBytes) {
-        PutLengthPrefixed(&chunk, table.rows[row][col]);
-        ++rows_in_chunk;
-        ++row;
+  // Column by column: the dictionary chunks, then the code chunks.
+  for (size_t col = 0; col < table.columns.size(); ++col) {
+    const CodedColumn& column = table.columns[col];
+    for (size_t first = 0, end = 0; first < column.dict.size(); first = end) {
+      size_t bytes = 0;
+      while (end < column.dict.size() && bytes < kColumnChunkBytes) {
+        bytes += 4 + column.dict[end++].size();
       }
-      const std::string patched = [&] {
-        std::string p;
-        PutFixed32(&p, rows_in_chunk);
-        return p;
-      }();
-      chunk.replace(chunk_rows_pos, 4, patched);
+      std::string chunk = ChunkHeader(col, kDictChunk, first, end - first);
+      chunk.reserve(chunk.size() + bytes);
+      for (size_t i = first; i < end; ++i) {
+        PutLengthPrefixed(&chunk, column.dict[i]);
+      }
+      EEP_RETURN_NOT_OK(append_block(chunk));
+    }
+    const uint32_t width = CodeWidth(column.dict.size());
+    const size_t codes_per_chunk = kColumnChunkBytes / width;
+    for (size_t first = 0; first < column.codes.size();
+         first += codes_per_chunk) {
+      const size_t end = std::min(column.codes.size(), first + codes_per_chunk);
+      std::string chunk = ChunkHeader(col, kCodeChunk, first, end - first);
+      const size_t at = chunk.size();
+      chunk.resize(at + (end - first) * width);
+      for (size_t r = first; r < end; ++r) {
+        PutCode(&chunk[at + (r - first) * width], column.codes[r], width);
+      }
       EEP_RETURN_NOT_OK(append_block(chunk));
     }
   }
@@ -420,7 +546,7 @@ Status Store::WriteSegment(const std::string& file, const TableData& table,
   meta->segment_file = file;
   meta->size_bytes = out->bytes_written();
   meta->crc32c = file_crc;
-  meta->num_rows = table.rows.size();
+  meta->num_rows = table.num_rows;
   return Status::OK();
 }
 
@@ -461,14 +587,12 @@ Result<uint64_t> Store::CommitEpoch(const std::string& fingerprint,
     return Status::InvalidArgument("CommitEpoch: empty table set");
   }
   std::vector<std::string> names;
+  std::vector<CodedTable> coded;
+  coded.reserve(tables.size());
   for (const TableData& table : tables) {
     names.push_back(table.name);
-    for (const auto& row : table.rows) {
-      if (row.size() != table.header.size()) {
-        return Status::InvalidArgument(
-            "CommitEpoch: row arity mismatch in table '" + table.name + "'");
-      }
-    }
+    EEP_ASSIGN_OR_RETURN(CodedTable encoded, EncodeTable(table));
+    coded.push_back(std::move(encoded));
   }
   std::sort(names.begin(), names.end());
   if (std::adjacent_find(names.begin(), names.end()) != names.end()) {
@@ -485,7 +609,7 @@ Result<uint64_t> Store::CommitEpoch(const std::string& fingerprint,
   bool renamed = false;
   for (size_t t = 0; t < tables.size(); ++t) {
     TableMeta meta;
-    failed = WriteSegment(SegmentFileName(epoch, t), tables[t], &meta);
+    failed = WriteSegment(SegmentFileName(epoch, t), coded[t], &meta);
     if (!failed.ok()) break;
     info.tables.push_back(std::move(meta));
   }
@@ -557,8 +681,8 @@ Result<const EpochInfo*> Store::CurrentEpoch() const {
   return GetEpoch(last_epoch_);
 }
 
-Result<TableData> Store::ReadTable(uint64_t epoch,
-                                   const std::string& name) const {
+Result<CodedTable> Store::ReadCoded(uint64_t epoch,
+                                    const std::string& name) const {
   EEP_ASSIGN_OR_RETURN(const EpochInfo* info, GetEpoch(epoch));
   const TableMeta* meta = nullptr;
   for (const TableMeta& candidate : info->tables) {
@@ -573,24 +697,25 @@ Result<TableData> Store::ReadTable(uint64_t epoch,
   }
 
   const std::string path = dir_ + "/" + meta->segment_file;
-  EEP_ASSIGN_OR_RETURN(std::string data,
+  EEP_ASSIGN_OR_RETURN(std::string file,
                        Env::Default()->ReadFileToString(path));
-  if (data.size() != meta->size_bytes) {
+  if (file.size() != meta->size_bytes) {
     return Status::IOError("segment '" + path + "' is " +
-                           std::to_string(data.size()) +
+                           std::to_string(file.size()) +
                            " bytes, manifest records " +
                            std::to_string(meta->size_bytes));
   }
-  if (Crc32c(data) != meta->crc32c) {
+  if (Crc32c(file) != meta->crc32c) {
     return Status::IOError("segment '" + path +
                            "' fails its manifest whole-file checksum");
   }
 
+  const std::string_view data(file);
   size_t pos = 0;
-  std::string payload;
+  std::string_view payload;
   EEP_RETURN_NOT_OK(ReadFrame(data, &pos, &payload, path));
-  TableData table;
-  uint64_t num_rows = 0;
+  CodedTable table;
+  std::vector<uint32_t> dict_sizes;
   {
     PayloadReader reader(payload, path + " header");
     EEP_RETURN_NOT_OK(reader.ExpectTag(kSegmentMagic));
@@ -599,10 +724,13 @@ Result<TableData> Store::ReadTable(uint64_t epoch,
     EEP_RETURN_NOT_OK(reader.GetFixed32(&num_columns));
     for (uint32_t c = 0; c < num_columns; ++c) {
       std::string column;
+      uint32_t dict_size = 0;
       EEP_RETURN_NOT_OK(reader.GetLengthPrefixed(&column));
+      EEP_RETURN_NOT_OK(reader.GetFixed32(&dict_size));
       table.header.push_back(std::move(column));
+      dict_sizes.push_back(dict_size);
     }
-    EEP_RETURN_NOT_OK(reader.GetFixed64(&num_rows));
+    EEP_RETURN_NOT_OK(reader.GetFixed64(&table.num_rows));
     if (!reader.AtEnd()) {
       return Status::IOError(path + ": header block carries trailing bytes");
     }
@@ -611,42 +739,111 @@ Result<TableData> Store::ReadTable(uint64_t epoch,
     return Status::IOError("segment '" + path + "' holds table '" +
                            table.name + "', manifest records '" + name + "'");
   }
-  if (num_rows != meta->num_rows) {
+  if (table.num_rows != meta->num_rows) {
     return Status::IOError(path + ": header row count disagrees with manifest");
   }
+  // Every dictionary value is some row's, so a column with rows has a
+  // dictionary of 1 to num_rows values and a column without rows none.
+  for (size_t c = 0; c < dict_sizes.size(); ++c) {
+    if ((dict_sizes[c] == 0) != (table.num_rows == 0) ||
+        dict_sizes[c] > table.num_rows) {
+      return Status::IOError(
+          path + ": column " + std::to_string(c) + " has a dictionary of " +
+          std::to_string(dict_sizes[c]) + " values for " +
+          std::to_string(table.num_rows) + " rows");
+    }
+  }
 
-  table.rows.assign(num_rows, std::vector<std::string>(table.header.size()));
-  std::vector<uint64_t> filled(table.header.size(), 0);
-  while (pos < data.size()) {
+  // Chunks must arrive column by column, dictionary before codes, each
+  // starting where the previous one of its kind ended.
+  const auto next_chunk = [&](size_t col, uint32_t kind, uint64_t filled,
+                              uint64_t total, PayloadReader* reader,
+                              uint32_t* entries) -> Status {
+    if (pos == data.size()) {
+      return Status::IOError(
+          path + ": column " + std::to_string(col) + " is incomplete: " +
+          std::to_string(filled) + " of " + std::to_string(total) +
+          (kind == kDictChunk ? " dictionary values" : " codes"));
+    }
     EEP_RETURN_NOT_OK(ReadFrame(data, &pos, &payload, path));
-    PayloadReader reader(payload, path + " column chunk");
-    uint32_t col = 0;
-    uint64_t first_row = 0;
-    uint32_t rows_in_chunk = 0;
-    EEP_RETURN_NOT_OK(reader.GetFixed32(&col));
-    EEP_RETURN_NOT_OK(reader.GetFixed64(&first_row));
-    EEP_RETURN_NOT_OK(reader.GetFixed32(&rows_in_chunk));
-    if (col >= table.header.size() || first_row != filled[col] ||
-        first_row + rows_in_chunk > num_rows) {
+    *reader = PayloadReader(payload, path + " column chunk");
+    uint32_t got_col = 0;
+    uint32_t got_kind = 0;
+    uint64_t first = 0;
+    EEP_RETURN_NOT_OK(reader->GetFixed32(&got_col));
+    EEP_RETURN_NOT_OK(reader->GetFixed32(&got_kind));
+    EEP_RETURN_NOT_OK(reader->GetFixed64(&first));
+    EEP_RETURN_NOT_OK(reader->GetFixed32(entries));
+    if (got_col != col || got_kind != kind || first != filled ||
+        *entries == 0 || *entries > total - filled) {
       return Status::IOError(path + ": column chunk out of order or range");
     }
-    for (uint32_t r = 0; r < rows_in_chunk; ++r) {
-      EEP_RETURN_NOT_OK(
-          reader.GetLengthPrefixed(&table.rows[first_row + r][col]));
+    return Status::OK();
+  };
+
+  table.columns.resize(table.header.size());
+  for (size_t col = 0; col < table.columns.size(); ++col) {
+    CodedColumn& column = table.columns[col];
+    const uint32_t dict_size = dict_sizes[col];
+    PayloadReader reader{std::string_view(), std::string()};
+    uint32_t entries = 0;
+    column.dict.reserve(std::min<size_t>(dict_size, data.size() / 4));
+    while (column.dict.size() < dict_size) {
+      EEP_RETURN_NOT_OK(next_chunk(col, kDictChunk, column.dict.size(),
+                                   dict_size, &reader, &entries));
+      for (uint32_t i = 0; i < entries; ++i) {
+        std::string_view value;
+        EEP_RETURN_NOT_OK(reader.GetLengthPrefixed(&value));
+        if (!column.dict.empty() &&
+            !(std::string_view(column.dict.back()) < value)) {
+          return Status::IOError(
+              path + ": dictionary of column " + std::to_string(col) +
+              " is not strictly ascending at value " +
+              std::to_string(column.dict.size()));
+        }
+        column.dict.emplace_back(value);
+      }
+      if (!reader.AtEnd()) {
+        return Status::IOError(path + ": column chunk carries trailing bytes");
+      }
     }
-    if (!reader.AtEnd()) {
-      return Status::IOError(path + ": column chunk carries trailing bytes");
+    const uint32_t width = CodeWidth(dict_size);
+    column.codes.reserve(std::min<size_t>(table.num_rows, data.size()));
+    while (column.codes.size() < table.num_rows) {
+      EEP_RETURN_NOT_OK(next_chunk(col, kCodeChunk, column.codes.size(),
+                                   table.num_rows, &reader, &entries));
+      if (reader.remaining() != uint64_t{entries} * width) {
+        return Status::IOError(
+            path + ": code chunk of column " + std::to_string(col) +
+            " holds " + std::to_string(reader.remaining()) + " bytes for " +
+            std::to_string(entries) + " codes of " + std::to_string(width) +
+            " bytes");
+      }
+      std::string_view bytes;
+      EEP_RETURN_NOT_OK(reader.GetBytes(reader.remaining(), &bytes));
+      for (uint32_t i = 0; i < entries; ++i) {
+        const uint32_t code = DecodeCode(bytes.data() + size_t{i} * width,
+                                         width);
+        if (code >= dict_size) {
+          return Status::IOError(
+              path + ": code " + std::to_string(code) + " of column " +
+              std::to_string(col) + " is past its " +
+              std::to_string(dict_size) + "-value dictionary");
+        }
+        column.codes.push_back(code);
+      }
     }
-    filled[col] += rows_in_chunk;
   }
-  for (size_t c = 0; c < filled.size(); ++c) {
-    if (filled[c] != num_rows) {
-      return Status::IOError(path + ": column " + std::to_string(c) +
-                             " holds " + std::to_string(filled[c]) + " of " +
-                             std::to_string(num_rows) + " rows");
-    }
+  if (pos != data.size()) {
+    return Status::IOError(path + ": blocks past the last column");
   }
   return table;
+}
+
+Result<TableData> Store::ReadTable(uint64_t epoch,
+                                   const std::string& name) const {
+  EEP_ASSIGN_OR_RETURN(CodedTable coded, ReadCoded(epoch, name));
+  return RenderTable(std::move(coded));
 }
 
 Result<std::vector<TableData>> Store::ReadEpoch(uint64_t epoch) const {

@@ -3,10 +3,17 @@
 //
 // On-disk layout (one directory per store):
 //
-//   ep<epoch>-t<k>.seg   one append-only columnar segment per table:
-//                        framed blocks [u32 len][u32 masked-crc32c][payload]
-//                        — a header block (table name, columns, row count)
-//                        followed by column chunks, column-major.
+//   ep<epoch>-t<k>.seg   one append-only, dictionary-coded columnar segment
+//                        per table (format tag EEPSEG2): framed blocks
+//                        [u32 len][u32 masked-crc32c][payload] — a header
+//                        block (table name; per column its name and
+//                        dictionary size; row count), then column by column
+//                        that column's dictionary chunks (its distinct
+//                        values in byte order, length-prefixed) followed by
+//                        its code chunks (one little-endian code per row,
+//                        1, 2 or 4 bytes wide by dictionary size). Each
+//                        chunk names its column, kind, first index and
+//                        entry count.
 //   MANIFEST             the write-ahead log of commits: one framed record
 //                        per epoch (epoch id, workload/spec fingerprint,
 //                        segment list with per-segment size + whole-file
@@ -31,7 +38,12 @@
 // read surfaces as Status::IOError, never as silently wrong data. The
 // crash-matrix test (tests/store_crash_matrix_test.cc) proves this for
 // every registered failpoint site x hit count; the corruption sweep
-// proves the IOError half bit by bit.
+// proves the IOError half bit by bit. Beyond checksums, the one segment
+// decoder (Store::ReadCoded) refuses any well-framed segment whose
+// content breaks the format: a dictionary that is not strictly ascending,
+// a code past its dictionary, a dictionary size of 0 with rows present or
+// above the row count, a chunk out of order or range, a code chunk whose
+// length is not entries x width, or an incomplete column.
 #ifndef EEP_STORE_STORE_H_
 #define EEP_STORE_STORE_H_
 
@@ -61,6 +73,29 @@ struct TableData {
            rows == other.rows;
   }
 };
+
+/// \brief One dictionary-coded column: its distinct values sorted in
+/// std::string (unsigned byte) order, and per row the index of the row's
+/// value in that dictionary. A code is therefore its value's byte-order
+/// rank: comparing codes compares the strings.
+struct CodedColumn {
+  std::vector<std::string> dict;
+  std::vector<uint32_t> codes;  ///< One per row, each < dict.size().
+};
+
+/// \brief A TableData column by column, the form the store commits and
+/// Store::ReadCoded returns: every column is coded, the value column too.
+struct CodedTable {
+  std::string name;
+  std::vector<std::string> header;
+  uint64_t num_rows = 0;
+  std::vector<CodedColumn> columns;  ///< One per header entry.
+};
+
+/// \brief Codes every column of `table`, including the value column and any
+/// binary, empty or 0-row one. InvalidArgument on a row whose arity
+/// differs from the header, or more rows than 32-bit codes can index.
+Result<CodedTable> EncodeTable(const TableData& table);
 
 /// \brief Manifest metadata of one persisted table.
 struct TableMeta {
@@ -92,9 +127,9 @@ std::string WorkloadFingerprint(const lodes::WorkloadSpec& workload,
 
 /// \brief The embedded store.
 ///
-/// Thread compatibility: const methods (ReadTable/ReadEpoch/GetEpoch/
-/// Epochs/...) never mutate instance state and are safe to call from any
-/// number of threads concurrently on one instance (every read is
+/// Thread compatibility: const methods (ReadCoded/ReadTable/ReadEpoch/
+/// GetEpoch/Epochs/...) never mutate instance state and are safe to call
+/// from any number of threads concurrently on one instance (every read is
 /// positional; store_test pins this under ctest's TSan configuration).
 /// CommitEpoch and Refresh mutate the epoch index and need external
 /// synchronization against each other AND against the const methods.
@@ -149,9 +184,13 @@ class Store {
   /// Convenience: GetEpoch(last_committed_epoch()).
   Result<const EpochInfo*> CurrentEpoch() const;
 
-  /// Reads one table back, verifying the manifest-recorded whole-file
-  /// CRC and every block checksum; bit-identical to what was committed or
-  /// Status::IOError — never silently wrong data.
+  /// Reads one table back in its committed coded form, verifying the
+  /// manifest-recorded size and whole-file CRC, every block checksum and
+  /// the segment format (see the file comment); bit-identical to
+  /// EncodeTable of what was committed or Status::IOError — never
+  /// silently wrong data.
+  Result<CodedTable> ReadCoded(uint64_t epoch, const std::string& name) const;
+  /// ReadCoded with the rows rendered back to strings.
   Result<TableData> ReadTable(uint64_t epoch, const std::string& name) const;
   /// Every table of `epoch`, in committed order.
   Result<std::vector<TableData>> ReadEpoch(uint64_t epoch) const;
@@ -170,7 +209,7 @@ class Store {
   /// Checks every table of `info` has its segment on disk at the
   /// manifest-recorded size.
   Status ValidateEpochSegments(const EpochInfo& info) const;
-  Status WriteSegment(const std::string& file, const TableData& table,
+  Status WriteSegment(const std::string& file, const CodedTable& table,
                       TableMeta* meta) const;
   /// Sets *renamed once the atomic swap has happened, so the caller can
   /// tell a pre-commit failure (clean up the orphans) from a post-commit

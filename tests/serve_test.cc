@@ -105,49 +105,51 @@ std::vector<std::string> Attrs(const std::vector<std::string>& row) {
   return std::vector<std::string>(row.begin(), row.end() - 1);
 }
 
-// Checks every served answer of `data` against a brute-force scan of its
-// stored rows: each row's lookup (first stored row wins on a duplicated
-// tuple), misses, the served row order, and top-k at k in {0, 1, n, n+5}.
-void ExpectMatchesBruteForce(const store::TableData& data) {
-  SCOPED_TRACE(data.name);
-  auto built = ServedTable::Build(data);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const ServedTable& table = built.value();
+// Every row's key plus misses built from each: an unknown label, a label
+// extended past a stored one, and the next row's label swapped in (a known
+// label, maybe an unstored tuple).
+std::vector<std::vector<std::string>> ProbeKeys(const store::TableData& data) {
   const auto& rows = data.rows;
-  ASSERT_EQ(table.num_rows(), rows.size());
-
-  for (const auto& row : rows) {
-    const std::vector<std::string> key = Attrs(row);
-    auto got = table.Lookup(key);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    const auto first = std::find_if(
-        rows.begin(), rows.end(),
-        [&](const std::vector<std::string>& r) { return Attrs(r) == key; });
-    EXPECT_EQ(got.value(), first->back());
-    std::map<std::string, std::string> cell;
-    for (size_t c = 0; c < key.size(); ++c) cell[data.header[c]] = key[c];
-    EXPECT_EQ(table.LookupCell(cell).value(), first->back());
-  }
-
-  // Misses: an unknown label, a label extended past a stored one, and
-  // the next row's label swapped in (a known label, maybe an unstored
-  // tuple). Whatever the brute force does not find must be NotFound.
-  const auto stored = [&rows](const std::vector<std::string>& key) {
-    return std::any_of(
-        rows.begin(), rows.end(),
-        [&](const std::vector<std::string>& r) { return Attrs(r) == key; });
-  };
+  std::vector<std::vector<std::string>> keys;
   for (size_t r = 0; r < rows.size(); ++r) {
+    keys.push_back(Attrs(rows[r]));
     for (size_t c = 0; c + 1 < rows[r].size(); ++c) {
       for (const std::string& label :
            {std::string("no-such-label"), rows[r][c] + "\x01",
             rows[r][c] + "0", rows[(r + 1) % rows.size()][c]}) {
         std::vector<std::string> key = Attrs(rows[r]);
         key[c] = label;
-        EXPECT_EQ(table.Lookup(key).status().code(),
-                  stored(key) ? StatusCode::kOk : StatusCode::kNotFound);
+        keys.push_back(std::move(key));
       }
     }
+  }
+  return keys;
+}
+
+// Checks every answer `table` serves for `data` against a brute-force scan
+// of its stored rows: each probe key's lookup (first stored row wins on a
+// duplicated tuple; whatever the scan does not find must be NotFound), the
+// served row order, and top-k at k in {0, 1, n, n+5}.
+void ExpectAnswersMatchBruteForce(const ServedTable& table,
+                                  const store::TableData& data) {
+  SCOPED_TRACE(data.name);
+  const auto& rows = data.rows;
+  ASSERT_EQ(table.num_rows(), rows.size());
+
+  for (const std::vector<std::string>& key : ProbeKeys(data)) {
+    const auto first = std::find_if(
+        rows.begin(), rows.end(),
+        [&](const std::vector<std::string>& r) { return Attrs(r) == key; });
+    auto got = table.Lookup(key);
+    if (first == rows.end()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
+      continue;
+    }
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), first->back());
+    std::map<std::string, std::string> cell;
+    for (size_t c = 0; c < key.size(); ++c) cell[data.header[c]] = key[c];
+    EXPECT_EQ(table.LookupCell(cell).value(), first->back());
   }
 
   // Served order: the stored rows stably sorted by attribute tuple.
@@ -176,6 +178,25 @@ void ExpectMatchesBruteForce(const store::TableData& data) {
       EXPECT_EQ(top[i].count, ranked[i].back()) << "k=" << k << " i=" << i;
     }
   }
+}
+
+void ExpectMatchesBruteForce(const store::TableData& data) {
+  auto built = ServedTable::Build(data);
+  ASSERT_TRUE(built.ok()) << data.name << ": " << built.status().ToString();
+  ExpectAnswersMatchBruteForce(built.value(), data);
+}
+
+// Counts that tie numerically under different texts, stored out of tuple
+// order: ranking must bucket them by number (ties by tuple), and every
+// row must still answer its own text.
+store::TableData TiedCountsTable() {
+  store::TableData data;
+  data.name = "tied";
+  data.header = {"place", "count"};
+  data.rows = {{"g", "0"},       {"c", "2.0000"}, {"e", "-0.0000"},
+               {"a", "2.0000"},  {"h", "2"},      {"b", "2"},
+               {"f", "0.0000"},  {"d", "0"}};
+  return data;
 }
 
 TEST_F(ServeTest, LookupMatchesLinearScanOnEveryRow) {
@@ -233,6 +254,74 @@ TEST_F(ServeTest, LookupCellRequiresExactlyTheAttributeColumns) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(ServeTest, NumericTiesUnderDifferentTextsRankByTuple) {
+  const store::TableData data = TiedCountsTable();
+  auto writer = store::Store::Open(dir_);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer.value()->CommitEpoch("fp", {data}).ok());
+  auto loaded = Snapshot::Load(*writer.value(), 1);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto built = ServedTable::Build(data);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"a", "2.0000"}, {"b", "2"},       {"c", "2.0000"}, {"h", "2"},
+      {"d", "0"},      {"e", "-0.0000"}, {"f", "0.0000"}, {"g", "0"}};
+  const ServedTable& built_table = built.value();
+  for (const ServedTable* table :
+       {&loaded.value().tables()[0], &built_table}) {
+    const std::vector<RankedCell> top = table->TopK(want.size());
+    ASSERT_EQ(top.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(top[i].attrs, std::vector<std::string>{want[i].first}) << i;
+      EXPECT_EQ(top[i].count, want[i].second) << i;
+      EXPECT_EQ(table->Lookup({want[i].first}).value(), want[i].second);
+    }
+    ExpectAnswersMatchBruteForce(*table, data);
+  }
+}
+
+TEST_F(ServeTest, StoreLoadedIndexAnswersLikeBuild) {
+  // The store path (EncodeTable at commit, ReadCoded at load) and
+  // Build(TableData) must build the same index: same rows, same answer or
+  // miss for every probe, same top-k.
+  std::vector<store::TableData> tables;
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    tables.push_back(RandomTable(seed, 1 + seed % 8));
+  }
+  tables.push_back(TiedCountsTable());
+  auto writer = store::Store::Open(dir_);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer.value()->CommitEpoch("fp", tables).ok());
+  auto snapshot = Snapshot::Load(*writer.value(), 1);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_EQ(snapshot.value().tables().size(), tables.size());
+
+  for (size_t t = 0; t < tables.size(); ++t) {
+    const store::TableData& data = tables[t];
+    SCOPED_TRACE(data.name);
+    const ServedTable& loaded = snapshot.value().tables()[t];
+    auto built = ServedTable::Build(data);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    EXPECT_EQ(loaded.name(), data.name);
+    EXPECT_EQ(loaded.header(), built.value().header());
+    EXPECT_EQ(loaded.Rows(), built.value().Rows());
+    for (const std::vector<std::string>& key : ProbeKeys(data)) {
+      auto want = built.value().Lookup(key);
+      auto got = loaded.Lookup(key);
+      ASSERT_EQ(got.status().code(), want.status().code());
+      if (want.ok()) {
+        EXPECT_EQ(got.value(), want.value());
+      }
+    }
+    const size_t n = data.rows.size();
+    for (size_t k : {size_t{0}, size_t{1}, n, n + 5}) {
+      EXPECT_EQ(loaded.TopK(k), built.value().TopK(k)) << "k=" << k;
+    }
+    ExpectAnswersMatchBruteForce(loaded, data);
+  }
 }
 
 TEST_F(ServeTest, TopKIsNumericDescendingWithDeterministicTies) {

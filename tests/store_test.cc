@@ -1,6 +1,8 @@
-// The crash-safe release store, happy paths: round trips, epoch
-// supersession, reopen after a clean close, validation errors. The crash
-// and corruption halves of the durability contract live in
+// The crash-safe release store, happy paths: round trips (chunking and
+// code widths of the dictionary-coded segments included), epoch
+// supersession, reopen after a clean close, validation errors, and the
+// segment decoder's format checks on well-framed segments. The crash and
+// corruption halves of the durability contract live in
 // store_crash_matrix_test.cc.
 #include "store/store.h"
 
@@ -11,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 
 namespace eep::store {
@@ -100,25 +103,298 @@ TEST_F(StoreTest, ZeroRowTableRoundTrips) {
   EXPECT_TRUE(read.value() == empty);
 }
 
+// ---------------------------------------------------------------------------
+// Segment surgery: the frame and chunk layout store.h documents, rebuilt
+// here so tests can count chunks and hand the decoder well-framed segments
+// whose content breaks the format.
+// ---------------------------------------------------------------------------
+
+void PutU32(std::string* out, uint32_t v) {
+  for (int b = 0; b < 4; ++b) out->push_back(static_cast<char>(v >> (8 * b)));
+}
+void PutU64(std::string* out, uint64_t v) {
+  PutU32(out, static_cast<uint32_t>(v));
+  PutU32(out, static_cast<uint32_t>(v >> 32));
+}
+uint32_t GetU32(const std::string& s, size_t at) {
+  uint32_t v = 0;
+  for (int b = 0; b < 4; ++b) {
+    v |= static_cast<uint32_t>(static_cast<unsigned char>(s[at + b]))
+         << (8 * b);
+  }
+  return v;
+}
+void PutString(std::string* out, const std::string& s) {
+  PutU32(out, static_cast<uint32_t>(s.size()));
+  *out += s;
+}
+
+/// The payloads of a file of [u32 len][u32 masked crc32c][payload] frames.
+std::vector<std::string> SplitFrames(const std::string& file) {
+  std::vector<std::string> payloads;
+  for (size_t pos = 0; pos + 8 <= file.size();) {
+    const uint32_t len = GetU32(file, pos);
+    payloads.push_back(file.substr(pos + 8, len));
+    pos += 8 + len;
+  }
+  return payloads;
+}
+
+std::string JoinFrames(const std::vector<std::string>& payloads) {
+  std::string out;
+  for (const std::string& payload : payloads) {
+    PutU32(&out, static_cast<uint32_t>(payload.size()));
+    PutU32(&out, Crc32cMask(Crc32c(payload)));
+    out += payload;
+  }
+  return out;
+}
+
+/// A column chunk: [u32 column][u32 kind: 0 dictionary, 1 codes]
+/// [u64 first index][u32 entries] then the entries.
+constexpr size_t kChunkHeaderBytes = 20;
+std::string Chunk(uint32_t column, uint32_t kind, uint64_t first,
+                  uint32_t entries, const std::string& body) {
+  std::string chunk;
+  PutU32(&chunk, column);
+  PutU32(&chunk, kind);
+  PutU64(&chunk, first);
+  PutU32(&chunk, entries);
+  return chunk + body;
+}
+
+std::vector<std::string> SegmentPayloads(const std::string& dir,
+                                         const std::string& file) {
+  return SplitFrames(Env::Default()->ReadFileToString(dir + "/" + file)
+                         .value());
+}
+
+/// The chunks of `column` of one kind, in file order.
+std::vector<std::string> ColumnChunks(const std::vector<std::string>& payloads,
+                                      uint32_t column, uint32_t kind) {
+  std::vector<std::string> chunks;
+  for (size_t i = 1; i < payloads.size(); ++i) {
+    if (GetU32(payloads[i], 0) == column && GetU32(payloads[i], 4) == kind) {
+      chunks.push_back(payloads[i]);
+    }
+  }
+  return chunks;
+}
+
+/// Replaces committed segment `file` with `payloads` under valid frame
+/// checksums and re-records its size and whole-file CRC in the MANIFEST,
+/// so that only the decoder's format checks stand between the edit and a
+/// reader.
+void RewriteSegment(const std::string& dir, const std::string& file,
+                    const std::vector<std::string>& payloads) {
+  const std::string segment = JoinFrames(payloads);
+  ASSERT_TRUE(
+      Env::Default()->WriteStringToFile(dir + "/" + file, segment, false).ok());
+  std::vector<std::string> manifest =
+      SplitFrames(Env::Default()->ReadFileToString(dir + "/MANIFEST").value());
+  ASSERT_EQ(manifest.size(), 2u);  // format record + one epoch record
+  std::string name;
+  PutString(&name, file);
+  const size_t at = manifest[1].find(name);
+  ASSERT_NE(at, std::string::npos);
+  std::string meta;
+  PutU64(&meta, segment.size());
+  PutU32(&meta, Crc32c(segment));
+  manifest[1].replace(at + name.size(), meta.size(), meta);
+  ASSERT_TRUE(Env::Default()
+                  ->WriteStringToFile(dir + "/MANIFEST", JoinFrames(manifest),
+                                      false)
+                  .ok());
+}
+
 TEST_F(StoreTest, LargeTableSpansMultipleChunks) {
-  // Column values sized so one column exceeds the 256 KiB chunk target and
-  // must split across several framed blocks.
-  TableData table;
-  table.name = "big";
-  table.header = {"blob", "count"};
+  // Each column below is too big for one 256 KiB chunk: a dictionary of
+  // 200 distinct 4 KiB values, and 300,000 rows of 1-byte codes.
+  TableData blobs;
+  blobs.name = "blobs";
+  blobs.header = {"blob", "count"};
   for (int r = 0; r < 200; ++r) {
-    table.rows.push_back(
-        {std::string(4096, static_cast<char>('a' + r % 26)),
-         std::to_string(r)});
+    blobs.rows.push_back({std::string(4096, static_cast<char>('a' + r % 26)) +
+                              std::to_string(r),
+                          std::to_string(r)});
+  }
+  TableData tall;
+  tall.name = "tall";
+  tall.header = {"label", "count"};
+  for (int r = 0; r < 300000; ++r) {
+    tall.rows.push_back(
+        {"label-" + std::to_string(r % 251), std::to_string(r % 7)});
   }
   auto store = Store::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store.value()->CommitEpoch("fp", {table}).ok());
+  ASSERT_TRUE(store.value()->CommitEpoch("fp", {blobs, tall}).ok());
+  const std::vector<std::string> blob_segment =
+      SegmentPayloads(dir_, "ep1-t0.seg");
+  const std::vector<std::string> tall_segment =
+      SegmentPayloads(dir_, "ep1-t1.seg");
+  EXPECT_GE(ColumnChunks(blob_segment, 0, /*dictionary*/ 0).size(), 3u);
+  const std::vector<std::string> tall_codes =
+      ColumnChunks(tall_segment, 0, /*codes*/ 1);
+  ASSERT_GE(tall_codes.size(), 2u);
+  EXPECT_EQ(tall_codes[0].size() - kChunkHeaderBytes, 256u * 1024u);
+
   auto reopened = Store::Open(dir_);
   ASSERT_TRUE(reopened.ok());
-  auto read = reopened.value()->ReadTable(1, "big");
+  auto read = reopened.value()->ReadEpoch(1);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_TRUE(read.value() == table);
+  ASSERT_EQ(read.value().size(), 2u);
+  EXPECT_TRUE(read.value()[0] == blobs);
+  EXPECT_TRUE(read.value()[1] == tall);
+}
+
+TEST_F(StoreTest, CodeWidthBoundariesRoundTrip) {
+  // 256 and 65,536 distinct values are the most that 1- and 2-byte codes
+  // index; 257 and 65,537 take the next width. Values arrive permuted and
+  // repeat, so codes are neither row numbers nor first-seen order.
+  const std::vector<std::pair<int, size_t>> distinct_and_width = {
+      {256, 1}, {257, 2}, {65536, 2}, {65537, 4}};
+  std::vector<TableData> tables;
+  for (const auto& [distinct, width] : distinct_and_width) {
+    TableData table;
+    table.name = "distinct-" + std::to_string(distinct);
+    table.header = {"value", "count"};
+    for (int r = 0; r < distinct + 100; ++r) {
+      table.rows.push_back(
+          {"v" + std::to_string((int64_t{r} * 7919) % distinct),
+           std::to_string(r % 3)});
+    }
+    tables.push_back(std::move(table));
+  }
+  auto store = Store::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store.value()->CommitEpoch("fp", tables).ok());
+  auto read = store.value()->ReadEpoch(1);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), tables);
+  for (size_t t = 0; t < tables.size(); ++t) {
+    size_t code_bytes = 0;
+    for (const std::string& chunk :
+         ColumnChunks(SegmentPayloads(dir_, "ep1-t" + std::to_string(t) +
+                                                ".seg"),
+                      0, /*codes*/ 1)) {
+      code_bytes += chunk.size() - kChunkHeaderBytes;
+    }
+    EXPECT_EQ(code_bytes,
+              tables[t].rows.size() * distinct_and_width[t].second)
+        << tables[t].name;
+  }
+}
+
+TEST_F(StoreTest, ReadCodedRefusesWellFramedSegmentsThatBreakTheFormat) {
+  TableData table;
+  table.name = "t";
+  table.header = {"k", "count"};
+  table.rows = {{"b", "2"}, {"a", "1"}, {"c", "2"}};
+  {
+    auto store = Store::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->CommitEpoch("fp", {table}).ok());
+  }
+  const auto header = [](const std::string& tag, uint32_t k_dict,
+                         uint32_t count_dict) {
+    std::string h;
+    PutString(&h, tag);
+    PutString(&h, "t");
+    PutU32(&h, 2);
+    PutString(&h, "k");
+    PutU32(&h, k_dict);
+    PutString(&h, "count");
+    PutU32(&h, count_dict);
+    PutU64(&h, 3);
+    return h;
+  };
+  const auto dict = [](const std::vector<std::string>& values) {
+    std::string body;
+    for (const std::string& v : values) PutString(&body, v);
+    return Chunk(0, 0, 0, static_cast<uint32_t>(values.size()), body);
+  };
+  // The committed layout, block by block.
+  const std::vector<std::string> committed =
+      SegmentPayloads(dir_, "ep1-t0.seg");
+  const std::string codes = Chunk(0, 1, 0, 3, std::string("\x01\x00\x02", 3));
+  std::string count_dict;
+  PutString(&count_dict, "1");
+  PutString(&count_dict, "2");
+  ASSERT_EQ(committed,
+            (std::vector<std::string>{
+                header("EEPSEG2", 3, 2), dict({"a", "b", "c"}), codes,
+                Chunk(1, 0, 0, 2, count_dict),
+                Chunk(1, 1, 0, 3, std::string("\x01\x00\x01", 3))}));
+
+  struct Case {
+    const char* what;
+    std::vector<std::string> payloads;
+    const char* message;
+  };
+  const auto edit = [&committed](size_t block, const std::string& payload) {
+    std::vector<std::string> payloads = committed;
+    payloads[block] = payload;
+    return payloads;
+  };
+  const auto without = [&committed](size_t block) {
+    std::vector<std::string> payloads = committed;
+    payloads.erase(payloads.begin() + static_cast<std::ptrdiff_t>(block));
+    return payloads;
+  };
+  std::vector<std::string> swapped = committed;
+  std::swap(swapped[1], swapped[2]);
+  std::vector<std::string> extra = committed;
+  extra.push_back(committed.back());
+  std::vector<std::string> no_k_dict = without(1);
+  no_k_dict[0] = header("EEPSEG2", 0, 2);
+  std::vector<std::string> oversized = edit(1, dict({"a", "b", "c", "d"}));
+  oversized[0] = header("EEPSEG2", 4, 2);
+  const std::vector<Case> cases = {
+      {"descending dictionary", edit(1, dict({"b", "a", "c"})),
+       "not strictly ascending"},
+      {"repeated dictionary value", edit(1, dict({"a", "a", "c"})),
+       "not strictly ascending"},
+      {"code past the dictionary",
+       edit(2, Chunk(0, 1, 0, 3, std::string("\x01\x00\x03", 3))),
+       "past its 3-value dictionary"},
+      {"empty dictionary with rows", no_k_dict, "dictionary of 0 values"},
+      {"dictionary larger than the rows", oversized,
+       "dictionary of 4 values for 3 rows"},
+      {"codes before the dictionary", swapped, "out of order or range"},
+      {"chunk starting past its predecessor",
+       edit(2, Chunk(0, 1, 1, 2, std::string("\x00\x02", 2))),
+       "out of order or range"},
+      {"chunk past the row count",
+       edit(2, Chunk(0, 1, 0, 4, std::string("\x01\x00\x02\x02", 4))),
+       "out of order or range"},
+      {"code chunk length not rows x width",
+       edit(2, Chunk(0, 1, 0, 3, std::string("\x01\x00\x02\x02", 4))),
+       "holds 4 bytes for 3 codes"},
+      {"incomplete column", without(4), "column 1 is incomplete"},
+      {"block past the last column", extra, "past the last column"},
+      {"stale format tag", edit(0, header("EEPSEG1", 3, 2)),
+       "expected tag 'EEPSEG2', found 'EEPSEG1'"},
+  };
+  RewriteSegment(dir_, "ep1-t0.seg", committed);
+  {
+    auto store = Store::OpenReadOnly(dir_);
+    ASSERT_TRUE(store.ok());
+    auto read = store.value()->ReadTable(1, "t");
+    ASSERT_TRUE(read.ok()) << "unedited rewrite: " << read.status().ToString();
+    EXPECT_TRUE(read.value() == table);
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    RewriteSegment(dir_, "ep1-t0.seg", c.payloads);
+    auto store = Store::OpenReadOnly(dir_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto read = store.value()->ReadCoded(1, "t");
+    ASSERT_EQ(read.status().code(), StatusCode::kIOError);
+    EXPECT_NE(read.status().ToString().find(c.message), std::string::npos)
+        << read.status().ToString();
+    EXPECT_EQ(store.value()->ReadTable(1, "t").status().code(),
+              StatusCode::kIOError);
+  }
 }
 
 TEST_F(StoreTest, EpochSupersession) {
