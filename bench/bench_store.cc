@@ -1,6 +1,6 @@
 // Crash-safe release store bench: times the persist step of
 // RunReleaseWorkload (segment writes + checksums + fsyncs + manifest
-// swap), Store::Open recovery latency as epochs accumulate, and serving a
+// append), Store::Open recovery latency as epochs accumulate, and serving a
 // release by READ-BACK from the store against RECOMPUTING it from the
 // microdata — the latency argument for persisting releases at all. Every
 // read-back is checked bit-identical to the tables the pipeline released
@@ -10,14 +10,18 @@
 // Extra flags on top of bench_common's:
 //   --epochs=N   committed epochs before the reopen/read-back timings
 //                (default 4; recovery cost is a function of manifest size)
-//   --reps=N     timed repetitions per measurement, best-of (default 5)
+//   --reps=N     timed repetitions per measurement, best-of (default 5);
+//                the persist step reports its first commit (into an
+//                empty directory) apart from the median of the later ones
 //   --dir=PATH   store directory (default /tmp/eep_bench_store; wiped)
 //
 // The default --jobs is 400000 here (not bench_common's 120000): the store
 // pays per released BYTE, and the 400k preset yields wide-enough tables
 // that fsync cost stops dominating.
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <vector>
 
 #include "bench_common.h"
 #include "release/pipeline.h"
@@ -70,8 +74,10 @@ int main(int argc, char** argv) {
   // --- Persist: the same release with a store attached. ------------------
   // Each rep commits one more epoch, so the later reopen/read-back
   // measurements see a manifest with `epochs` committed epochs (capped by
-  // reps below) — recovery cost is a function of history length.
-  double persist_ms = 0.0;
+  // reps below) — recovery cost is a function of history length. The
+  // first commit creates the manifest in an empty directory; the later
+  // ones are the steady state, so the two are reported apart.
+  std::vector<double> persist_ms;
   double release_with_store_ms = 0.0;
   uint64_t persisted_bytes = 0;
   bool identical = true;
@@ -83,7 +89,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     config.persist_to = store.value().get();
-    for (int rep = 0; rep < std::max(reps, epochs); ++rep) {
+    for (int rep = 0; rep < std::max({reps, epochs, 2}); ++rep) {
       Rng rng(noise_seed);
       release::WorkloadReleaseStats stats;
       const auto start = std::chrono::steady_clock::now();
@@ -95,10 +101,10 @@ int main(int argc, char** argv) {
                      result.status().ToString().c_str());
         return 1;
       }
-      if (rep == 0 || stats.persist_ms < persist_ms) {
-        persist_ms = stats.persist_ms;
+      persist_ms.push_back(stats.persist_ms);
+      if (rep == 1 || (rep > 1 && ms < release_with_store_ms)) {
+        release_with_store_ms = ms;  // best of the later commits
       }
-      if (rep == 0 || ms < release_with_store_ms) release_with_store_ms = ms;
       // Persisting must never perturb the noise stream (or the names and
       // headers of the released tables).
       if (!(result.value() == released)) identical = false;
@@ -114,6 +120,12 @@ int main(int argc, char** argv) {
   }
   const double persist_mb =
       static_cast<double>(persisted_bytes) / (1024.0 * 1024.0);
+  const double persist_first_ms = persist_ms.front();
+  std::vector<double> later(persist_ms.begin() + 1, persist_ms.end());
+  std::sort(later.begin(), later.end());
+  const size_t mid = later.size() / 2;
+  const double persist_later_ms =
+      later.size() % 2 == 1 ? later[mid] : (later[mid - 1] + later[mid]) / 2;
 
   // --- Reopen: recovery latency over the committed history. --------------
   double reopen_ms = 0.0;
@@ -158,15 +170,18 @@ int main(int argc, char** argv) {
               "%llu epochs committed\n\n",
               released_cells, released.size(), persist_mb,
               static_cast<unsigned long long>(last_epoch));
-  TextTable table({"measurement", "best ms", "note"});
+  TextTable table({"measurement", "ms (best of reps unless noted)", "note"});
   table.AddRow({"release (recompute, no store)", FormatDouble(recompute_ms, 2),
                 "group-by + noise + format"});
   table.AddRow({"release + persist", FormatDouble(release_with_store_ms, 2),
-                "adds segments + manifest swap"});
-  char throughput[48];
-  std::snprintf(throughput, sizeof(throughput), "%.1f MiB/s fsync'd",
-                persist_mb / (persist_ms / 1000.0));
-  table.AddRow({"persist step alone", FormatDouble(persist_ms, 2),
+                "best of the later commits"});
+  table.AddRow({"persist, first commit", FormatDouble(persist_first_ms, 3),
+                "creates the manifest in an empty directory"});
+  char throughput[96];
+  std::snprintf(throughput, sizeof(throughput),
+                "median of %zu; %.1f MiB/s fsync'd", later.size(),
+                persist_mb / (persist_later_ms / 1000.0));
+  table.AddRow({"persist, later commits", FormatDouble(persist_later_ms, 3),
                 throughput});
   table.AddRow({"Store::Open (recovery)", FormatDouble(reopen_ms, 2),
                 std::to_string(last_epoch) + " epochs of history"});
@@ -185,9 +200,10 @@ int main(int argc, char** argv) {
   json["recompute_ms"] = bench::BenchJson::Num(recompute_ms);
   json["release_with_persist_ms"] =
       bench::BenchJson::Num(release_with_store_ms);
-  json["persist_ms"] = bench::BenchJson::Num(persist_ms);
+  json["persist_first_commit_ms"] = bench::BenchJson::Num(persist_first_ms);
+  json["persist_later_median_ms"] = bench::BenchJson::Num(persist_later_ms);
   json["persist_mib_per_s"] =
-      bench::BenchJson::Num(persist_mb / (persist_ms / 1000.0));
+      bench::BenchJson::Num(persist_mb / (persist_later_ms / 1000.0));
   json["reopen_ms"] = bench::BenchJson::Num(reopen_ms);
   json["readback_ms"] = bench::BenchJson::Num(readback_ms);
   json["readback_speedup_vs_recompute"] =

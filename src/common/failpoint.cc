@@ -21,7 +21,7 @@ constexpr FailpointSite kFailpointInventory[] = {
     {"file/append", true},
     {"file/sync", true},
     {"file/close", true},
-    {"file/rename", true},
+    {"file/truncate", true},
     {"file/remove", true},
     {"file/sync-dir", true},
     {"file/open-read", false},
@@ -30,7 +30,6 @@ constexpr FailpointSite kFailpointInventory[] = {
     {"store/segment-sync", true},
     {"store/wal-append", true},
     {"store/wal-sync", true},
-    {"store/wal-rename", true},
 };
 
 }  // namespace

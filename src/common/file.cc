@@ -118,14 +118,24 @@ Env* Env::Default() {
   return env;
 }
 
-Result<std::unique_ptr<WritableFile>> Env::NewWritableFile(
-    const std::string& path) {
+Result<std::unique_ptr<WritableFile>> Env::OpenWritable(
+    const std::string& path, int mode_flag) {
   FailpointDecision fp =
       FailpointRegistry::Instance().Consult("file/open-write");
   if (fp.fire) return fp.status;
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | mode_flag, 0644);
   if (fd < 0) return PosixError("open for writing", path, errno);
   return std::unique_ptr<WritableFile>(new WritableFile(path, fd));
+}
+
+Result<std::unique_ptr<WritableFile>> Env::NewWritableFile(
+    const std::string& path) {
+  return OpenWritable(path, O_TRUNC);
+}
+
+Result<std::unique_ptr<WritableFile>> Env::NewAppendableFile(
+    const std::string& path) {
+  return OpenWritable(path, O_APPEND);
 }
 
 Result<std::unique_ptr<RandomAccessFile>> Env::NewRandomAccessFile(
@@ -162,12 +172,20 @@ Status Env::WriteStringToFile(const std::string& path,
   return file->Close();
 }
 
-Status Env::RenameFile(const std::string& from, const std::string& to) {
-  EEP_FAILPOINT("file/rename");
-  if (::rename(from.c_str(), to.c_str()) != 0) {
-    return PosixError("rename to '" + to + "' from", from, errno);
+Status Env::TruncateFile(const std::string& path, uint64_t size) {
+  EEP_FAILPOINT("file/truncate");
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) return PosixError("open for truncating", path, errno);
+  Status status = Status::OK();
+  if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
+    status = PosixError("ftruncate", path, errno);
+  } else if (::fsync(fd) != 0) {
+    status = PosixError("fsync", path, errno);
   }
-  return Status::OK();
+  if (::close(fd) != 0 && status.ok()) {
+    status = PosixError("close", path, errno);
+  }
+  return status;
 }
 
 Status Env::RemoveFile(const std::string& path) {

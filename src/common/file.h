@@ -3,14 +3,14 @@
 // Library code never touches iostreams or raw descriptors for durable
 // data — it goes through Env, which
 //
-//   * surfaces every failure (open, read, short write, fsync, rename) as
-//     a Status::IOError carrying the path and errno,
+//   * surfaces every failure (open, read, short write, fsync, truncate)
+//     as a Status::IOError carrying the path and errno,
 //   * funnels each primitive through a named failpoint
 //     (common/failpoint.h), so tests can deterministically inject faults
 //     at every I/O site the process has,
-//   * exposes the durability primitives (Sync, SyncDir, atomic rename)
-//     the store's commit protocol is built on (docs/ARCHITECTURE.md,
-//     "Durability contract").
+//   * exposes the durability primitives (Sync, SyncDir, append-mode
+//     open, TruncateFile) the store's append-only manifest is built on
+//     (docs/ARCHITECTURE.md, "Durability contract").
 //
 // The eep-lint rule `raw-file-io` enforces the funnel: direct
 // ifstream/ofstream/fopen/open(2) use outside src/common/ is a finding.
@@ -99,6 +99,10 @@ class Env {
   /// Creates/truncates `path` for appending.
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path);
+  /// Opens `path` (creating it if missing) for appending after its current
+  /// end; never truncates. bytes_written() counts this handle's appends.
+  Result<std::unique_ptr<WritableFile>> NewAppendableFile(
+      const std::string& path);
   Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
       const std::string& path);
 
@@ -109,12 +113,12 @@ class Env {
   Status WriteStringToFile(const std::string& path, const std::string& data,
                            bool sync);
 
-  /// rename(2): atomic replacement of `to` on POSIX filesystems — the
-  /// commit point of the store's manifest swap.
-  Status RenameFile(const std::string& from, const std::string& to);
+  /// Cuts `path` to its first `size` bytes and fsyncs it: recovery's
+  /// removal of a torn manifest tail.
+  Status TruncateFile(const std::string& path, uint64_t size);
   Status RemoveFile(const std::string& path);
   Status CreateDirIfMissing(const std::string& path);
-  /// fsync on the directory itself, making a prior rename/create durable.
+  /// fsync on the directory itself, making a prior create/remove durable.
   Status SyncDir(const std::string& path);
 
   Result<bool> FileExists(const std::string& path);
@@ -124,6 +128,8 @@ class Env {
 
  private:
   Env() = default;
+  Result<std::unique_ptr<WritableFile>> OpenWritable(const std::string& path,
+                                                     int mode_flag);
 };
 
 }  // namespace eep

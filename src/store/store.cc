@@ -14,8 +14,7 @@ namespace eep::store {
 namespace {
 
 constexpr char kManifestName[] = "MANIFEST";
-constexpr char kManifestTmpName[] = "MANIFEST.tmp";
-constexpr char kManifestMagic[] = "EEPMAN1";
+constexpr char kManifestMagic[] = "EEPMAN2";
 constexpr char kSegmentMagic[] = "EEPSEG2";
 constexpr char kEpochTag[] = "EPOCH";
 /// Column chunks target this payload size so block checksums localize
@@ -147,7 +146,7 @@ class PayloadReader {
 };
 
 // ---------------------------------------------------------------------------
-// Frames: [u32 payload_len][u32 masked crc32c(payload)][payload].
+// Segment frames: [u32 payload_len][u32 masked crc32c(payload)][payload].
 // ---------------------------------------------------------------------------
 
 constexpr size_t kFrameHeaderBytes = 8;
@@ -163,8 +162,8 @@ std::string Frame(const std::string& payload) {
 
 /// Checks the frame at *pos in place, pointing *payload into `data` and
 /// advancing *pos. A frame extending past the end of `data` or failing its
-/// checksum is an IOError — callers decide whether that means corruption
-/// (manifest, committed segments) or is impossible by protocol.
+/// checksum is an IOError: a committed segment was fsync'd whole before
+/// any manifest record named it, so either means corruption.
 Status ReadFrame(std::string_view data, size_t* pos, std::string_view* payload,
                  const std::string& context) {
   if (data.size() - *pos < kFrameHeaderBytes) {
@@ -185,6 +184,93 @@ Status ReadFrame(std::string_view data, size_t* pos, std::string_view* payload,
                            std::to_string(*pos));
   }
   *pos += kFrameHeaderBytes + len;
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Manifest frames: [u32 payload_len][u32 masked crc32c(payload)]
+// [u32 masked crc32c(the 8 bytes before)][payload]. The header checks
+// itself, so a length is trusted before its payload is read: a file that
+// ends inside a frame whose header passes is a torn tail, and a header
+// that fails is corruption.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kManifestFrameHeaderBytes = 12;
+
+std::string ManifestFrame(const std::string& payload) {
+  std::string out;
+  out.reserve(kManifestFrameHeaderBytes + payload.size());
+  PutFixed32(&out, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&out, Crc32cMask(Crc32c(payload)));
+  PutFixed32(&out, Crc32cMask(Crc32c(out.data(), out.size())));
+  out.append(payload);
+  return out;
+}
+
+/// Parses MANIFEST bytes `data`, which start at file offset `offset` (0:
+/// `data` opens with the header frame), after an epoch history ending at
+/// `last_epoch`. Appends each epoch record to *epochs and sets *complete
+/// to the bytes up to the end of the last one: the first commit appends
+/// the header together with its record, so a header alone is part of a
+/// torn tail. Stops at a torn tail; anything else malformed is IOError.
+Status ParseManifest(std::string_view data, uint64_t offset,
+                     uint64_t last_epoch, std::vector<EpochInfo>* epochs,
+                     size_t* complete) {
+  *complete = 0;
+  size_t pos = 0;
+  while (data.size() - pos >= kManifestFrameHeaderBytes) {
+    const char* header = data.data() + pos;
+    if (Crc32cUnmask(DecodeFixed32(header + 8)) != Crc32c(header, 8)) {
+      return Status::IOError("MANIFEST frame header at offset " +
+                             std::to_string(offset + pos) +
+                             " fails its checksum");
+    }
+    const uint32_t len = DecodeFixed32(header);
+    if (data.size() - pos - kManifestFrameHeaderBytes < len) break;
+    const std::string_view payload =
+        data.substr(pos + kManifestFrameHeaderBytes, len);
+    if (Crc32c(payload.data(), payload.size()) !=
+        Crc32cUnmask(DecodeFixed32(header + 4))) {
+      return Status::IOError("MANIFEST frame at offset " +
+                             std::to_string(offset + pos) +
+                             " fails its checksum");
+    }
+    const bool is_header = offset + pos == 0;
+    pos += kManifestFrameHeaderBytes + len;
+    if (is_header) {
+      PayloadReader reader(payload, "MANIFEST header");
+      EEP_RETURN_NOT_OK(reader.ExpectTag(kManifestMagic));
+      continue;
+    }
+    PayloadReader reader(payload, "MANIFEST record");
+    EEP_RETURN_NOT_OK(reader.ExpectTag(kEpochTag));
+    EpochInfo info;
+    EEP_RETURN_NOT_OK(reader.GetFixed64(&info.epoch));
+    EEP_RETURN_NOT_OK(reader.GetLengthPrefixed(&info.fingerprint));
+    uint32_t num_tables = 0;
+    EEP_RETURN_NOT_OK(reader.GetFixed32(&num_tables));
+    for (uint32_t t = 0; t < num_tables; ++t) {
+      TableMeta meta;
+      EEP_RETURN_NOT_OK(reader.GetLengthPrefixed(&meta.name));
+      EEP_RETURN_NOT_OK(reader.GetLengthPrefixed(&meta.segment_file));
+      EEP_RETURN_NOT_OK(reader.GetFixed64(&meta.size_bytes));
+      EEP_RETURN_NOT_OK(reader.GetFixed32(&meta.crc32c));
+      EEP_RETURN_NOT_OK(reader.GetFixed64(&meta.num_rows));
+      info.tables.push_back(std::move(meta));
+    }
+    if (!reader.AtEnd()) {
+      return Status::IOError("MANIFEST record for epoch " +
+                             std::to_string(info.epoch) +
+                             " carries trailing bytes");
+    }
+    if (info.epoch <= last_epoch) {
+      return Status::IOError("MANIFEST epochs not strictly increasing at " +
+                             std::to_string(info.epoch));
+    }
+    last_epoch = info.epoch;
+    epochs->push_back(std::move(info));
+    *complete = pos;
+  }
   return Status::OK();
 }
 
@@ -319,49 +405,6 @@ Result<std::unique_ptr<Store>> Store::OpenReadOnly(const std::string& dir) {
   return st;
 }
 
-Status Store::ParseManifestImage(const std::string& image,
-                                 std::map<uint64_t, EpochInfo>* epochs,
-                                 uint64_t* last_epoch) {
-  size_t pos = 0;
-  std::string_view payload;
-  EEP_RETURN_NOT_OK(ReadFrame(image, &pos, &payload, "MANIFEST"));
-  {
-    PayloadReader reader(payload, "MANIFEST header");
-    EEP_RETURN_NOT_OK(reader.ExpectTag(kManifestMagic));
-  }
-  while (pos < image.size()) {
-    EEP_RETURN_NOT_OK(ReadFrame(image, &pos, &payload, "MANIFEST"));
-    PayloadReader reader(payload, "MANIFEST record");
-    EEP_RETURN_NOT_OK(reader.ExpectTag(kEpochTag));
-    EpochInfo info;
-    EEP_RETURN_NOT_OK(reader.GetFixed64(&info.epoch));
-    EEP_RETURN_NOT_OK(reader.GetLengthPrefixed(&info.fingerprint));
-    uint32_t num_tables = 0;
-    EEP_RETURN_NOT_OK(reader.GetFixed32(&num_tables));
-    for (uint32_t t = 0; t < num_tables; ++t) {
-      TableMeta meta;
-      EEP_RETURN_NOT_OK(reader.GetLengthPrefixed(&meta.name));
-      EEP_RETURN_NOT_OK(reader.GetLengthPrefixed(&meta.segment_file));
-      EEP_RETURN_NOT_OK(reader.GetFixed64(&meta.size_bytes));
-      EEP_RETURN_NOT_OK(reader.GetFixed32(&meta.crc32c));
-      EEP_RETURN_NOT_OK(reader.GetFixed64(&meta.num_rows));
-      info.tables.push_back(std::move(meta));
-    }
-    if (!reader.AtEnd()) {
-      return Status::IOError("MANIFEST record for epoch " +
-                             std::to_string(info.epoch) +
-                             " carries trailing bytes");
-    }
-    if (info.epoch <= *last_epoch) {
-      return Status::IOError("MANIFEST epochs not strictly increasing at " +
-                             std::to_string(info.epoch));
-    }
-    *last_epoch = info.epoch;
-    (*epochs)[info.epoch] = std::move(info);
-  }
-  return Status::OK();
-}
-
 Status Store::ValidateEpochSegments(const EpochInfo& info) const {
   Env* env = Env::Default();
   for (const TableMeta& meta : info.tables) {
@@ -380,37 +423,51 @@ Status Store::ValidateEpochSegments(const EpochInfo& info) const {
   return Status::OK();
 }
 
-Result<uint64_t> Store::Refresh() {
+Status Store::LoadManifest(uint64_t* file_size) {
   Env* env = Env::Default();
-  const std::string manifest_path = dir_ + "/" + kManifestName;
-  EEP_ASSIGN_OR_RETURN(bool has_manifest, env->FileExists(manifest_path));
-  if (!has_manifest) {
+  const std::string path = dir_ + "/" + kManifestName;
+  *file_size = manifest_bytes_;
+  if (manifest_bytes_ == 0) {
     // Nothing committed yet (a read-only open may even precede the
     // directory). The writer's first commit will show up next poll.
-    return last_epoch_;
+    EEP_ASSIGN_OR_RETURN(bool has_manifest, env->FileExists(path));
+    if (!has_manifest) return Status::OK();
   }
-  // Fast path: between renames the image only ever grows by appended
-  // records, so an unchanged byte size means an unchanged manifest.
-  EEP_ASSIGN_OR_RETURN(uint64_t size, env->FileSize(manifest_path));
-  if (size == manifest_image_.size() && !manifest_image_.empty()) {
-    return last_epoch_;
-  }
+  EEP_ASSIGN_OR_RETURN(*file_size, env->FileSize(path));
+  if (*file_size == manifest_bytes_) return Status::OK();
 
-  EEP_ASSIGN_OR_RETURN(std::string image,
-                       env->ReadFileToString(manifest_path));
-  std::map<uint64_t, EpochInfo> epochs;
-  uint64_t last_epoch = 0;
-  EEP_RETURN_NOT_OK(ParseManifestImage(image, &epochs, &last_epoch));
-  // Only epochs this instance has not seen need their segments checked —
-  // known ones were validated when first loaded. Validate before
-  // publishing anything, so a failed refresh leaves the instance on its
-  // previous (consistent) epoch set.
-  for (const auto& [epoch, info] : epochs) {
-    if (epoch > last_epoch_) EEP_RETURN_NOT_OK(ValidateEpochSegments(info));
+  EEP_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
+                       env->NewRandomAccessFile(path));
+  *file_size = file->size();
+  if (*file_size < manifest_bytes_) {
+    return Status::IOError("MANIFEST is " + std::to_string(*file_size) +
+                           " bytes, shorter than the " +
+                           std::to_string(manifest_bytes_) +
+                           " already validated");
   }
-  manifest_image_ = std::move(image);
-  epochs_ = std::move(epochs);
-  last_epoch_ = last_epoch;
+  std::string tail;
+  EEP_RETURN_NOT_OK(
+      file->Read(manifest_bytes_, *file_size - manifest_bytes_, &tail));
+  std::vector<EpochInfo> fresh;
+  size_t complete = 0;
+  EEP_RETURN_NOT_OK(
+      ParseManifest(tail, manifest_bytes_, last_epoch_, &fresh, &complete));
+  // Validate before publishing anything, so a failed load leaves the
+  // instance on its previous (consistent) epoch set.
+  for (const EpochInfo& info : fresh) {
+    EEP_RETURN_NOT_OK(ValidateEpochSegments(info));
+  }
+  manifest_bytes_ += complete;
+  for (EpochInfo& info : fresh) {
+    last_epoch_ = info.epoch;
+    epochs_[info.epoch] = std::move(info);
+  }
+  return Status::OK();
+}
+
+Result<uint64_t> Store::Refresh() {
+  uint64_t file_size = 0;
+  EEP_RETURN_NOT_OK(LoadManifest(&file_size));
   return last_epoch_;
 }
 
@@ -418,39 +475,22 @@ Status Store::Recover() {
   Env* env = Env::Default();
   EEP_RETURN_NOT_OK(env->CreateDirIfMissing(dir_));
 
-  // 1. The torn tail of an interrupted commit: a MANIFEST.tmp that never
-  //    reached its rename is dead weight, never state.
-  const std::string tmp_path = dir_ + "/" + kManifestTmpName;
-  EEP_ASSIGN_OR_RETURN(bool has_tmp, env->FileExists(tmp_path));
-  if (has_tmp) EEP_RETURN_NOT_OK(env->RemoveFile(tmp_path));
+  // 1. The manifest: every complete frame must validate and every
+  //    committed segment must exist at its recorded size (the segment and
+  //    directory fsyncs precede the append, so a violation is corruption,
+  //    not a crash artifact; segment CRCs are verified on every read).
+  uint64_t file_size = 0;
+  EEP_RETURN_NOT_OK(LoadManifest(&file_size));
 
-  // 2. The manifest. Absent -> a fresh store. Present -> it went through
-  //    the atomic swap, so EVERY record must validate; a torn or
-  //    checksum-failing record here is corruption, not a crash artifact,
-  //    and recovery refuses rather than guess.
-  const std::string manifest_path = dir_ + "/" + kManifestName;
-  EEP_ASSIGN_OR_RETURN(bool has_manifest, env->FileExists(manifest_path));
-  if (!has_manifest) {
-    std::string header;
-    PutLengthPrefixed(&header, kManifestMagic);
-    manifest_image_ = Frame(header);
-  } else {
-    EEP_ASSIGN_OR_RETURN(std::string image,
-                         env->ReadFileToString(manifest_path));
-    EEP_RETURN_NOT_OK(ParseManifestImage(image, &epochs_, &last_epoch_));
-    manifest_image_ = std::move(image);
+  // 2. The torn tail of an interrupted append is dead weight, never
+  //    state: cut it off so the next commit appends after whole frames.
+  if (file_size > manifest_bytes_) {
+    EEP_RETURN_NOT_OK(
+        env->TruncateFile(dir_ + "/" + kManifestName, manifest_bytes_));
   }
 
-  // 3. Committed segments must exist at their recorded size (their CRCs
-  //    are verified on every read). The fsync-before-rename ordering
-  //    makes a violation corruption, not a crash artifact.
-  for (const auto& [epoch, info] : epochs_) {
-    (void)epoch;
-    EEP_RETURN_NOT_OK(ValidateEpochSegments(info));
-  }
-
-  // 4. Remove orphans: segments written by a commit that never reached
-  //    its rename, stray temp files. Never files the manifest references.
+  // 3. Remove orphans: segments written by a commit that never appended
+  //    its record, stray temp files. Never files the manifest references.
   std::vector<std::string> referenced;
   for (const auto& [epoch, info] : epochs_) {
     (void)epoch;
@@ -550,30 +590,31 @@ Status Store::WriteSegment(const std::string& file, const CodedTable& table,
   return Status::OK();
 }
 
-Status Store::CommitManifest(const std::string& appended_record,
-                             bool* renamed) {
+Status Store::AppendManifestRecord(const std::string& record,
+                                   bool* appending) {
   Env* env = Env::Default();
-  const std::string tmp_path = dir_ + "/" + kManifestTmpName;
-  const std::string manifest_path = dir_ + "/" + kManifestName;
-  std::string image = manifest_image_;
-  image += Frame(appended_record);
-
-  {
-    EEP_FAILPOINT("store/wal-append");
-    EEP_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> out,
-                         env->NewWritableFile(tmp_path));
-    EEP_RETURN_NOT_OK(out->Append(image));
-    EEP_FAILPOINT("store/wal-sync");
-    EEP_RETURN_NOT_OK(out->Sync());
-    EEP_RETURN_NOT_OK(out->Close());
+  const bool first = manifest_bytes_ == 0;
+  std::string frames;
+  if (first) {
+    std::string header;
+    PutLengthPrefixed(&header, kManifestMagic);
+    frames = ManifestFrame(header);
   }
-  // The commit point: on POSIX the rename atomically replaces MANIFEST,
-  // so a crash on either side leaves exactly one complete manifest.
-  EEP_FAILPOINT("store/wal-rename");
-  EEP_RETURN_NOT_OK(env->RenameFile(tmp_path, manifest_path));
-  *renamed = true;
-  EEP_RETURN_NOT_OK(env->SyncDir(dir_));
-  manifest_image_ = std::move(image);
+  frames += ManifestFrame(record);
+
+  EEP_FAILPOINT("store/wal-append");
+  EEP_ASSIGN_OR_RETURN(
+      std::unique_ptr<WritableFile> out,
+      env->NewAppendableFile(dir_ + "/" + kManifestName));
+  *appending = true;
+  EEP_RETURN_NOT_OK(out->Append(frames));
+  // The first commit created MANIFEST: make its name durable too.
+  if (first) EEP_RETURN_NOT_OK(env->SyncDir(dir_));
+  // The commit point: once the record is durable, so is the epoch.
+  EEP_FAILPOINT("store/wal-sync");
+  EEP_RETURN_NOT_OK(out->Sync());
+  EEP_RETURN_NOT_OK(out->Close());
+  manifest_bytes_ += frames.size();
   return Status::OK();
 }
 
@@ -582,6 +623,11 @@ Result<uint64_t> Store::CommitEpoch(const std::string& fingerprint,
   if (read_only_) {
     return Status::FailedPrecondition(
         "CommitEpoch on a read-only store (OpenReadOnly)");
+  }
+  if (stale_) {
+    return Status::FailedPrecondition(
+        "CommitEpoch after a failed commit on this instance; reopen the "
+        "store directory to continue");
   }
   if (tables.empty()) {
     return Status::InvalidArgument("CommitEpoch: empty table set");
@@ -604,18 +650,19 @@ Result<uint64_t> Store::CommitEpoch(const std::string& fingerprint,
   info.epoch = epoch;
   info.fingerprint = fingerprint;
 
-  // Step 1: segments, each fully durable before the manifest names it.
+  // Steps 1-2: segments, each fully durable before the manifest names it,
+  // and their names durable in the directory.
   Status failed = Status::OK();
-  bool renamed = false;
+  bool appending = false;
   for (size_t t = 0; t < tables.size(); ++t) {
     TableMeta meta;
     failed = WriteSegment(SegmentFileName(epoch, t), coded[t], &meta);
     if (!failed.ok()) break;
     info.tables.push_back(std::move(meta));
   }
+  if (failed.ok()) failed = Env::Default()->SyncDir(dir_);
   if (failed.ok()) {
-    // Steps 2-3: append the epoch record to the manifest image and swap
-    // it in atomically.
+    // Steps 3-4: append the epoch record and make it durable.
     std::string record;
     PutLengthPrefixed(&record, kEpochTag);
     PutFixed64(&record, epoch);
@@ -628,16 +675,18 @@ Result<uint64_t> Store::CommitEpoch(const std::string& fingerprint,
       PutFixed32(&record, meta.crc32c);
       PutFixed64(&record, meta.num_rows);
     }
-    failed = CommitManifest(record, &renamed);
+    failed = AppendManifestRecord(record, &appending);
   }
   if (!failed.ok()) {
-    // Past the rename the epoch IS committed on disk (a reopen serves it)
-    // even though this call reports failure — the segments are referenced
-    // by the manifest now and must NOT be removed. Before the rename the
-    // segments are orphans: best-effort cleanup here; under an injected
-    // crash these removals fail too, and Store::Open's recovery removes
-    // the orphans instead.
-    if (!renamed) {
+    // This instance no longer knows what the directory holds: a retry
+    // could rewrite a committed epoch or append after a torn record.
+    stale_ = true;
+    // Once a record byte may have reached MANIFEST the epoch may be
+    // committed (a reopen serves it if the record is whole), so its
+    // segments are left for recovery to judge. Before that they are
+    // orphans: best-effort cleanup here; under an injected crash these
+    // removals fail too, and Store::Open's recovery removes them instead.
+    if (!appending) {
       for (size_t t = 0; t < tables.size(); ++t) {
         const std::string path = dir_ + "/" + SegmentFileName(epoch, t);
         auto exists = Env::Default()->FileExists(path);

@@ -14,27 +14,37 @@
 //                        1, 2 or 4 bytes wide by dictionary size). Each
 //                        chunk names its column, kind, first index and
 //                        entry count.
-//   MANIFEST             the write-ahead log of commits: one framed record
-//                        per epoch (epoch id, workload/spec fingerprint,
-//                        segment list with per-segment size + whole-file
-//                        CRC32C), plus a leading format record.
-//   MANIFEST.tmp         staging for the atomic manifest swap; never read,
-//                        removed at Open.
+//   MANIFEST             the write-ahead log of commits, append-only: a
+//                        header frame (format tag EEPMAN2), then one record
+//                        frame per epoch (epoch id, workload/spec
+//                        fingerprint, segment list with per-segment size +
+//                        whole-file CRC32C). A manifest frame also checks
+//                        its own header — [u32 len][u32 masked crc32c
+//                        (payload)][u32 masked crc32c(the 8 bytes before)]
+//                        [payload] — so a length is trusted before the
+//                        payload is read.
 //
 // Commit protocol for one epoch (CommitEpoch):
 //   1. write every segment file, block by block, and fsync each;
-//   2. append the epoch's record to the manifest image IN MEMORY, write
-//      the whole image to MANIFEST.tmp, fsync it;
-//   3. rename(MANIFEST.tmp -> MANIFEST) — the atomic commit point — and
-//      fsync the directory.
-// A crash anywhere before the rename leaves the previous MANIFEST intact;
-// the new segments are unreferenced orphans. A crash after the rename has
-// committed the epoch even if CommitEpoch never returned.
+//   2. fsync the directory, so the segment names are durable before any
+//      record names them;
+//   3. append the epoch's record to MANIFEST (the first commit creates the
+//      file with its header frame, then fsyncs the directory again);
+//   4. fsync MANIFEST — the commit point; CommitEpoch returns OK only
+//      after it.
+// A crash before step 3 leaves MANIFEST as it was; the new segments are
+// unreferenced orphans. A crash during the append leaves an incomplete
+// final record (a torn tail). A crash after the append may have committed
+// the epoch even if CommitEpoch never returned.
 //
 // Recovery invariant (Store::Open): the store always opens to the state
-// of the last committed epoch — orphan segments and MANIFEST.tmp (the
-// torn tail of an interrupted commit) are removed, every committed
-// segment must exist with its manifest size, and any checksum mismatch on
+// of the last committed epoch. A torn tail — MANIFEST ends inside its
+// final frame's header, or after a header that passes its check but
+// before the payload ends — is truncated away (and the cut fsync'd);
+// orphan segments and stray *.tmp files are removed; every committed
+// segment must exist with its manifest size. Anything else wrong with
+// MANIFEST — a frame header failing its check, a complete frame failing
+// its CRC, epochs not strictly increasing — and any checksum mismatch on
 // read surfaces as Status::IOError, never as silently wrong data. The
 // crash-matrix test (tests/store_crash_matrix_test.cc) proves this for
 // every registered failpoint site x hit count; the corruption sweep
@@ -139,40 +149,43 @@ std::string WorkloadFingerprint(const lodes::WorkloadSpec& workload,
 /// coordination beyond the commit protocol itself.
 class Store {
  public:
-  /// Opens (creating the directory if needed) and RECOVERS: removes the
-  /// torn tail of any interrupted commit, strictly validates the
-  /// manifest (a manifest that survived the atomic swap can only fail
-  /// validation through corruption -> IOError), and checks every
-  /// committed segment is present with its recorded size.
+  /// Opens (creating the directory if needed) and RECOVERS: truncates a
+  /// torn final manifest record, strictly validates every complete one
+  /// (anything else malformed is corruption -> IOError), checks every
+  /// committed segment is present with its recorded size, and removes
+  /// orphan segments.
   static Result<std::unique_ptr<Store>> Open(const std::string& dir);
 
-  /// Opens WITHOUT mutating the directory: no torn-tail removal, no
-  /// orphan sweep, no directory creation — safe while another instance
-  /// (or process) is mid-commit, because the rename swap guarantees any
-  /// MANIFEST this reads is complete. A missing directory or manifest is
-  /// an empty store, not an error: the serving layer opens before the
-  /// first release has committed and picks epochs up via Refresh. The
-  /// returned store refuses CommitEpoch with FailedPrecondition.
+  /// Opens WITHOUT mutating the directory: no truncation, no orphan
+  /// sweep, no directory creation — safe while another instance (or
+  /// process) is mid-commit, because an incomplete final record is
+  /// ignored until it completes. A missing directory or manifest is an
+  /// empty store, not an error: the serving layer opens before the first
+  /// release has committed and picks epochs up via Refresh. The returned
+  /// store refuses CommitEpoch with FailedPrecondition.
   static Result<std::unique_ptr<Store>> OpenReadOnly(const std::string& dir);
 
-  /// Re-reads the manifest and folds in epochs committed since this
-  /// instance last looked (by another instance or process — the epoch-
-  /// change polling hook of the serving layer). Cheap when nothing
-  /// changed: the manifest image is append-only between renames, so a
-  /// size probe short-circuits the re-parse. New epochs are validated
-  /// like Open validates them (segment presence + recorded size).
-  /// Returns the last committed epoch. Mutates the epoch index: needs
-  /// the same external synchronization as CommitEpoch.
+  /// Folds in epochs committed since this instance last looked (by
+  /// another instance or process — the epoch-change polling hook of the
+  /// serving layer). MANIFEST only grows, so an unchanged size returns at
+  /// once; otherwise only the bytes past the prefix already validated are
+  /// read and parsed, and an incomplete final record is left for a later
+  /// call. New epochs are validated like Open validates them (segment
+  /// presence + recorded size) before any is published. Returns the last
+  /// committed epoch. Mutates the epoch index: needs the same external
+  /// synchronization as CommitEpoch.
   Result<uint64_t> Refresh();
 
   /// Persists `tables` as the next epoch via the commit protocol above.
   /// Returns the committed epoch id. On error nothing is committed — a
   /// reopened store serves the previous epoch (the failed epoch's
   /// segments are cleaned up by recovery, or best-effort immediately) —
-  /// with one crash-semantics exception: a failure AFTER the rename
-  /// (directory sync) reports an error although the epoch is durably
-  /// committed, exactly like a crash there would. After any failed
-  /// commit this instance is stale; reopen the directory to continue.
+  /// with one crash-semantics exception: once any byte of the epoch's
+  /// record may have reached MANIFEST, an error can come back although
+  /// the epoch is durably committed, exactly like a crash there would.
+  /// Argument errors (InvalidArgument) touch no file. Any other failure
+  /// makes this instance stale: every later CommitEpoch returns
+  /// FailedPrecondition until the directory is reopened.
   Result<uint64_t> CommitEpoch(const std::string& fingerprint,
                                const std::vector<TableData>& tables);
 
@@ -201,28 +214,29 @@ class Store {
   explicit Store(std::string dir) : dir_(std::move(dir)) {}
 
   Status Recover();
-  /// Parses a complete manifest image into *epochs / *last_epoch (which
-  /// must come in empty). Pure validation — no filesystem access.
-  static Status ParseManifestImage(const std::string& image,
-                                   std::map<uint64_t, EpochInfo>* epochs,
-                                   uint64_t* last_epoch);
+  /// Refresh's work: reads MANIFEST past the validated prefix, validates
+  /// the segments of every new complete record, then publishes them and
+  /// extends the prefix. Sets *file_size to the size it read, so a torn
+  /// tail shows as *file_size > manifest_bytes_.
+  Status LoadManifest(uint64_t* file_size);
   /// Checks every table of `info` has its segment on disk at the
   /// manifest-recorded size.
   Status ValidateEpochSegments(const EpochInfo& info) const;
   Status WriteSegment(const std::string& file, const CodedTable& table,
                       TableMeta* meta) const;
-  /// Sets *renamed once the atomic swap has happened, so the caller can
-  /// tell a pre-commit failure (clean up the orphans) from a post-commit
-  /// one (the epoch is on disk; leave it alone).
-  Status CommitManifest(const std::string& appended_record, bool* renamed);
+  /// Steps 3-4 of the commit protocol. Sets *appending once a record byte
+  /// may have reached MANIFEST, so the caller can tell a failure that
+  /// leaves orphans (clean them up) from one that may have committed the
+  /// epoch (leave its segments alone).
+  Status AppendManifestRecord(const std::string& record, bool* appending);
 
   std::string dir_;
   bool read_only_ = false;
-  /// The manifest image as last committed (header record + one record per
-  /// epoch); CommitEpoch extends it in memory and swaps it in atomically.
-  /// Refresh's fast path leans on the append-only growth: a same-sized
-  /// on-disk manifest is the one already loaded.
-  std::string manifest_image_;
+  /// Set when a CommitEpoch fails past argument validation.
+  bool stale_ = false;
+  /// Bytes of MANIFEST up to its last complete record that this instance
+  /// has validated (or written). Refresh reads only past them.
+  uint64_t manifest_bytes_ = 0;
   std::map<uint64_t, EpochInfo> epochs_;
   uint64_t last_epoch_ = 0;
 };

@@ -104,14 +104,29 @@ TEST_F(FileTest, ListDirSortedRegularFilesOnly) {
   EXPECT_EQ(names.value(), (std::vector<std::string>{"a", "b"}));
 }
 
-TEST_F(FileTest, RenameReplacesAtomically) {
+TEST_F(FileTest, AppendableFileKeepsExistingBytes) {
+  const std::string path = dir_ + "/log";
+  auto created = Env::Default()->NewAppendableFile(path);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_TRUE(created.value()->Append("one").ok());
+  ASSERT_TRUE(created.value()->Close().ok());
+  auto reopened = Env::Default()->NewAppendableFile(path);
+  ASSERT_TRUE(reopened.ok());
+  ASSERT_TRUE(reopened.value()->Append("two").ok());
+  EXPECT_EQ(reopened.value()->bytes_written(), 3u);
+  ASSERT_TRUE(reopened.value()->Sync().ok());
+  ASSERT_TRUE(reopened.value()->Close().ok());
+  EXPECT_EQ(Env::Default()->ReadFileToString(path).value(), "onetwo");
+}
+
+TEST_F(FileTest, TruncateFileCutsToLength) {
+  const std::string path = dir_ + "/cut";
   ASSERT_TRUE(
-      Env::Default()->WriteStringToFile(dir_ + "/from", "new", false).ok());
-  ASSERT_TRUE(
-      Env::Default()->WriteStringToFile(dir_ + "/to", "old", false).ok());
-  ASSERT_TRUE(Env::Default()->RenameFile(dir_ + "/from", dir_ + "/to").ok());
-  EXPECT_EQ(Env::Default()->ReadFileToString(dir_ + "/to").value(), "new");
-  EXPECT_FALSE(Env::Default()->FileExists(dir_ + "/from").value());
+      Env::Default()->WriteStringToFile(path, "whole|torn", false).ok());
+  ASSERT_TRUE(Env::Default()->TruncateFile(path, 5).ok());
+  EXPECT_EQ(Env::Default()->ReadFileToString(path).value(), "whole");
+  EXPECT_EQ(Env::Default()->TruncateFile(dir_ + "/nope", 0).code(),
+            StatusCode::kIOError);
 }
 
 // ---------------------------------------------------------------------------
@@ -121,11 +136,14 @@ TEST_F(FileTest, RenameReplacesAtomically) {
 TEST_F(FileTest, InventoryRegistersExpectedSites) {
   auto& registry = FailpointRegistry::Instance();
   for (const char* name :
-       {"file/append", "file/sync", "file/rename", "store/wal-rename",
-        "store/segment-write"}) {
+       {"file/append", "file/sync", "file/truncate", "store/wal-append",
+        "store/wal-sync", "store/segment-write"}) {
     EXPECT_TRUE(registry.IsRegistered(name)) << name;
     EXPECT_TRUE(registry.IsWriteSide(name)) << name;
   }
+  // The manifest is only ever appended to: no rename site is registered.
+  EXPECT_FALSE(registry.IsRegistered("file/rename"));
+  EXPECT_FALSE(registry.IsRegistered("store/wal-rename"));
   EXPECT_TRUE(registry.IsRegistered("file/read"));
   EXPECT_FALSE(registry.IsWriteSide("file/read"));
   EXPECT_FALSE(registry.IsRegistered("store/no-such-site"));
@@ -189,7 +207,7 @@ TEST_F(FileTest, SimulatedCrashStopsWritesButNotReads) {
   EXPECT_FALSE(Env::Default()
                    ->WriteStringToFile(dir_ + "/after.bin", "x", false)
                    .ok());
-  EXPECT_FALSE(Env::Default()->RenameFile(path, dir_ + "/moved").ok());
+  EXPECT_FALSE(Env::Default()->TruncateFile(path, 0).ok());
   // ...but reads survive, so recovery can inspect the disk.
   EXPECT_EQ(Env::Default()->ReadFileToString(path).value(), "durable");
   registry.DisarmAll();

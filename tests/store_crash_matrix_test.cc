@@ -93,14 +93,34 @@ std::map<std::string, int> RecordCommitHitCounts(const std::string& dir) {
   return hits;
 }
 
+// True when MANIFEST is whole frames only — [u32 len][u32 crc][u32 header
+// crc][payload] — with no torn record after the last one.
+bool ManifestHoldsOnlyCompleteRecords(const std::string& dir) {
+  const std::string manifest =
+      Env::Default()->ReadFileToString(dir + "/MANIFEST").value();
+  size_t pos = 0;
+  while (manifest.size() - pos >= 12) {
+    uint64_t len = 0;
+    for (int b = 0; b < 4; ++b) {
+      const auto byte = static_cast<unsigned char>(manifest[pos + b]);
+      len |= uint64_t{byte} << (8 * b);
+    }
+    pos += 12 + len;
+    if (pos > manifest.size()) return false;
+  }
+  return pos == manifest.size();
+}
+
 TEST_F(StoreCrashMatrixTest, EveryFailpointTimesEveryHitCountRecovers) {
   auto& registry = FailpointRegistry::Instance();
   const std::map<std::string, int> commit_hits =
       RecordCommitHitCounts(dir_);
-  // The protocol has real write/sync/rename stages; an empty map would
-  // mean the recording pass silently broke.
-  ASSERT_GE(commit_hits.size(), 10u);
-  ASSERT_TRUE(commit_hits.count("store/wal-rename"));
+  // The protocol has real write/sync/append stages: file/open-write,
+  // file/append, file/sync, file/close, file/sync-dir, store/segment-write,
+  // store/segment-sync, store/wal-append and store/wal-sync. A shorter map
+  // would mean the recording pass silently broke.
+  ASSERT_EQ(commit_hits.size(), 9u);
+  ASSERT_TRUE(commit_hits.count("store/wal-sync"));
   ASSERT_TRUE(commit_hits.count("file/sync-dir"));
 
   const std::vector<TableData> epoch1 = EpochTables(1);
@@ -145,9 +165,7 @@ TEST_F(StoreCrashMatrixTest, EveryFailpointTimesEveryHitCountRecovers) {
           ExpectEpochEquals(reopened.value().get(), 2, epoch2, context);
         }
         // Recovery left no torn tail behind.
-        EXPECT_FALSE(
-            Env::Default()->FileExists(dir_ + "/MANIFEST.tmp").value())
-            << context;
+        EXPECT_TRUE(ManifestHoldsOnlyCompleteRecords(dir_)) << context;
         // And the recovered store can commit the epoch again.
         auto retry = reopened.value()->CommitEpoch("fp-retry", epoch2);
         ASSERT_TRUE(retry.ok()) << context << ": "
@@ -194,6 +212,7 @@ TEST_F(StoreCrashMatrixTest, ShortWritesAtEveryAppendRecover) {
           << context << ": " << reopened.status().ToString();
       EXPECT_EQ(reopened.value()->last_committed_epoch(), 1u) << context;
       ExpectEpochEquals(reopened.value().get(), 1, epoch1, context);
+      EXPECT_TRUE(ManifestHoldsOnlyCompleteRecords(dir_)) << context;
     }
   }
 }
@@ -342,7 +361,7 @@ TEST_F(StoreCrashMatrixTest, PipelinePersistFailureKeepsPreviousEpoch) {
   FailpointSpec spec;
   spec.fault = FailpointFault::kError;
   spec.message = "ENOSPC";
-  FailpointRegistry::Instance().Arm("store/wal-rename", spec);
+  FailpointRegistry::Instance().Arm("store/wal-append", spec);
   auto failed = release::RunReleaseWorkload(data, config,
                                             &accountant.value(), rng);
   FailpointRegistry::Instance().DisarmAll();

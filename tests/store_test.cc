@@ -1,9 +1,11 @@
 // The crash-safe release store, happy paths: round trips (chunking and
 // code widths of the dictionary-coded segments included), epoch
 // supersession, reopen after a clean close, validation errors, and the
-// segment decoder's format checks on well-framed segments. The crash and
-// corruption halves of the durability contract live in
-// store_crash_matrix_test.cc.
+// segment decoder's format checks on well-framed segments. Also the
+// append-only manifest's edge cases: a torn final record at every prefix
+// length, a flipped bit in the last record's header, and a writer whose
+// commit failed. The crash and corruption halves of the durability
+// contract live in store_crash_matrix_test.cc.
 #include "store/store.h"
 
 #include <gtest/gtest.h>
@@ -181,6 +183,31 @@ std::vector<std::string> ColumnChunks(const std::vector<std::string>& payloads,
   return chunks;
 }
 
+/// The payloads of a MANIFEST, whose frames also check their own header:
+/// [u32 len][u32 masked crc32c][u32 masked crc32c of the 8 bytes before].
+constexpr size_t kManifestFrameHeaderBytes = 12;
+std::vector<std::string> SplitManifestFrames(const std::string& file) {
+  std::vector<std::string> payloads;
+  for (size_t pos = 0; pos + kManifestFrameHeaderBytes <= file.size();) {
+    const uint32_t len = GetU32(file, pos);
+    payloads.push_back(file.substr(pos + kManifestFrameHeaderBytes, len));
+    pos += kManifestFrameHeaderBytes + len;
+  }
+  return payloads;
+}
+
+std::string JoinManifestFrames(const std::vector<std::string>& payloads) {
+  std::string out;
+  for (const std::string& payload : payloads) {
+    std::string header;
+    PutU32(&header, static_cast<uint32_t>(payload.size()));
+    PutU32(&header, Crc32cMask(Crc32c(payload)));
+    PutU32(&header, Crc32cMask(Crc32c(header)));
+    out += header + payload;
+  }
+  return out;
+}
+
 /// Replaces committed segment `file` with `payloads` under valid frame
 /// checksums and re-records its size and whole-file CRC in the MANIFEST,
 /// so that only the decoder's format checks stand between the edit and a
@@ -190,8 +217,8 @@ void RewriteSegment(const std::string& dir, const std::string& file,
   const std::string segment = JoinFrames(payloads);
   ASSERT_TRUE(
       Env::Default()->WriteStringToFile(dir + "/" + file, segment, false).ok());
-  std::vector<std::string> manifest =
-      SplitFrames(Env::Default()->ReadFileToString(dir + "/MANIFEST").value());
+  std::vector<std::string> manifest = SplitManifestFrames(
+      Env::Default()->ReadFileToString(dir + "/MANIFEST").value());
   ASSERT_EQ(manifest.size(), 2u);  // format record + one epoch record
   std::string name;
   PutString(&name, file);
@@ -202,8 +229,8 @@ void RewriteSegment(const std::string& dir, const std::string& file,
   PutU32(&meta, Crc32c(segment));
   manifest[1].replace(at + name.size(), meta.size(), meta);
   ASSERT_TRUE(Env::Default()
-                  ->WriteStringToFile(dir + "/MANIFEST", JoinFrames(manifest),
-                                      false)
+                  ->WriteStringToFile(dir + "/MANIFEST",
+                                      JoinManifestFrames(manifest), false)
                   .ok());
 }
 
@@ -572,6 +599,205 @@ TEST_F(StoreTest, RefreshValidatesNewEpochsBeforePublishingThem) {
   EXPECT_EQ(reader.value()->Refresh().status().code(), StatusCode::kIOError);
   EXPECT_EQ(reader.value()->last_committed_epoch(), 1u);
   EXPECT_TRUE(reader.value()->ReadTable(1, "t").ok());
+}
+
+TEST_F(StoreTest, FailedCommitLeavesTheInstanceStaleUntilReopened) {
+  const std::vector<TableData> v1 = {MakeTable("t", 5, 1)};
+  const std::vector<TableData> v2 = {MakeTable("t", 6, 2)};
+  const std::vector<TableData> v3 = {MakeTable("t", 7, 3)};
+  auto writer = Store::Open(dir_);
+  ASSERT_TRUE(writer.ok());
+  // An argument error touches no file and leaves the instance usable.
+  EXPECT_EQ(writer.value()->CommitEpoch("fp-1", {}).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(writer.value()->CommitEpoch("fp-1", v1).ok());
+
+  // A fault after the whole record reached MANIFEST: the call fails, yet
+  // epoch 2 is committed and a reader serves it.
+  FailpointSpec spec;
+  spec.message = "EIO";
+  FailpointRegistry::Instance().Arm("store/wal-sync", spec);
+  EXPECT_EQ(writer.value()->CommitEpoch("fp-2", v2).status().code(),
+            StatusCode::kIOError);
+  FailpointRegistry::Instance().DisarmAll();
+
+  // A retry on the failed instance would reuse epoch id 2: it must be
+  // refused, both when it would succeed and when it would fail and clean
+  // up "its" segments, which are epoch 2's.
+  EXPECT_EQ(writer.value()->CommitEpoch("fp-3", v3).status().code(),
+            StatusCode::kFailedPrecondition);
+  FailpointRegistry::Instance().Arm("store/segment-write", spec);
+  EXPECT_EQ(writer.value()->CommitEpoch("fp-3", v3).status().code(),
+            StatusCode::kFailedPrecondition);
+  FailpointRegistry::Instance().DisarmAll();
+
+  auto reader = Store::OpenReadOnly(dir_);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader.value()->last_committed_epoch(), 2u);
+  auto served = reader.value()->ReadEpoch(2);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served.value(), v2);
+
+  // Reopening is the way on: epoch 2 survives and the next commit is 3.
+  auto reopened = Store::Open(dir_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto next = reopened.value()->CommitEpoch("fp-3", v3);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value(), 3u);
+  EXPECT_EQ(reopened.value()->ReadEpoch(2).value(), v2);
+  ASSERT_TRUE(reader.value()->Refresh().ok());
+  EXPECT_EQ(reader.value()->ReadEpoch(3).value(), v3);
+}
+
+std::string ReadManifest(const std::string& dir) {
+  return Env::Default()->ReadFileToString(dir + "/MANIFEST").value();
+}
+
+/// Cuts MANIFEST (if any) to its first `keep` bytes and appends `tail`.
+/// Only the tail is rewritten, the way a commit's append writes it.
+void SetManifestTail(const std::string& dir, uint64_t keep,
+                     const std::string& tail) {
+  if (std::filesystem::exists(dir + "/MANIFEST")) {
+    std::filesystem::resize_file(dir + "/MANIFEST", keep);
+  }
+  auto out = Env::Default()->NewAppendableFile(dir + "/MANIFEST");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_TRUE(out.value()->Append(tail).ok());
+  ASSERT_TRUE(out.value()->Close().ok());
+}
+
+/// One torn append: MANIFEST holds `full`'s first `before` bytes plus
+/// `cut` bytes of the frames after them, and the segments `full` names
+/// are on disk. A reader that opened before the append ignores the torn
+/// bytes; Open cuts them off; recommitting `tables` rebuilds `full`, and
+/// both a fresh Open and the reader then serve it.
+void ExpectTornAppendRecovers(const std::string& dir, const std::string& full,
+                              uint64_t before, size_t cut,
+                              const std::vector<TableData>& tables) {
+  const uint64_t previous = before == 0 ? 0 : 1;
+  const std::vector<uint64_t> previous_epochs(previous, 1);
+  auto reader = Store::OpenReadOnly(dir);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader.value()->last_committed_epoch(), previous);
+
+  SetManifestTail(dir, before, full.substr(before, cut));
+  auto refreshed = reader.value()->Refresh();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ(refreshed.value(), previous);
+  EXPECT_EQ(reader.value()->Epochs(), previous_epochs);
+
+  auto writer = Store::Open(dir);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  EXPECT_EQ(writer.value()->last_committed_epoch(), previous);
+  EXPECT_EQ(Env::Default()->FileSize(dir + "/MANIFEST").value(), before);
+
+  auto next = writer.value()->CommitEpoch("fp-next", tables);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value(), previous + 1);
+  EXPECT_EQ(ReadManifest(dir), full);
+  auto fresh = Store::Open(dir);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto fresh_read = fresh.value()->ReadEpoch(previous + 1);
+  ASSERT_TRUE(fresh_read.ok()) << fresh_read.status().ToString();
+  EXPECT_EQ(fresh_read.value(), tables);
+  refreshed = reader.value()->Refresh();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ(refreshed.value(), previous + 1);
+  auto reader_read = reader.value()->ReadEpoch(previous + 1);
+  ASSERT_TRUE(reader_read.ok()) << reader_read.status().ToString();
+  EXPECT_EQ(reader_read.value(), tables);
+}
+
+TEST_F(StoreTest, TornFinalRecordIsIgnoredByRefreshAndCutByOpen) {
+  const std::vector<TableData> v2 = {MakeTable("t", 5, 2)};
+  uint64_t before = 0;
+  {
+    auto writer = Store::Open(dir_);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer.value()->CommitEpoch("fp-1", {MakeTable("t", 4)}).ok());
+    before = ReadManifest(dir_).size();
+    ASSERT_TRUE(writer.value()->CommitEpoch("fp-next", v2).ok());
+  }
+  const std::string full = ReadManifest(dir_);
+  ASSERT_GT(full.size(), before + kManifestFrameHeaderBytes);
+  for (size_t cut = 0; cut < full.size() - before; ++cut) {
+    SCOPED_TRACE("last record cut after " + std::to_string(cut) + " bytes");
+    SetManifestTail(dir_, before, "");
+    ExpectTornAppendRecovers(dir_, full, before, cut, v2);
+    if (HasFatalFailure()) return;
+  }
+
+  // A manifest shorter than what a reader already validated was not torn
+  // by a crash: refreshing over it is an IOError.
+  auto reader = Store::OpenReadOnly(dir_);
+  ASSERT_TRUE(reader.ok());
+  std::filesystem::resize_file(dir_ + "/MANIFEST", before);
+  EXPECT_EQ(reader.value()->Refresh().status().code(), StatusCode::kIOError);
+  EXPECT_EQ(reader.value()->last_committed_epoch(), 2u);
+}
+
+TEST_F(StoreTest, TornFirstCommitOpensAsAnEmptyStore) {
+  const std::vector<TableData> v1 = {MakeTable("t", 4)};
+  {
+    auto writer = Store::Open(dir_);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer.value()->CommitEpoch("fp-next", v1).ok());
+  }
+  // The header frame and the first record, appended together.
+  const std::string full = ReadManifest(dir_);
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    SCOPED_TRACE("first commit cut after " + std::to_string(cut) + " bytes");
+    ASSERT_TRUE(Env::Default()->RemoveFile(dir_ + "/MANIFEST").ok());
+    ExpectTornAppendRecovers(dir_, full, 0, cut, v1);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_F(StoreTest, FlippedBitInTheLastRecordHeaderIsIOErrorNeverATornTail) {
+  uint64_t before = 0;
+  {
+    auto writer = Store::Open(dir_);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer.value()->CommitEpoch("fp-1", {MakeTable("t", 4)}).ok());
+    before = ReadManifest(dir_).size();
+    ASSERT_TRUE(
+        writer.value()->CommitEpoch("fp-2", {MakeTable("t", 5, 2)}).ok());
+  }
+  const std::string full = ReadManifest(dir_);
+  SetManifestTail(dir_, before, "");
+  auto reader = Store::OpenReadOnly(dir_);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_EQ(reader.value()->last_committed_epoch(), 1u);
+  for (size_t pos = before; pos < before + kManifestFrameHeaderBytes; ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("byte " + std::to_string(pos) + " bit " +
+                   std::to_string(bit));
+      std::string corrupt = full;
+      corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1 << bit));
+      SetManifestTail(dir_, before, corrupt.substr(before));
+      EXPECT_EQ(reader.value()->Refresh().status().code(),
+                StatusCode::kIOError);
+      EXPECT_EQ(reader.value()->last_committed_epoch(), 1u);
+      EXPECT_EQ(Store::Open(dir_).status().code(), StatusCode::kIOError);
+      // Recovery never truncates what it cannot prove torn.
+      EXPECT_EQ(ReadManifest(dir_), corrupt);
+    }
+  }
+}
+
+TEST_F(StoreTest, OldFormatManifestIsRefused) {
+  // A manifest written before the append-only log: 8-byte frame headers
+  // and the EEPMAN1 tag. Its first 12 bytes fail the frame-header check.
+  ASSERT_TRUE(Env::Default()->CreateDirIfMissing(dir_).ok());
+  std::string tag;
+  PutString(&tag, "EEPMAN1");
+  const std::string old_manifest = JoinFrames({tag});
+  ASSERT_TRUE(Env::Default()
+                  ->WriteStringToFile(dir_ + "/MANIFEST", old_manifest, false)
+                  .ok());
+  EXPECT_EQ(Store::Open(dir_).status().code(), StatusCode::kIOError);
+  EXPECT_EQ(Store::OpenReadOnly(dir_).status().code(), StatusCode::kIOError);
+  EXPECT_EQ(ReadManifest(dir_), old_manifest);
 }
 
 TEST_F(StoreTest, WorkloadFingerprintIsStableAndDiscriminating) {
