@@ -1,8 +1,12 @@
-// Microbench for the parallel columnar group-by engine: times
+// Microbench for the columnar group-by engine: times
 // GroupCountByEstablishment over a marginal's group columns across a
-// worker-thread sweep and verifies every thread count reproduces the
-// 1-thread grouping bit for bit. Also reports the engine's phase split
-// (key materialization vs partition/sort/aggregate).
+// worker-thread sweep, printing which scan path (dense or radix, see
+// table/partitioned_group_by.h) each thread count took, then times the
+// radix path on its own (MaterializeGroupKeys + AggregateByKeyAndEstab, one
+// thread). Exits nonzero unless every thread count AND the radix path
+// reproduce the 1-thread scan bit for bit; on the generator's
+// establishment-ordered extract the 1-thread scan takes the dense path, so
+// this gates the dense path against the radix path.
 //
 // Extra flags on top of bench_common's (including --paper for the 10.9M
 // extract):
@@ -11,6 +15,8 @@
 //   --max_threads=N    highest thread count in the sweep (default 8)
 //   --reps=N           timed repetitions per configuration, best-of
 //                      (default 3)
+//                      Values below 1 of either flag count as 1, so the
+//                      bit-identity gate always compares something.
 #include <chrono>
 
 #include "bench_common.h"
@@ -21,6 +27,7 @@
 namespace {
 
 using eep::table::GroupedCell;
+using eep::table::ScanPath;
 
 bool SameCells(const std::vector<GroupedCell>& a,
                const std::vector<GroupedCell>& b) {
@@ -38,6 +45,10 @@ bool SameCells(const std::vector<GroupedCell>& a,
   return true;
 }
 
+const char* PathName(ScanPath path) {
+  return path == ScanPath::kDense ? "dense" : "radix";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,28 +64,38 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::vector<std::string> columns = spec.value().AllColumns();
-  const int max_threads = static_cast<int>(flags.GetInt("max_threads", 8));
-  const int reps = static_cast<int>(flags.GetInt("reps", 3));
+  const int max_threads =
+      std::max(1, static_cast<int>(flags.GetInt("max_threads", 8)));
+  const int reps = std::max(1, static_cast<int>(flags.GetInt("reps", 3)));
   const table::Table& jobs = data.worker_full();
+  const std::vector<int64_t>* estab_ids =
+      jobs.ColumnByName(lodes::kColEstabId).value()->AsInt64().value();
 
   std::printf("=== Group-by engine — %s marginal (%zu group columns) ===\n",
               marginal.c_str(), columns.size());
   bench::PrintDatasetSummary(data, setup);
 
-  // The 1-thread grouping is the reference every thread count must match.
+  // The 1-thread scan is the reference every thread count and the radix
+  // path must match.
   const table::GroupedCounts reference =
       table::GroupCountByEstablishment(jobs, columns, lodes::kColEstabId)
           .value();
-  std::printf("%zu non-empty cells over a %llu-cell domain\n\n",
-              reference.cells.size(),
-              static_cast<unsigned long long>(reference.codec.DomainSize()));
+  const uint64_t domain = reference.codec.DomainSize();
+  const ScanPath reference_path = table::ChooseScanPath(*estab_ids, domain, 1);
+  std::printf(
+      "%zu non-empty cells over a %llu-cell domain; 1-thread scan path: "
+      "%s\n\n",
+      reference.cells.size(), static_cast<unsigned long long>(domain),
+      PathName(reference_path));
 
-  TextTable table({"threads", "best ms", "speedup", "Mrows/s", "identical"});
+  TextTable table(
+      {"threads", "path", "best ms", "speedup", "Mrows/s", "identical"});
   bool all_identical = true;
   double engine_1t_ms = 0.0;
   bench::BenchJson json;
   bench::FillJsonHeader(json, "bench_group_by", data, setup);
   json["marginal"] = bench::BenchJson::Str(marginal);
+  json["scan_path_1_thread"] = bench::BenchJson::Str(PathName(reference_path));
   bench::BenchJson& json_sweep = json["sweep"];
   json_sweep = bench::BenchJson::Array();
   std::vector<int> sweep;
@@ -83,6 +104,7 @@ int main(int argc, char** argv) {
   }
   if (sweep.back() != max_threads) sweep.push_back(max_threads);
   for (int threads : sweep) {
+    const ScanPath path = table::ChooseScanPath(*estab_ids, domain, threads);
     double best_ms = 0.0;
     bool identical = true;
     for (int rep = 0; rep < reps; ++rep) {
@@ -97,14 +119,16 @@ int main(int argc, char** argv) {
     }
     if (threads == 1) engine_1t_ms = best_ms;
     if (!identical) all_identical = false;
-    table.AddRow({std::to_string(threads), FormatDouble(best_ms, 2),
-                  FormatDouble(engine_1t_ms / best_ms, 2),
+    table.AddRow({std::to_string(threads), PathName(path),
+                  FormatDouble(best_ms, 4),
+                  FormatDouble(engine_1t_ms / best_ms, 3),
                   FormatDouble(static_cast<double>(jobs.num_rows()) /
                                    (best_ms * 1000.0),
-                               2),
+                               3),
                   identical ? "yes" : "NO (BUG!)"});
     bench::BenchJson entry;
     entry["threads"] = bench::BenchJson::Num(threads);
+    entry["path"] = bench::BenchJson::Str(PathName(path));
     entry["best_ms"] = bench::BenchJson::Num(best_ms);
     entry["speedup_vs_1_thread"] = bench::BenchJson::Num(
         threads == 1 ? 1.0 : engine_1t_ms / best_ms);
@@ -113,27 +137,45 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  // Phase split of the single-threaded engine run: key materialization vs
-  // partition + sort + run-length aggregation.
+  // The radix path on one thread, whatever path the scan took: key
+  // materialization, then partition + sort + run-length aggregation. Its
+  // cells must equal the scan's.
   auto codec = table::GroupKeyCodec::Create(jobs.schema(), columns).value();
-  const auto mat_start = std::chrono::steady_clock::now();
-  std::vector<uint64_t> keys = table::MaterializeGroupKeys(jobs, codec, 1);
-  const double mat_ms = bench::MsSince(mat_start);
-  const std::vector<int64_t>* estab_ids =
-      jobs.ColumnByName(lodes::kColEstabId).value()->AsInt64().value();
-  const auto agg_start = std::chrono::steady_clock::now();
-  auto cells = table::AggregateByKeyAndEstab(std::move(keys), *estab_ids,
-                                             codec.DomainSize(), 1);
-  const double agg_ms = bench::MsSince(agg_start);
+  double mat_ms = 0.0;
+  double agg_ms = 0.0;
+  bool radix_identical = true;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto mat_start = std::chrono::steady_clock::now();
+    std::vector<uint64_t> keys = table::MaterializeGroupKeys(jobs, codec, 1);
+    const double rep_mat_ms = bench::MsSince(mat_start);
+    const auto agg_start = std::chrono::steady_clock::now();
+    auto cells = table::AggregateByKeyAndEstab(std::move(keys), *estab_ids,
+                                               domain, 1);
+    const double rep_agg_ms = bench::MsSince(agg_start);
+    if (rep == 0 || rep_mat_ms + rep_agg_ms < mat_ms + agg_ms) {
+      mat_ms = rep_mat_ms;
+      agg_ms = rep_agg_ms;
+    }
+    if (!SameCells(cells, reference.cells)) radix_identical = false;
+  }
   std::printf(
-      "\nsingle-thread phase split: materialize keys %.2f ms, "
-      "partition+sort+aggregate %.2f ms (%zu cells)\n",
-      mat_ms, agg_ms, cells.size());
-  std::printf("groupings %s across all configurations\n",
-              all_identical ? "BIT-IDENTICAL" : "DIFFER (BUG!)");
-  json["phases_1_thread"]["materialize_ms"] = bench::BenchJson::Num(mat_ms);
-  json["phases_1_thread"]["aggregate_ms"] = bench::BenchJson::Num(agg_ms);
-  json["bit_identical"] = bench::BenchJson::Bool(all_identical);
+      "\nradix path, 1 thread: materialize keys %.2f ms + "
+      "partition+sort+aggregate %.2f ms = %.2f ms; %s the %s scan's %zu "
+      "cells\n",
+      mat_ms, agg_ms, mat_ms + agg_ms,
+      radix_identical ? "matches" : "DIFFERS FROM (BUG!)",
+      PathName(reference_path), reference.cells.size());
+  std::printf("groupings %s across all configurations and both paths\n",
+              all_identical && radix_identical ? "BIT-IDENTICAL"
+                                               : "DIFFER (BUG!)");
+  json["scan_1_thread_ms"] = bench::BenchJson::Num(engine_1t_ms);
+  bench::BenchJson& json_radix = json["radix_1_thread"];
+  json_radix["materialize_ms"] = bench::BenchJson::Num(mat_ms);
+  json_radix["aggregate_ms"] = bench::BenchJson::Num(agg_ms);
+  json_radix["total_ms"] = bench::BenchJson::Num(mat_ms + agg_ms);
+  json_radix["identical"] = bench::BenchJson::Bool(radix_identical);
+  json["bit_identical"] =
+      bench::BenchJson::Bool(all_identical && radix_identical);
   bench::MaybeWriteJson(flags, json);
-  return all_identical ? 0 : 1;
+  return all_identical && radix_identical ? 0 : 1;
 }

@@ -15,6 +15,8 @@
 //                      sweep (default smooth_laplace)
 //   --max_threads=N    highest thread count in the sweep (default 8)
 //   --reps=N           timed repetitions per thread count, best-of (default 3)
+//                      Values below 1 of either flag count as 1, so the
+//                      bit-identity check always compares something.
 //   --shard=N          cells per shard (default 1024)
 #include <chrono>
 #include <functional>
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
 
   const int max_threads =
       std::max(1, static_cast<int>(flags.GetInt("max_threads", 8)));
-  const int reps = static_cast<int>(flags.GetInt("reps", 3));
+  const int reps = std::max(1, static_cast<int>(flags.GetInt("reps", 3)));
   const uint64_t noise_seed = setup.generator.seed ^ 0x9E1Eu;
 
   std::printf("=== Release pipeline scaling — %s marginal, %s ===\n",

@@ -21,6 +21,8 @@
 //   --max_threads=N    highest thread count in the sweep (default 8)
 //   --reps=N           timed repetitions per configuration, best-of
 //                      (default 3)
+//                      Values below 1 of either flag count as 1, so the
+//                      bit-identity and scan-count checks always run.
 //   --shard=N          cells per shard (default 1024)
 #include <chrono>
 
@@ -76,7 +78,7 @@ int main(int argc, char** argv) {
   config.shard_size = static_cast<int>(flags.GetInt("shard", 1024));
   const int max_threads =
       std::max(1, static_cast<int>(flags.GetInt("max_threads", 8)));
-  const int reps = static_cast<int>(flags.GetInt("reps", 3));
+  const int reps = std::max(1, static_cast<int>(flags.GetInt("reps", 3)));
   const uint64_t noise_seed = setup.generator.seed ^ 0x3A7Fu;
   const size_t num_marginals = config.workload.marginals.size();
 

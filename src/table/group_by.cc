@@ -101,12 +101,17 @@ Result<GroupedCounts> GroupCountByEstablishment(
   EEP_ASSIGN_OR_RETURN(const std::vector<int64_t>* estab_ids,
                        estab_col->AsInt64());
 
-  std::vector<uint64_t> keys =
-      MaterializeGroupKeys(table, codec, options.num_threads);
   const uint64_t domain = codec.DomainSize();
   GroupedCounts result{std::move(codec), {}};
-  result.cells = AggregateByKeyAndEstab(std::move(keys), *estab_ids, domain,
-                                        options.num_threads);
+  if (ChooseScanPath(*estab_ids, domain, options.num_threads) ==
+      ScanPath::kDense) {
+    result.cells = GroupEstabOrdered(table, result.codec, *estab_ids,
+                                     options.num_threads);
+  } else {
+    result.cells = AggregateByKeyAndEstab(
+        MaterializeGroupKeys(table, result.codec, options.num_threads),
+        *estab_ids, domain, options.num_threads);
+  }
   return result;
 }
 

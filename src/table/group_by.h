@@ -47,10 +47,13 @@ class GroupKeyCodec {
 
 /// \brief Execution options for the group-by entry points.
 struct GroupByOptions {
-  /// Worker threads for key materialization, partitioning and per-partition
-  /// aggregation; <= 0 means std::thread::hardware_concurrency(). The
-  /// result is bit-identical for every thread count (the engine is
-  /// sort-based; see partitioned_group_by.h for the determinism contract).
+  /// Worker threads for either scan path (partitioned_group_by.h): row
+  /// blocks of the dense path, or key materialization, partitioning and
+  /// per-partition sorting of the radix path; <= 0 means
+  /// std::thread::hardware_concurrency(). The count also enters the
+  /// dense path's gate (one domain-sized table per worker), so a sweep may
+  /// cross paths; the result is bit-identical for every thread count and
+  /// either path (see partitioned_group_by.h for the contract).
   int num_threads = 1;
 };
 
@@ -89,9 +92,12 @@ struct GroupedCounts {
 /// per-establishment contributions via the int64 column `estab_id_column`.
 /// Only non-empty cells are materialized; callers that need the full domain
 /// enumerate via the codec (see lodes::MarginalQuery). Executed by the
-/// parallel columnar engine in partitioned_group_by.h: columnwise key
-/// packing, range partitioning by key, per-partition sort-and-run-length
-/// aggregation across options.num_threads workers.
+/// parallel columnar engine in partitioned_group_by.h on one of two paths
+/// chosen by ChooseScanPath: an establishment-ordered extract with a
+/// small enough key domain takes the dense path (one dedup pass, one
+/// counting sort), anything else the radix path (columnwise key packing,
+/// range partitioning by key, per-partition sort-and-run-length
+/// aggregation), across options.num_threads workers.
 Result<GroupedCounts> GroupCountByEstablishment(
     const Table& table, const std::vector<std::string>& group_columns,
     const std::string& estab_id_column, const GroupByOptions& options = {});

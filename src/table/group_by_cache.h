@@ -6,13 +6,16 @@
 // against a fresh table scan by the shared cost model
 // (table::RollupCostModel) — prefix-merge roll-ups are cheap linear
 // passes, re-sort roll-ups pay several passes per item, and a scan pays
-// per row but run-compresses. The cheapest plan wins, so a pathologically
+// per row on whichever path it takes (the dense path for an
+// establishment-ordered table, the radix path otherwise; the model prices
+// both as the radix path). The cheapest plan wins, so a pathologically
 // wide cached grouping (~one item per row) no longer shadows a cheaper
-// re-scan the way a fewest-items rule did. Because the engine and both
-// roll-up paths are exact integer aggregations of the same row multiset,
-// every plan returns bit-identical results — callers cannot observe which
-// one served them except through stats(). Entries are shared_ptrs, so a
-// workload holding a marginal alive keeps only that grouping pinned.
+// re-scan the way a fewest-items rule did. Because both scan paths and
+// both roll-up paths are exact integer aggregations of the same row
+// multiset, every plan returns bit-identical results — callers cannot
+// observe which one served them except through stats(). Entries are
+// shared_ptrs, so a workload holding a marginal alive keeps only that
+// grouping pinned.
 //
 // The cache holds establishment-tracked groupings (GroupedCounts) of one
 // table: it binds to the first (table, estab column) it serves and rejects

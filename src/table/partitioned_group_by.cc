@@ -1,6 +1,7 @@
 #include "table/partitioned_group_by.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstring>
@@ -33,6 +34,33 @@ void RunWorkers(int threads, Fn&& fn) {
 }
 
 int BitWidth(uint64_t v) { return v == 0 ? 0 : 64 - __builtin_clzll(v); }
+
+/// Code arrays of `codec`'s group columns in `table`, in key order.
+std::vector<const uint32_t*> GroupColumnCodes(const Table& table,
+                                              const GroupKeyCodec& codec) {
+  std::vector<const uint32_t*> columns;
+  columns.reserve(codec.column_indices().size());
+  for (size_t idx : codec.column_indices()) {
+    columns.push_back(table.column(idx).codes().data());
+  }
+  return columns;
+}
+
+/// keys[j] = packed key of row first + j, for j in [0, m): one contiguous
+/// multiply-add sweep per group column, no per-row gather. Key must hold
+/// every key of the codec's domain.
+template <typename Key>
+void PackKeys(const std::vector<const uint32_t*>& columns,
+              const std::vector<uint32_t>& radices, size_t first, size_t m,
+              Key* keys) {
+  const uint32_t* c0 = columns[0] + first;
+  for (size_t j = 0; j < m; ++j) keys[j] = c0[j];
+  for (size_t c = 1; c < columns.size(); ++c) {
+    const Key radix = radices[c];
+    const uint32_t* cc = columns[c] + first;
+    for (size_t j = 0; j < m; ++j) keys[j] = keys[j] * radix + cc[j];
+  }
+}
 
 struct PartitionPlan {
   int threads = 1;
@@ -67,11 +95,14 @@ PartitionPlan PlanFor(size_t n, uint64_t domain, int num_threads) {
 }
 
 /// One worker block's run-compressed rows: consecutive rows with the same
-/// (key, estab) collapse into one weighted item. Real LODES extracts are
-/// clustered by employer — every row of an establishment shares its
-/// workplace attributes — so this typically shrinks the sort input by an
-/// order of magnitude; in the worst case (fully shuffled rows) it degrades
-/// to one item per row for the cost of one predictable compare per row.
+/// (key, estab) collapse into one weighted item. Rows clustered by employer
+/// share their workplace attributes, so a grouping over workplace columns
+/// alone shrinks to about one item per establishment, while worker
+/// attributes break most runs (2M rows -> 1.65M items for place, naics,
+/// ownership, sex, education); in the worst case (fully shuffled rows) it
+/// degrades to one item per row for the cost of one predictable compare
+/// per row. A scan that passes the dense gate (ChooseScanPath) takes
+/// GroupEstabOrdered instead.
 /// Splitting a run at a block boundary only splits its weight, and the
 /// per-partition aggregation sums weights per pair, so the final result is
 /// independent of the block layout (= thread count).
@@ -242,27 +273,18 @@ std::vector<uint64_t> MaterializeGroupKeys(const Table& table,
   const size_t n = table.num_rows();
   std::vector<uint64_t> keys(n);
   if (n == 0) return keys;
-  std::vector<const uint32_t*> columns;
-  columns.reserve(codec.column_indices().size());
-  for (size_t idx : codec.column_indices()) {
-    columns.push_back(table.column(idx).codes().data());
-  }
-  const auto& radices = codec.radices();
+  const std::vector<const uint32_t*> columns = GroupColumnCodes(table, codec);
   const int threads = ResolveGroupByThreads(num_threads);
   const size_t block =
       (n + static_cast<size_t>(threads) - 1) / static_cast<size_t>(threads);
-  // eep-lint: disjoint-writes -- worker w writes keys[begin, end) only,
-  // its contiguous row block; blocks partition [0, n).
+  // Worker w writes keys[begin, end) only, its contiguous row block;
+  // blocks partition [0, n).
   RunWorkers(threads, [&](int w) {
     const size_t begin = static_cast<size_t>(w) * block;
     const size_t end = std::min(n, begin + block);
-    if (begin >= end) return;
-    const uint32_t* c0 = columns[0];
-    for (size_t i = begin; i < end; ++i) keys[i] = c0[i];
-    for (size_t c = 1; c < columns.size(); ++c) {
-      const uint64_t radix = radices[c];
-      const uint32_t* cc = columns[c];
-      for (size_t i = begin; i < end; ++i) keys[i] = keys[i] * radix + cc[i];
+    if (begin < end) {
+      PackKeys(columns, codec.radices(), begin, end - begin,
+               keys.data() + begin);
     }
   });
   return keys;
@@ -399,7 +421,182 @@ std::vector<GroupedCell> AggregateByKeyAndEstabImpl(
   return ConcatPartitions(std::move(per_partition));
 }
 
+/// One (key, establishment) pair of the dense path with its row count.
+/// Row counts fit in uint32 because the gate caps the input below 2^32
+/// rows.
+struct DenseItem {
+  int64_t estab;
+  uint32_t key;
+  uint32_t count;
+};
+
+/// One worker's share of the dense path: its distinct (key, estab) pairs in
+/// row order, and one domain-sized table — first the dedup slots, then the
+/// worker's items per key, then its write cursors into the sorted items.
+struct DenseBlock {
+  std::vector<DenseItem> items;
+  std::vector<uint32_t> table;
+};
+
+// Rows whose keys the dense path packs at a time: the chunk's keys stay in
+// L1 between packing and dedup, so no n-sized key vector is written.
+constexpr size_t kDenseChunkRows = 1024;
+
+// Table entries the dense gate allows whatever the row count: a 256 KiB
+// table is cheap even next to a tiny input.
+constexpr uint64_t kDenseMinTableEntries = uint64_t{1} << 16;
+
+// Splits [0, n) into `threads` row blocks, each seam advanced to the next
+// establishment boundary, so every establishment lies in one block. The
+// blocks are in establishment order, so block-minor order within a key is
+// establishment order.
+std::vector<size_t> EstabAlignedBounds(const std::vector<int64_t>& estab_ids,
+                                       int threads) {
+  const size_t n = estab_ids.size();
+  const size_t t = static_cast<size_t>(threads);
+  std::vector<size_t> bounds(t + 1, n);
+  bounds[0] = 0;
+  for (size_t w = 1; w < t; ++w) {
+    size_t pos = std::max(bounds[w - 1], n * w / t);
+    if (pos > 0 && pos < n) {
+      pos = static_cast<size_t>(
+          std::upper_bound(estab_ids.begin() + static_cast<ptrdiff_t>(pos),
+                           estab_ids.end(), estab_ids[pos - 1]) -
+          estab_ids.begin());
+    }
+    bounds[w] = pos;
+  }
+  return bounds;
+}
+
 }  // namespace
+
+ScanPath ChooseScanPath(const std::vector<int64_t>& estab_ids,
+                        uint64_t domain_size, int num_threads) {
+  const uint64_t rows = estab_ids.size();
+  const auto workers =
+      static_cast<uint64_t>(ResolveGroupByThreads(num_threads));
+  const uint64_t table_entries = std::max(rows, kDenseMinTableEntries);
+  if (rows >= std::numeric_limits<uint32_t>::max() ||
+      domain_size > table_entries / workers) {
+    return ScanPath::kRadix;
+  }
+  return std::is_sorted(estab_ids.begin(), estab_ids.end()) ? ScanPath::kDense
+                                                            : ScanPath::kRadix;
+}
+
+std::vector<GroupedCell> GroupEstabOrdered(
+    const Table& table, const GroupKeyCodec& codec,
+    const std::vector<int64_t>& estab_ids, int num_threads) {
+  assert(estab_ids.size() == table.num_rows());
+  assert(ChooseScanPath(estab_ids, codec.DomainSize(), num_threads) ==
+         ScanPath::kDense);
+  const auto domain = static_cast<size_t>(codec.DomainSize());
+  const int threads = ResolveGroupByThreads(num_threads);
+  const std::vector<size_t> bounds = EstabAlignedBounds(estab_ids, threads);
+  const std::vector<const uint32_t*> columns = GroupColumnCodes(table, codec);
+  const int64_t* ids = estab_ids.data();
+
+  // Phase 1: pack keys chunk by chunk and keep one item per distinct
+  // (key, estab) pair. table[key] holds 1 + the index of the key's latest
+  // item; since an establishment's rows are contiguous, that item belongs
+  // to the current establishment exactly when it was appended at or after
+  // the establishment's first item. Then count the worker's items per key.
+  std::vector<DenseBlock> blocks(static_cast<size_t>(threads));
+  RunWorkers(threads, [&](int w) {
+    DenseBlock& block = blocks[static_cast<size_t>(w)];
+    block.table.assign(domain, 0);
+    uint32_t* slot = block.table.data();
+    const size_t begin = bounds[static_cast<size_t>(w)];
+    const size_t end = bounds[static_cast<size_t>(w) + 1];
+    // A block has at most one item per row. Reserving that bound keeps
+    // the append loop free of reallocations; the unused tail is never
+    // written, so it costs address space, not resident memory.
+    std::vector<DenseItem>& items = block.items;
+    items.reserve(end - begin);
+    std::array<uint32_t, kDenseChunkRows> keys{};
+    int64_t estab = begin < end ? ids[begin] : 0;
+    uint32_t estab_first_item = 0;
+    for (size_t chunk = begin; chunk < end; chunk += kDenseChunkRows) {
+      const size_t m = std::min(kDenseChunkRows, end - chunk);
+      PackKeys(columns, codec.radices(), chunk, m, keys.data());
+      for (size_t j = 0; j < m; ++j) {
+        if (ids[chunk + j] != estab) {
+          estab = ids[chunk + j];
+          estab_first_item = static_cast<uint32_t>(items.size());
+        }
+        const uint32_t key = keys[j];
+        const uint32_t latest = slot[key];
+        if (latest > estab_first_item) {
+          ++items[latest - 1].count;
+        } else {
+          items.push_back({estab, key, 1});
+          slot[key] = static_cast<uint32_t>(items.size());
+        }
+      }
+    }
+    std::fill(block.table.begin(), block.table.end(), 0);
+    for (const DenseItem& item : items) ++slot[item.key];
+  });
+
+  // Phase 2: the counting sort's prefix sums, key-major and block-minor.
+  // Each worker's count for a key becomes its first slot in the sorted
+  // item array; each key with items becomes one cell.
+  std::vector<uint32_t> cell_keys;
+  std::vector<uint32_t> cell_starts;
+  uint32_t sorted_items = 0;
+  for (size_t key = 0; key < domain; ++key) {
+    const uint32_t start = sorted_items;
+    for (DenseBlock& block : blocks) {
+      const uint32_t count = block.table[key];
+      block.table[key] = sorted_items;
+      sorted_items += count;
+    }
+    if (sorted_items != start) {
+      cell_keys.push_back(static_cast<uint32_t>(key));
+      cell_starts.push_back(start);
+    }
+  }
+  cell_starts.push_back(sorted_items);
+
+  // Phase 3: the counting sort's scatter. Establishments never straddle
+  // blocks and a block's items are in row (= establishment) order, so
+  // every key's run of the sorted array is establishment-sorted and
+  // distinct.
+  std::vector<EstabContribution> sorted(sorted_items);
+  // eep-lint: disjoint-writes -- worker w writes, for each key, only the
+  // slots [its cursor, the next worker's cursor) of sorted; phase 2's
+  // prefix sums partition the array among (key, worker) pairs.
+  RunWorkers(threads, [&](int w) {
+    DenseBlock& block = blocks[static_cast<size_t>(w)];
+    uint32_t* cursor = block.table.data();
+    for (const DenseItem& item : block.items) {
+      const uint32_t pos = cursor[item.key]++;
+      sorted[pos] = {item.estab, item.count};
+    }
+    block = DenseBlock{};
+  });
+
+  // Phase 4: one cell per key run, its contribution list sized exactly.
+  const size_t num_cells = cell_keys.size();
+  std::vector<GroupedCell> cells(num_cells);
+  const size_t per_worker = (num_cells + static_cast<size_t>(threads) - 1) /
+                            static_cast<size_t>(threads);
+  RunWorkers(threads, [&](int w) {
+    const size_t begin = static_cast<size_t>(w) * per_worker;
+    const size_t end = std::min(num_cells, begin + per_worker);
+    for (size_t c = begin; c < end; ++c) {
+      GroupedCell& cell = cells[c];
+      cell.key = cell_keys[c];
+      cell.contributions.assign(sorted.begin() + cell_starts[c],
+                                sorted.begin() + cell_starts[c + 1]);
+      for (const EstabContribution& contrib : cell.contributions) {
+        cell.count += contrib.count;
+      }
+    }
+  });
+  return cells;
+}
 
 std::vector<GroupedCell> AggregateByKeyAndEstab(
     std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,

@@ -1,26 +1,41 @@
-// Parallel partitioned aggregation: the execution engine behind
+// Parallel columnar aggregation: the execution engine behind
 // GroupCountByEstablishment (group_by.h) and the re-sort roll-up
 // (rollup.h).
 //
-// The pipeline is columnar and sort-based instead of hash-based:
+// A table scan takes one of two paths, chosen by ChooseScanPath from the
+// input and the worker count alone:
 //
-//   1. MaterializeGroupKeys packs every row's group key with one contiguous
-//      loop per group column (auto-vectorizable; no per-row gather).
-//   2. Aggregate(Weighted)ByKeyAndEstab range-partitions the rows by key
-//      (partition p holds keys in [p, p+1) * domain/P), sorts each
-//      partition — as packed (key, estab) uint64s through an LSD radix
-//      sort when they fit in one word, as (key, estab) pairs through
-//      std::sort otherwise — and run-length aggregates the sorted runs.
-//   3. Partitions concatenate in order, so the result is globally
-//      key-sorted without a merge.
+//  * DENSE — establishment ids non-decreasing (the extract's natural
+//    order) and a key domain small enough for one uint32 table per worker
+//    (domain <= max(rows, 2^16) / workers, so the tables never outgrow the
+//    key buffer the radix path would allocate). GroupEstabOrdered packs
+//    keys in cache-sized row chunks and keeps one item per distinct
+//    (key, estab) pair through a domain-sized slot table, then sorts the
+//    items by key with one stable counting sort (histogram, prefix sum,
+//    scatter) and copies each key's run into an exact-size contribution
+//    list. Worker blocks start at establishment boundaries, so key-major,
+//    block-minor order is establishment order within every cell: no sort,
+//    no merge.
+//  * RADIX — everything else (unordered ids, wide domains), and the
+//    weighted re-sort roll-up, whose items are not establishment-ordered:
+//      1. MaterializeGroupKeys packs every row's group key with one
+//         contiguous loop per group column (no per-row gather).
+//      2. Aggregate(Weighted)ByKeyAndEstab run-compresses each worker
+//         block, range-partitions the items by key (partition p holds keys
+//         in [p, p+1) * domain/P), sorts each partition — as packed
+//         (key, estab) uint64s through an LSD radix sort when they fit in
+//         one word, as (key, estab) pairs through std::sort otherwise —
+//         and run-length aggregates the sorted runs.
+//      3. Partitions concatenate in order, so the result is globally
+//         key-sorted without a merge.
 //
-// Determinism contract: the output depends only on the multiset of input
-// rows — range partitioning preserves key order across partitions and the
-// per-partition result is a function of the partition's multiset alone —
-// so it is bit-identical for every thread count and partition count. The
-// release pipeline's cross-thread-count reproducibility guarantee and the
-// exactness of the cube roll-ups (rollup.h) rely on this; see
-// docs/ARCHITECTURE.md, "Thread/partition-invariant group-by".
+// Determinism contract: on either path the output depends only on the
+// multiset of input rows — key-sorted cells, each with its
+// establishment-sorted, distinct contributions and their summed counts —
+// so it is bit-identical for every thread count, partition count and
+// path. The release pipeline's cross-thread-count reproducibility
+// guarantee and the exactness of the cube roll-ups (rollup.h) rely on
+// this; see docs/ARCHITECTURE.md, "Contract 3".
 #ifndef EEP_TABLE_PARTITIONED_GROUP_BY_H_
 #define EEP_TABLE_PARTITIONED_GROUP_BY_H_
 
@@ -43,6 +58,30 @@ int ResolveGroupByThreads(int num_threads);
 /// the determinism contract by making each worker's output a pure function
 /// of a key-range of the input.
 void RunOnWorkers(int threads, const std::function<void(int)>& fn);
+
+/// \brief Which path a table scan takes (see the file comment).
+enum class ScanPath {
+  kDense,  ///< Establishment-ordered rows: dedup + one counting sort.
+  kRadix,  ///< Run compression + partitioned radix sort.
+};
+
+/// The scan-path gate of GroupCountByEstablishment: kDense when
+/// `estab_ids` is non-decreasing, has fewer than 2^32 rows, and
+/// domain_size <= max(rows, 2^16) / workers (the resolved num_threads);
+/// kRadix otherwise. Reads only its arguments — never an option, flag or
+/// environment variable — and both paths return identical cells.
+ScanPath ChooseScanPath(const std::vector<int64_t>& estab_ids,
+                        uint64_t domain_size, int num_threads);
+
+/// The dense path: groups `table` by `codec`'s columns with
+/// per-establishment contributions, for establishment-ordered input.
+/// Requires ChooseScanPath(estab_ids, codec.DomainSize(), num_threads) ==
+/// ScanPath::kDense and estab_ids.size() == table.num_rows(). Returns
+/// exactly AggregateByKeyAndEstab(MaterializeGroupKeys(...)) for every
+/// thread count.
+std::vector<GroupedCell> GroupEstabOrdered(
+    const Table& table, const GroupKeyCodec& codec,
+    const std::vector<int64_t>& estab_ids, int num_threads);
 
 /// Columnwise fused key packing: keys[row] = codec.Pack(codes of row),
 /// computed as one contiguous multiply-add sweep per group column.

@@ -107,12 +107,17 @@ Result<GroupedCounts> RollupGroupedCounts(const GroupedCounts& base,
 /// abstract units of "input elements touched". Used by GroupByCache to rank
 /// a table scan against roll-ups from cached entries, and by the workload
 /// cover-group planner (lodes/workload.cc) with *estimated* item counts.
-/// The constants are calibrated on the paper-scale extract (see
-/// docs/BENCHMARKS.md): a scan touches every row twice (key materialization
-/// + run-compressed aggregation, where employer clustering shrinks the sort
-/// input by an order of magnitude), a prefix merge touches every base item
-/// once, and a re-sort roll-up pays flatten + scatter + radix passes over
-/// items that no longer run-compress.
+/// The constants were calibrated on the paper-scale extract against the
+/// radix scan path (see docs/BENCHMARKS.md): a scan touches every row
+/// twice (key materialization + run-compressed aggregation), a prefix
+/// merge touches every base item once, and a re-sort roll-up pays
+/// flatten + scatter + radix passes over items that no longer
+/// run-compress. An establishment-ordered extract now scans on the dense
+/// path (partitioned_group_by.h), which costs less per row than kScanPerRow
+/// says; the constants are deliberately unchanged, so every plan stays as
+/// it was. Recalibrating them is a separate change (docs/BENCHMARKS.md,
+/// "Dense-domain scan", records the measured per-row and per-item
+/// costs).
 struct RollupCostModel {
   static constexpr double kScanPerRow = 2.0;
   static constexpr double kPrefixMergePerItem = 1.0;

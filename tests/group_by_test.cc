@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "table/partitioned_group_by.h"
+
 namespace eep::table {
 namespace {
 
@@ -153,6 +155,41 @@ TEST(GroupCountByEstablishmentTest, NegativeEstabIdsUsePairFallback) {
   EXPECT_EQ(red->contributions[1].estab_id, 3);
   EXPECT_EQ(red->contributions[1].count, 2);
   EXPECT_EQ(grouped.Find(1)->count, 1);
+}
+
+TEST(GroupCountByEstablishmentTest, NegativeEstabIdsInEstabOrderUseDensePath) {
+  // The rows of NegativeEstabIdsUsePairFallback in establishment order take
+  // the dense path, which orders ids as signed integers; the grouping must
+  // equal the pair fallback's on the unordered rows.
+  auto color = Dictionary::Create({"red", "green"}).value();
+  auto schema = Schema::Create({{"estab", DataType::kInt64, nullptr},
+                                {"color", DataType::kCategory, color}})
+                    .value();
+  const std::vector<int64_t> ordered_ids = {-5, -5, -5, 3, 3};
+  const std::vector<int64_t> unordered_ids = {-5, -5, 3, -5, 3};
+  Table ordered = Table::Create(schema, {Column::OfInt64(ordered_ids),
+                                         Column::OfCategory({0, 0, 1, 0, 0})})
+                      .value();
+  Table unordered =
+      Table::Create(schema, {Column::OfInt64(unordered_ids),
+                             Column::OfCategory({0, 0, 0, 1, 0})})
+          .value();
+  EXPECT_EQ(ChooseScanPath(ordered_ids, 2, 1), ScanPath::kDense);
+  EXPECT_EQ(ChooseScanPath(unordered_ids, 2, 1), ScanPath::kRadix);
+  auto dense = GroupCountByEstablishment(ordered, {"color"}, "estab").value();
+  auto fallback =
+      GroupCountByEstablishment(unordered, {"color"}, "estab").value();
+  EXPECT_TRUE(SameGrouped(dense, fallback));
+  ASSERT_EQ(dense.cells.size(), 2u);
+  ASSERT_EQ(dense.cells[0].contributions.size(), 2u);
+  EXPECT_EQ(dense.cells[0].contributions[0].estab_id, -5);
+  EXPECT_EQ(dense.cells[0].contributions[1].estab_id, 3);
+  for (int threads : {2, 4, 8}) {
+    auto parallel = GroupCountByEstablishment(ordered, {"color"}, "estab",
+                                              GroupByOptions{threads})
+                        .value();
+    EXPECT_TRUE(SameGrouped(dense, parallel)) << "threads=" << threads;
+  }
 }
 
 TEST(GroupCountByEstablishmentTest, DomainWiderThan63Bits) {
