@@ -5,9 +5,9 @@
 // table is bit-identical between the two paths at every thread count,
 // that the fused path performed EXACTLY ONE full-table group-by PER COVER
 // GROUP — never more than the marginal count; the phase stats prove it,
-// along with how many marginals were served by run-length prefix merges vs
-// parallel re-sort roll-ups — and that a cache-warmed rerun performs zero
-// scans.
+// along with how many marginals were served by prefix roll-ups (no sort)
+// vs other roll-ups (the base cells sorted first) — and that a
+// cache-warmed rerun performs zero scans.
 //
 // Extra flags on top of bench_common's (including --paper for the 10.9M
 // extract):
@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
   phases.Print(std::cout);
   std::printf(
       "\nplanner: %d cover group(s), %d scan(s), %d prefix merge(s), "
-      "%d parallel re-sort roll-up(s), %d exact hit(s)\n",
+      "%d non-prefix roll-up(s), %d exact hit(s)\n",
       fused_compute.cover_groups, fused_compute.full_table_scans,
       fused_compute.prefix_merges, fused_compute.parallel_rollups,
       fused_compute.exact_hits);

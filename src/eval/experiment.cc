@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "common/stats.h"
+#include "table/partitioned_group_by.h"
 
 namespace eep::eval {
 
@@ -89,9 +89,19 @@ void AccumulateErrors(const lodes::MarginalQuery& query,
 
 }  // namespace
 
+Status ExperimentRunner::CheckTrials() const {
+  if (config_.trials < 1) {
+    return Status::InvalidArgument(
+        "experiment needs trials >= 1 to average over, got " +
+        std::to_string(config_.trials));
+  }
+  return Status::OK();
+}
+
 Result<StratifiedError> ExperimentRunner::RunErrorTrials(
     const lodes::MarginalQuery& query, const FilteredCells& cells,
     uint64_t seed_salt, const TrialReleaseFn& release) const {
+  EEP_RETURN_NOT_OK(CheckTrials());
   Rng rng(config_.seed ^ seed_salt);
   StratifiedError totals;
   totals.total_cells = static_cast<int64_t>(cells.indices.size());
@@ -100,8 +110,9 @@ Result<StratifiedError> ExperimentRunner::RunErrorTrials(
   }
 
   // Fork all trial streams up front (sequentially, for determinism) and
-  // run trials on worker threads. Each trial writes its own partial, so
-  // the merge order — and therefore every float — matches the serial run.
+  // run trials round-robin on worker threads. Each trial writes its own
+  // partial, so the merge order — and therefore every float — matches the
+  // serial run.
   std::vector<Rng> trial_rngs;
   trial_rngs.reserve(config_.trials);
   for (int t = 0; t < config_.trials; ++t) trial_rngs.push_back(rng.Fork(t));
@@ -118,20 +129,10 @@ Result<StratifiedError> ExperimentRunner::RunErrorTrials(
                      &partials[t]);
   };
 
-  const int threads =
-      std::clamp(config_.threads, 1, std::max(1, config_.trials));
-  if (threads <= 1) {
-    for (int t = 0; t < config_.trials; ++t) run_trial(t);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w]() {
-        for (int t = w; t < config_.trials; t += threads) run_trial(t);
-      });
-    }
-    for (auto& worker : pool) worker.join();
-  }
+  const int threads = std::clamp(config_.threads, 1, config_.trials);
+  table::RunOnWorkers(threads, [&](int w) {
+    for (int t = w; t < config_.trials; t += threads) run_trial(t);
+  });
 
   for (int t = 0; t < config_.trials; ++t) {
     EEP_RETURN_NOT_OK(statuses[t]);
@@ -191,6 +192,7 @@ Result<ErrorRatioResult> ExperimentRunner::ErrorRatio(
 Result<StratifiedCorrelation> ExperimentRunner::RankingCorrelation(
     const lodes::MarginalQuery& query,
     const mechanisms::CountMechanism& mechanism, const CellFilter& filter) {
+  EEP_RETURN_NOT_OK(CheckTrials());
   const FilteredCells cells = ApplyFilter(query, filter);
   if (cells.indices.size() < 2) {
     return Status::InvalidArgument("ranking needs >= 2 cells");
@@ -235,6 +237,7 @@ ExperimentRunner::CompareRelativeError(
     const lodes::MarginalQuery& query,
     const mechanisms::CountMechanism& mechanism, double threshold,
     const CellFilter& filter) {
+  EEP_RETURN_NOT_OK(CheckTrials());
   const FilteredCells cells = ApplyFilter(query, filter);
   const size_t n = cells.indices.size();
   std::vector<double> mech_abs(n, 0.0), sdl_abs(n, 0.0);

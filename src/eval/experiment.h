@@ -22,7 +22,8 @@ namespace eep::eval {
 
 /// \brief Configuration shared by all experiments.
 struct ExperimentConfig {
-  /// Independent trials per measurement (the paper uses 20).
+  /// Independent trials per measurement (the paper uses 20). Every runner
+  /// method that averages over trials returns InvalidArgument below 1.
   int trials = 20;
   uint64_t seed = 7;
   /// Worker threads for the error experiments. Trials use independently
@@ -133,6 +134,9 @@ class ExperimentRunner {
   /// Releases the filtered cells once for a trial.
   using TrialReleaseFn = std::function<Result<std::vector<double>>(
       const lodes::MarginalQuery&, const FilteredCells&, Rng&)>;
+
+  /// InvalidArgument unless config_.trials >= 1.
+  Status CheckTrials() const;
 
   /// Runs config_.trials releases (possibly across config_.threads worker
   /// threads; bitwise deterministic either way) and averages the

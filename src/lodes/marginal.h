@@ -47,7 +47,7 @@ struct MarginalSpec {
   /// Statewide industry x ownership x sex x education — the place-free
   /// companion of WorkplaceBySexEducation (a QWI-style state tabulation).
   /// Its columns are a NON-prefix subset of the workplace_sexedu union, so
-  /// in a fused workload it exercises the parallel re-sort roll-up path.
+  /// in a fused workload it exercises the roll-up that sorts the base cells.
   static MarginalSpec IndustryBySexEducation();
 
   /// Looks up one of the named specs above from a CLI-friendly name:

@@ -95,8 +95,8 @@ double EstimateRollupItems(const LodesDataset& data,
 
 /// Chooses the column ORDER of a cover group's base grouping: any order
 /// answers every member by roll-up, but a member whose column list is a
-/// literal prefix of the base order rolls up by a pure run-length merge
-/// instead of a re-sort. Candidates are the canonical union order plus,
+/// literal prefix of the base order rolls up without sorting the base
+/// cells. Candidates are the canonical union order plus,
 /// for each member, that member's own columns followed by the remaining
 /// union columns in canonical order; the candidate making the most members
 /// prefixes wins (first candidate on ties, so the choice is deterministic

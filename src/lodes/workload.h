@@ -28,8 +28,8 @@
 // one-scan-per-marginal schedule in the worst case and never does worse.
 // Each group is fused independently: its base grouping's column order is
 // chosen so the maximum number of member marginals are key PREFIXES of the
-// base and roll up by a pure run-length merge (table/rollup.h) instead of
-// a re-sort. Every path is an exact integer re-aggregation, so the
+// base, whose roll-ups merge runs without sorting the base cells
+// (table/rollup.h). Every path is an exact integer re-aggregation, so the
 // planner's choices are invisible in the results.
 //
 // See docs/ARCHITECTURE.md ("Sorted-base roll-ups & cover groups") for the
@@ -81,9 +81,11 @@ struct WorkloadComputeStats {
   /// by an exact cache hit.
   int rollups = 0;
   int exact_hits = 0;
-  /// Roll-ups served by the sorted-base run-length prefix merge.
+  /// Roll-ups whose columns are a prefix of their source grouping's, so
+  /// the source cells merge in order with no sort.
   int prefix_merges = 0;
-  /// Roll-ups served by the parallel flatten + re-sort path.
+  /// Every other roll-up: the source cells are sorted by the projected key
+  /// before their runs merge.
   int parallel_rollups = 0;
   /// Cover groups the planner split the workload into (1 when the whole
   /// union is tight; up to the marginal count for hostile unions).
@@ -105,8 +107,8 @@ struct WorkloadComputeStats {
 /// already covers) — one scan total when the workload's union is tight,
 /// never more scans than the independent per-marginal path. Results are
 /// returned in workload order and are bit-identical to calling
-/// MarginalQuery::Compute per spec for EVERY planner decision (prefix
-/// merge, parallel re-sort, cover-group split, scan). `cache`, when
+/// MarginalQuery::Compute per spec for EVERY planner decision (prefix or
+/// non-prefix roll-up, cover-group split, scan). `cache`, when
 /// non-null, must be dedicated to `data`'s WorkerFull table and makes the
 /// group base groupings — and every derived marginal — reusable by later
 /// calls; when null, a call-local cache provides the roll-up lattice and

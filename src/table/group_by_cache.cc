@@ -50,22 +50,26 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
   }
 
   // Rank every covering cached grouping against a fresh scan by the shared
-  // cost model: prefix-merge roll-ups touch each cached item once, re-sort
-  // roll-ups several times, a scan touches each row (twice, but the sort
-  // input run-compresses). Ties go to the roll-up — it never re-reads the
-  // table. Every plan is an exact aggregation of the same row multiset, so
-  // the choice is invisible in the result.
+  // cost model: a roll-up whose columns prefix the entry's touches each
+  // cached item once, any other roll-up is priced several times that, a
+  // scan touches each row (twice, but the sort input run-compresses). The
+  // prefix test that prices the winner also classifies it in the stats.
+  // Ties go to the roll-up — it never re-reads the table. Every plan is an
+  // exact aggregation of the same row multiset, so the choice is invisible
+  // in the result.
   const Entry* source = nullptr;
   const std::vector<std::string>* source_key = nullptr;
+  bool source_is_prefix = false;
   double best_cost = RollupCostModel::Scan(table.num_rows());
   for (const auto& [cached_columns, entry] : entries_) {
     if (!Covers(cached_columns, columns)) continue;
-    const double cost = IsColumnPrefix(cached_columns, columns)
-                            ? RollupCostModel::PrefixMerge(entry.num_items)
-                            : RollupCostModel::Resort(entry.num_items);
+    const bool prefix = IsColumnPrefix(cached_columns, columns);
+    const double cost = prefix ? RollupCostModel::PrefixMerge(entry.num_items)
+                               : RollupCostModel::Resort(entry.num_items);
     if (source == nullptr ? cost <= best_cost : cost < best_cost) {
       source = &entry;
       source_key = &cached_columns;
+      source_is_prefix = prefix;
       best_cost = cost;
     }
   }
@@ -74,13 +78,12 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
   if (source != nullptr) {
     EEP_ASSIGN_OR_RETURN(GroupKeyCodec codec,
                          GroupKeyCodec::Create(table.schema(), columns));
-    RollupKind kind;
     EEP_ASSIGN_OR_RETURN(GroupedCounts rolled,
                          RollupGroupedCounts(*source->grouped,
                                              std::move(codec),
-                                             options.num_threads, &kind));
+                                             options.num_threads));
     entry.grouped = std::make_shared<const GroupedCounts>(std::move(rolled));
-    if (kind == RollupKind::kPrefixMerge) {
+    if (source_is_prefix) {
       ++stats_.prefix_merges;
       if (outcome != nullptr) *outcome = Outcome::kPrefixMerge;
     } else {

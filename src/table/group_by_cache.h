@@ -4,15 +4,16 @@
 // an exact cached match when one exists; otherwise every cached grouping
 // whose column set covers the request is a roll-up candidate, ranked
 // against a fresh table scan by the shared cost model
-// (table::RollupCostModel) — prefix-merge roll-ups are cheap linear
-// passes, re-sort roll-ups pay several passes per item, and a scan pays
-// per row on whichever path it takes (the dense path for an
-// establishment-ordered table, the radix path otherwise; the model prices
-// both as the radix path). The cheapest plan wins, so a pathologically
-// wide cached grouping (~one item per row) no longer shadows a cheaper
-// re-scan the way a fewest-items rule did. Because both scan paths and
-// both roll-up paths are exact integer aggregations of the same row
-// multiset, every plan returns bit-identical results — callers cannot
+// (table::RollupCostModel). A roll-up whose columns are a prefix of the
+// cached grouping's merges runs without sorting and is priced as a prefix
+// merge; any other roll-up also sorts the cached cells and is priced
+// higher; a scan pays per row on whichever path it takes (the dense path
+// for an establishment-ordered table, the radix path otherwise; the model
+// prices both as the radix path). The cheapest plan wins, so a
+// pathologically wide cached grouping (~one item per row) no longer
+// shadows a cheaper re-scan the way a fewest-items rule did. Because both
+// scan paths and every roll-up are exact integer aggregations of the same
+// row multiset, every plan returns bit-identical results — callers cannot
 // observe which one served them except through stats(). Entries are
 // shared_ptrs, so a workload holding a marginal alive keeps only that
 // grouping pinned.
@@ -43,23 +44,23 @@ class GroupByCache {
   /// How a GetOrCompute call was served.
   enum class Outcome {
     kExactHit,     ///< Cached grouping with exactly these columns.
-    kPrefixMerge,  ///< Run-length merge from a cached prefix superset.
-    kRollup,       ///< Re-sort roll-up from a cached superset; no scan.
+    kPrefixMerge,  ///< Roll-up from a cached grouping these columns prefix.
+    kRollup,       ///< Any other roll-up from a cached superset; no scan.
     kScan,         ///< Full table scan (GroupCountByEstablishment).
   };
 
   struct Stats {
     size_t exact_hits = 0;
     size_t prefix_merges = 0;
-    size_t rollups = 0;  ///< Re-sort roll-ups (prefix merges counted apart).
+    size_t rollups = 0;  ///< Non-prefix roll-ups (prefix merges apart).
     size_t scans = 0;
   };
 
   /// Returns the grouping of `columns` over `table`, choosing the cheapest
-  /// plan under RollupCostModel: an exact cached match, a prefix-merge or
-  /// re-sort roll-up from a covering cached grouping, or a fresh table
-  /// scan (also taken when a covering entry exists but rolling up from it
-  /// is modeled as dearer than re-scanning). `outcome`, when non-null,
+  /// plan under RollupCostModel: an exact cached match, a roll-up from a
+  /// covering cached grouping, or a fresh table scan (also taken when a
+  /// covering entry exists but rolling up from it is modeled as dearer
+  /// than re-scanning). `outcome`, when non-null,
   /// reports which path served the call; `source_columns`, when non-null,
   /// receives the covering entry a kPrefixMerge/kRollup was derived from
   /// (it is cleared otherwise). Results are cached under their exact

@@ -115,62 +115,6 @@ struct CompressedBlock {
   int64_t max_estab = std::numeric_limits<int64_t>::min();
 };
 
-// LSD radix sort of vals[0..n) restricted to the low `used_bytes` bytes
-// (the caller knows how many carry bits), additionally skipping bytes on
-// which all values agree — e.g. high key bytes shared by a whole
-// partition. weights[i] travels with vals[i].
-void RadixSortWithWeights(uint64_t* vals, int64_t* weights, size_t n,
-                          int used_bytes, std::vector<uint64_t>& val_scratch,
-                          std::vector<int64_t>& weight_scratch) {
-  if (n < 128) {
-    std::vector<std::pair<uint64_t, int64_t>> tmp(n);
-    for (size_t i = 0; i < n; ++i) tmp[i] = {vals[i], weights[i]};
-    std::sort(tmp.begin(), tmp.end(),
-              [](const std::pair<uint64_t, int64_t>& a,
-                 const std::pair<uint64_t, int64_t>& b) {
-                return a.first < b.first;
-              });
-    for (size_t i = 0; i < n; ++i) {
-      vals[i] = tmp[i].first;
-      weights[i] = tmp[i].second;
-    }
-    return;
-  }
-  size_t hist[8][256] = {};
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t x = vals[i];
-    for (int b = 0; b < used_bytes; ++b) ++hist[b][(x >> (8 * b)) & 0xff];
-  }
-  if (val_scratch.size() < n) val_scratch.resize(n);
-  if (weight_scratch.size() < n) weight_scratch.resize(n);
-  uint64_t* vsrc = vals;
-  uint64_t* vdst = val_scratch.data();
-  int64_t* wsrc = weights;
-  int64_t* wdst = weight_scratch.data();
-  for (int b = 0; b < used_bytes; ++b) {
-    // vsrc holds a permutation of the original values, so testing vsrc[0]'s
-    // bucket against n detects a constant byte.
-    if (hist[b][(vsrc[0] >> (8 * b)) & 0xff] == n) continue;
-    size_t offsets[256];
-    size_t run = 0;
-    for (int d = 0; d < 256; ++d) {
-      offsets[d] = run;
-      run += hist[b][d];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const size_t slot = offsets[(vsrc[i] >> (8 * b)) & 0xff]++;
-      vdst[slot] = vsrc[i];
-      wdst[slot] = wsrc[i];
-    }
-    std::swap(vsrc, vdst);
-    std::swap(wsrc, wdst);
-  }
-  if (vsrc != vals) {
-    std::memcpy(vals, vsrc, n * sizeof(uint64_t));
-    std::memcpy(weights, wsrc, n * sizeof(int64_t));
-  }
-}
-
 // Sorted weighted packed (key << estab_bits | estab) items -> cells, one
 // per key run, with contributions in estab order (inherited from the sort)
 // and counts as weight sums.
@@ -267,6 +211,58 @@ void RunOnWorkers(int threads, const std::function<void(int)>& fn) {
   RunWorkers(threads, fn);
 }
 
+void RadixSortWithWeights(uint64_t* vals, int64_t* weights, size_t n,
+                          int used_bytes, std::vector<uint64_t>& val_scratch,
+                          std::vector<int64_t>& weight_scratch) {
+  if (n < 128) {
+    std::vector<std::pair<uint64_t, int64_t>> tmp(n);
+    for (size_t i = 0; i < n; ++i) tmp[i] = {vals[i], weights[i]};
+    std::sort(tmp.begin(), tmp.end(),
+              [](const std::pair<uint64_t, int64_t>& a,
+                 const std::pair<uint64_t, int64_t>& b) {
+                return a.first < b.first;
+              });
+    for (size_t i = 0; i < n; ++i) {
+      vals[i] = tmp[i].first;
+      weights[i] = tmp[i].second;
+    }
+    return;
+  }
+  size_t hist[8][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t x = vals[i];
+    for (int b = 0; b < used_bytes; ++b) ++hist[b][(x >> (8 * b)) & 0xff];
+  }
+  if (val_scratch.size() < n) val_scratch.resize(n);
+  if (weight_scratch.size() < n) weight_scratch.resize(n);
+  uint64_t* vsrc = vals;
+  uint64_t* vdst = val_scratch.data();
+  int64_t* wsrc = weights;
+  int64_t* wdst = weight_scratch.data();
+  for (int b = 0; b < used_bytes; ++b) {
+    // vsrc holds a permutation of the original values, so testing vsrc[0]'s
+    // bucket against n detects a constant byte.
+    if (hist[b][(vsrc[0] >> (8 * b)) & 0xff] == n) continue;
+    size_t offsets[256];
+    size_t run = 0;
+    for (int d = 0; d < 256; ++d) {
+      offsets[d] = run;
+      run += hist[b][d];
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const size_t slot = offsets[(vsrc[i] >> (8 * b)) & 0xff]++;
+      vdst[slot] = vsrc[i];
+      wdst[slot] = wsrc[i];
+    }
+    std::swap(vsrc, vdst);
+    std::swap(wsrc, wdst);
+  }
+  if (vsrc != vals) {
+    std::memcpy(vals, vsrc, n * sizeof(uint64_t));
+    std::memcpy(weights, wsrc, n * sizeof(int64_t));
+  }
+}
+
 std::vector<uint64_t> MaterializeGroupKeys(const Table& table,
                                            const GroupKeyCodec& codec,
                                            int num_threads) {
@@ -290,24 +286,9 @@ std::vector<uint64_t> MaterializeGroupKeys(const Table& table,
   return keys;
 }
 
-namespace {
-
-/// Weight of one input item in the run-compression phase: the unweighted
-/// entry point counts each row once, the weighted one reads the caller's
-/// weight array. Summing weights over a run generalizes the original
-/// run-length (j - i) without changing it for unit weights.
-struct UnitWeight {
-  int64_t operator()(size_t) const { return 1; }
-};
-struct SpanWeight {
-  const int64_t* w;
-  int64_t operator()(size_t i) const { return w[i]; }
-};
-
-template <typename WeightFn>
-std::vector<GroupedCell> AggregateByKeyAndEstabImpl(
+std::vector<GroupedCell> AggregateByKeyAndEstab(
     std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
-    WeightFn weight_of, uint64_t domain_size, int num_threads) {
+    uint64_t domain_size, int num_threads) {
   assert(estab_ids.size() == keys.size());
   assert(domain_size > 0);
   const size_t n = keys.size();
@@ -326,14 +307,11 @@ std::vector<GroupedCell> AggregateByKeyAndEstabImpl(
     while (i < end) {
       const uint64_t key = keys[i];
       const int64_t estab = estab_ids[i];
-      int64_t weight = weight_of(i);
       size_t j = i + 1;
-      while (j < end && keys[j] == key && estab_ids[j] == estab) {
-        weight += weight_of(j++);
-      }
+      while (j < end && keys[j] == key && estab_ids[j] == estab) ++j;
       block.keys.push_back(key);
       block.estabs.push_back(estab);
-      block.weights.push_back(weight);
+      block.weights.push_back(static_cast<int64_t>(j - i));
       ++block.hist[key >> plan.shift];
       block.min_estab = std::min(block.min_estab, estab);
       block.max_estab = std::max(block.max_estab, estab);
@@ -420,6 +398,8 @@ std::vector<GroupedCell> AggregateByKeyAndEstabImpl(
   }
   return ConcatPartitions(std::move(per_partition));
 }
+
+namespace {
 
 /// One (key, establishment) pair of the dense path with its row count.
 /// Row counts fit in uint32 because the gate caps the input below 2^32
@@ -596,23 +576,6 @@ std::vector<GroupedCell> GroupEstabOrdered(
     }
   });
   return cells;
-}
-
-std::vector<GroupedCell> AggregateByKeyAndEstab(
-    std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
-    uint64_t domain_size, int num_threads) {
-  return AggregateByKeyAndEstabImpl(std::move(keys), estab_ids, UnitWeight{},
-                                    domain_size, num_threads);
-}
-
-std::vector<GroupedCell> AggregateWeightedByKeyAndEstab(
-    std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
-    const std::vector<int64_t>& weights, uint64_t domain_size,
-    int num_threads) {
-  assert(weights.size() == keys.size());
-  return AggregateByKeyAndEstabImpl(std::move(keys), estab_ids,
-                                    SpanWeight{weights.data()}, domain_size,
-                                    num_threads);
 }
 
 }  // namespace eep::table

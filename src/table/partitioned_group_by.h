@@ -1,6 +1,6 @@
 // Parallel columnar aggregation: the execution engine behind
-// GroupCountByEstablishment (group_by.h) and the re-sort roll-up
-// (rollup.h).
+// GroupCountByEstablishment (group_by.h), and the radix sort the roll-up
+// (rollup.h) orders its cells and wide runs with.
 //
 // A table scan takes one of two paths, chosen by ChooseScanPath from the
 // input and the worker count alone:
@@ -16,16 +16,16 @@
 //    list. Worker blocks start at establishment boundaries, so key-major,
 //    block-minor order is establishment order within every cell: no sort,
 //    no merge.
-//  * RADIX — everything else (unordered ids, wide domains), and the
-//    weighted re-sort roll-up, whose items are not establishment-ordered:
+//  * RADIX — everything else (unordered ids, wide domains):
 //      1. MaterializeGroupKeys packs every row's group key with one
 //         contiguous loop per group column (no per-row gather).
-//      2. Aggregate(Weighted)ByKeyAndEstab run-compresses each worker
-//         block, range-partitions the items by key (partition p holds keys
-//         in [p, p+1) * domain/P), sorts each partition — as packed
-//         (key, estab) uint64s through an LSD radix sort when they fit in
-//         one word, as (key, estab) pairs through std::sort otherwise —
-//         and run-length aggregates the sorted runs.
+//      2. AggregateByKeyAndEstab run-compresses each worker block into
+//         (key, estab, run length) items, range-partitions them by key
+//         (partition p holds keys in [p, p+1) * domain/P), sorts each
+//         partition — as packed (key, estab) uint64s through
+//         RadixSortWithWeights when they fit in one word, as (key, estab)
+//         pairs through std::sort otherwise — and run-length aggregates
+//         the sorted runs, summing run lengths per (key, estab) pair.
 //      3. Partitions concatenate in order, so the result is globally
 //         key-sorted without a merge.
 //
@@ -100,18 +100,16 @@ std::vector<GroupedCell> AggregateByKeyAndEstab(
     std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
     uint64_t domain_size, int num_threads);
 
-/// Weighted form of AggregateByKeyAndEstab: item i carries weights[i]
-/// instead of an implicit weight of 1, so already-aggregated inputs (e.g.
-/// the contribution items of a finer grouping being rolled up to a coarser
-/// key domain — see rollup.h) re-aggregate through the same run-compression
-/// and partitioned-sort machinery. Weights sum per (key, estab) pair; the
-/// result is exactly what AggregateByKeyAndEstab would return on the
-/// expansion of each item into weights[i] unit rows, and is deterministic
-/// for every thread count. Requires weights.size() == keys.size().
-std::vector<GroupedCell> AggregateWeightedByKeyAndEstab(
-    std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
-    const std::vector<int64_t>& weights, uint64_t domain_size,
-    int num_threads);
+/// LSD radix sort of vals[0, n) by their low `used_bytes` bytes (the caller
+/// knows how many carry bits), skipping every byte on which all values
+/// agree; weights[i] travels with vals[i]. Below 128 values it sorts with
+/// std::sort instead, so the order of equal values is unspecified: callers
+/// may only depend on the sorted values and the multiset of weights each
+/// value carries. The scratch vectors grow to n and are reused across
+/// calls.
+void RadixSortWithWeights(uint64_t* vals, int64_t* weights, size_t n,
+                          int used_bytes, std::vector<uint64_t>& val_scratch,
+                          std::vector<int64_t>& weight_scratch);
 
 }  // namespace eep::table
 

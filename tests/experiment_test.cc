@@ -141,6 +141,33 @@ TEST_F(ExperimentTest, ThreadedTrialsBitwiseIdenticalToSerial) {
   EXPECT_EQ(serial_mech.overall, threaded_mech.overall);
 }
 
+TEST_F(ExperimentTest, RejectsFewerThanOneTrial) {
+  // Averaging over zero trials would divide by zero, and a negative count
+  // would size the per-trial buffers from a negative number.
+  auto mech = Mech();
+  for (int trials : {0, -1}) {
+    ExperimentConfig config = Config(trials);
+    config.threads = 4;
+    ExperimentRunner runner(data_, config);
+    const std::string context = "trials=" + std::to_string(trials);
+    EXPECT_EQ(runner.SdlError(*query_).status().code(),
+              StatusCode::kInvalidArgument)
+        << context;
+    EXPECT_EQ(runner.MechanismError(*query_, mech).status().code(),
+              StatusCode::kInvalidArgument)
+        << context;
+    EXPECT_EQ(runner.ErrorRatio(*query_, mech).status().code(),
+              StatusCode::kInvalidArgument)
+        << context;
+    EXPECT_EQ(runner.RankingCorrelation(*query_, mech).status().code(),
+              StatusCode::kInvalidArgument)
+        << context;
+    EXPECT_EQ(runner.CompareRelativeError(*query_, mech).status().code(),
+              StatusCode::kInvalidArgument)
+        << context;
+  }
+}
+
 TEST_F(ExperimentTest, SdlReleaseOnceMatchesCellCount) {
   ExperimentRunner runner(data_, Config(1));
   auto release = runner.SdlReleaseOnce(*query_, 77).value();

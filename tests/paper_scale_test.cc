@@ -114,8 +114,8 @@ TEST(PaperScaleTest, PaperExtractReleasesBitIdenticallyAcrossThreads) {
   // Wide-union workload at full scale: the all-8-attribute union makes the
   // fused base ~one item per row, so the planner must SPLIT it into cover
   // groups — and every marginal must still match the independent compute,
-  // through the prefix-merge path (establishment), the parallel re-sort
-  // path (industry x sex x education) and the exact hits.
+  // through a prefix roll-up (establishment), a non-prefix roll-up that
+  // sorts the base cells (industry x sex x education) and the exact hits.
   {
     const lodes::WorkloadSpec wide =
         lodes::WorkloadSpec::ByName(

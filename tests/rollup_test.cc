@@ -1,17 +1,15 @@
 // Cube roll-up correctness: a grouping derived by RollupGroupedCounts from
 // a finer grouping must be BIT-IDENTICAL to grouping the table directly on
-// the coarse columns, for every thread count and any
-// column-subset shape (suffix, prefix, middle, permuted). Also covers the
-// weighted aggregation primitives the roll-up rides on and the
-// GroupByCache serving policy (exact hit / superset roll-up / scan).
+// the coarse columns, for every thread count and any column-subset shape
+// (suffix, prefix, middle, permuted), whether or not the projected keys
+// need sorting and however wide the runs of equal coarse keys are. Also
+// covers the GroupByCache serving policy (exact hit / superset roll-up /
+// scan).
 #include <gtest/gtest.h>
-
-#include <map>
 
 #include "common/random.h"
 #include "table/group_by.h"
 #include "table/group_by_cache.h"
-#include "table/partitioned_group_by.h"
 #include "table/rollup.h"
 #include "table/table.h"
 
@@ -26,13 +24,23 @@ std::vector<std::string> MakeValues(uint32_t n, const std::string& prefix) {
   return values;
 }
 
-/// A random table with three categorical columns (radices 5, 3, 4) and an
-/// int64 establishment column.
-Table MakeRandomTable(uint64_t seed, size_t num_rows, int num_estabs) {
+/// Dictionary radices of attr_a, attr_b, attr_c and the establishment id
+/// range of a random table.
+struct TableShape {
+  uint32_t radix_a = 5;
+  uint32_t radix_b = 3;
+  uint32_t radix_c = 4;
+  int64_t min_estab = 1;
+  int64_t max_estab = 150;
+};
+
+/// A random table with three categorical columns and an int64
+/// establishment column, rows drawn uniformly from `shape`.
+Table MakeShapedTable(uint64_t seed, size_t num_rows, const TableShape& shape) {
   Rng rng(seed);
-  auto dict_a = Dictionary::Create(MakeValues(5, "a")).value();
-  auto dict_b = Dictionary::Create(MakeValues(3, "b")).value();
-  auto dict_c = Dictionary::Create(MakeValues(4, "c")).value();
+  auto dict_a = Dictionary::Create(MakeValues(shape.radix_a, "a")).value();
+  auto dict_b = Dictionary::Create(MakeValues(shape.radix_b, "b")).value();
+  auto dict_c = Dictionary::Create(MakeValues(shape.radix_c, "c")).value();
   auto schema = Schema::Create({{"estab", DataType::kInt64, nullptr},
                                 {"attr_a", DataType::kCategory, dict_a},
                                 {"attr_b", DataType::kCategory, dict_b},
@@ -41,15 +49,22 @@ Table MakeRandomTable(uint64_t seed, size_t num_rows, int num_estabs) {
   std::vector<int64_t> estabs(num_rows);
   std::vector<uint32_t> as(num_rows), bs(num_rows), cs(num_rows);
   for (size_t i = 0; i < num_rows; ++i) {
-    estabs[i] = rng.UniformInt(1, num_estabs);
-    as[i] = static_cast<uint32_t>(rng.UniformInt(0, 4));
-    bs[i] = static_cast<uint32_t>(rng.UniformInt(0, 2));
-    cs[i] = static_cast<uint32_t>(rng.UniformInt(0, 3));
+    estabs[i] = rng.UniformInt(shape.min_estab, shape.max_estab);
+    as[i] = static_cast<uint32_t>(rng.UniformInt(0, shape.radix_a - 1));
+    bs[i] = static_cast<uint32_t>(rng.UniformInt(0, shape.radix_b - 1));
+    cs[i] = static_cast<uint32_t>(rng.UniformInt(0, shape.radix_c - 1));
   }
   return Table::Create(schema,
                        {Column::OfInt64(estabs), Column::OfCategory(as),
                         Column::OfCategory(bs), Column::OfCategory(cs)})
       .value();
+}
+
+/// A random table with radices 5, 3, 4 and establishment ids 1..num_estabs.
+Table MakeRandomTable(uint64_t seed, size_t num_rows, int num_estabs) {
+  TableShape shape;
+  shape.max_estab = num_estabs;
+  return MakeShapedTable(seed, num_rows, shape);
 }
 
 void ExpectCellsEqual(const std::vector<GroupedCell>& expected,
@@ -73,41 +88,56 @@ void ExpectCellsEqual(const std::vector<GroupedCell>& expected,
 }
 
 TEST(RollupTest, MatchesDirectGroupByForEverySubsetShapeAndThreadCount) {
-  const Table t = MakeRandomTable(/*seed=*/11, /*num_rows=*/20000,
-                                  /*num_estabs=*/150);
-  const GroupedCounts base =
-      GroupCountByEstablishment(t, {"attr_a", "attr_b", "attr_c"}, "estab")
-          .value();
-  // Subset shape -> whether the sorted-base prefix-merge path must serve it
-  // (coarse columns == the first k base columns, same order).
-  const std::vector<std::pair<std::vector<std::string>, RollupKind>> subsets =
-      {
-          {{"attr_a", "attr_b"}, RollupKind::kPrefixMerge},  // prefix
-          {{"attr_a"}, RollupKind::kPrefixMerge},            // shorter prefix
-          {{"attr_b", "attr_c"}, RollupKind::kResort},  // drop the outermost
-          {{"attr_a", "attr_c"}, RollupKind::kResort},  // drop a middle digit
-          {{"attr_c", "attr_a"}, RollupKind::kResort},  // permuted order
-          {{"attr_b"}, RollupKind::kResort},            // non-prefix single
-          {{"attr_a", "attr_b", "attr_c"},
-           RollupKind::kPrefixMerge},  // identity projection
-      };
-  for (const auto& [columns, expected_kind] : subsets) {
-    const GroupedCounts direct =
-        GroupCountByEstablishment(t, columns, "estab").value();
-    for (int threads : {1, 2, 4, 8}) {
-      GroupKeyCodec codec = GroupKeyCodec::Create(t.schema(), columns).value();
-      EXPECT_EQ(IsKeyPrefix(base.codec, codec),
-                expected_kind == RollupKind::kPrefixMerge);
-      RollupKind kind;
-      const GroupedCounts rolled =
-          RollupGroupedCounts(base, std::move(codec), threads, &kind).value();
-      std::string context = "columns={";
-      for (const auto& c : columns) context += c + ",";
-      context += "} threads=" + std::to_string(threads);
-      EXPECT_EQ(kind, expected_kind) << context;
-      // Both execution paths must agree bit for bit with the direct scan —
-      // the equality that makes the planner's choice unobservable.
-      ExpectCellsEqual(direct.cells, rolled.cells, context);
+  struct Input {
+    std::string name;
+    uint64_t seed;
+    size_t rows;
+    TableShape shape;
+  };
+  const std::vector<Input> inputs = {
+      {"random", 11, 20000, {}},
+      // Negative establishment ids, and non-prefix shapes whose runs exceed
+      // 16 cells and 128 gathered items ({attr_c}: 48 cells per run), so
+      // wide runs radix-sort ids rebased to the run's minimum.
+      {"negative-ids-wide-runs", 12, 30000, {6, 8, 5, -120, 79}},
+      // A one-value attr_b: {attr_a, attr_c} is not a prefix, yet its keys
+      // come out ordered (no sort), and {attr_b} is one run, fewer runs
+      // than threads.
+      {"constant-middle-column", 13, 2000, {5, 1, 4, 1, 40}},
+      {"empty", 14, 0, {}},
+  };
+  const std::vector<std::vector<std::string>> subsets = {
+      {"attr_a", "attr_b"},            // prefix
+      {"attr_a"},                      // shorter prefix
+      {"attr_b", "attr_c"},            // drop the outermost
+      {"attr_a", "attr_c"},            // drop a middle digit
+      {"attr_c", "attr_a"},            // permuted order
+      {"attr_b"},                      // non-prefix single
+      {"attr_c"},                      // innermost digit alone
+      {"attr_a", "attr_b", "attr_c"},  // identity projection
+  };
+  for (const Input& input : inputs) {
+    const Table t = MakeShapedTable(input.seed, input.rows, input.shape);
+    const GroupedCounts base =
+        GroupCountByEstablishment(t, {"attr_a", "attr_b", "attr_c"}, "estab")
+            .value();
+    for (const auto& columns : subsets) {
+      const GroupedCounts direct =
+          GroupCountByEstablishment(t, columns, "estab").value();
+      for (int threads : {1, 2, 4, 8}) {
+        const GroupedCounts rolled =
+            RollupGroupedCounts(
+                base, GroupKeyCodec::Create(t.schema(), columns).value(),
+                threads)
+                .value();
+        std::string context = input.name + " columns={";
+        for (const auto& c : columns) context += c + ",";
+        context += "} threads=" + std::to_string(threads);
+        // Sorted or not, narrow or wide runs: the roll-up must agree bit for
+        // bit with the direct scan, the equality that makes the planner's
+        // choice unobservable.
+        ExpectCellsEqual(direct.cells, rolled.cells, context);
+      }
     }
   }
 }
@@ -117,43 +147,20 @@ TEST(RollupTest, WideRunPrefixMergeMatchesDirect) {
   // exceeds the sequential-merge threshold, forcing the gather+sort run
   // strategy — which must agree bit for bit with the direct scan (and so
   // with the pairwise-merge strategy) at every thread count.
-  Rng rng(314);
-  auto dict_a = Dictionary::Create(MakeValues(4, "a")).value();
-  auto dict_b = Dictionary::Create(MakeValues(6, "b")).value();
-  auto dict_c = Dictionary::Create(MakeValues(5, "c")).value();
-  auto schema = Schema::Create({{"estab", DataType::kInt64, nullptr},
-                                {"attr_a", DataType::kCategory, dict_a},
-                                {"attr_b", DataType::kCategory, dict_b},
-                                {"attr_c", DataType::kCategory, dict_c}})
-                    .value();
-  const size_t rows = 30000;
-  std::vector<int64_t> estabs(rows);
-  std::vector<uint32_t> as(rows), bs(rows), cs(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    estabs[i] = rng.UniformInt(1, 200);
-    as[i] = static_cast<uint32_t>(rng.UniformInt(0, 3));
-    bs[i] = static_cast<uint32_t>(rng.UniformInt(0, 5));
-    cs[i] = static_cast<uint32_t>(rng.UniformInt(0, 4));
-  }
-  const Table t =
-      Table::Create(schema,
-                    {Column::OfInt64(estabs), Column::OfCategory(as),
-                     Column::OfCategory(bs), Column::OfCategory(cs)})
-          .value();
+  const Table t = MakeShapedTable(/*seed=*/314, /*num_rows=*/30000,
+                                  {4, 6, 5, 1, 200});
   const GroupedCounts base =
       GroupCountByEstablishment(t, {"attr_a", "attr_b", "attr_c"}, "estab")
           .value();
   const GroupedCounts direct =
       GroupCountByEstablishment(t, {"attr_a"}, "estab").value();
   for (int threads : {1, 2, 4, 8}) {
-    RollupKind kind;
     const GroupedCounts rolled =
         RollupGroupedCounts(base,
                             GroupKeyCodec::Create(t.schema(), {"attr_a"})
                                 .value(),
-                            threads, &kind)
+                            threads)
             .value();
-    EXPECT_EQ(kind, RollupKind::kPrefixMerge);
     ExpectCellsEqual(direct.cells, rolled.cells,
                      "wide-run threads=" + std::to_string(threads));
   }
@@ -162,15 +169,28 @@ TEST(RollupTest, WideRunPrefixMergeMatchesDirect) {
 TEST(RollupTest, FuzzAdversarialColumnOrders) {
   // Random base orders (never the canonical schema order), random subset
   // shapes and permutations, every thread count: rolled must equal direct
-  // regardless of which path serves it. This is the fuzz case for the
-  // prefix detection: a wrong prefix test would silently produce unsorted
-  // or mis-merged cells.
+  // whether or not the projected keys need sorting. This is the fuzz case
+  // for the sortedness test and the digit fusion of KeyProjection: a wrong
+  // one would silently produce unsorted or mis-merged cells. The first 12
+  // rounds draw radices 5, 3, 4 and ids 1..25; the rest draw radices in
+  // 1..8 (a one-value column keeps a non-prefix projection ordered), ids
+  // that may be negative, and round 12 is an empty table.
   Rng rng(20260729);
   const std::vector<std::string> all = {"attr_a", "attr_b", "attr_c"};
-  for (int round = 0; round < 12; ++round) {
-    const Table t =
-        MakeRandomTable(/*seed=*/1000 + static_cast<uint64_t>(round),
-                        /*num_rows=*/3000, /*num_estabs=*/25);
+  for (int round = 0; round < 24; ++round) {
+    TableShape shape;
+    shape.max_estab = 25;
+    size_t rows = 3000;
+    if (round >= 12) {
+      shape.radix_a = static_cast<uint32_t>(rng.UniformInt(1, 8));
+      shape.radix_b = static_cast<uint32_t>(rng.UniformInt(1, 8));
+      shape.radix_c = static_cast<uint32_t>(rng.UniformInt(1, 8));
+      shape.min_estab = rng.UniformInt(-300, 1);
+      shape.max_estab = shape.min_estab + rng.UniformInt(0, 200);
+      if (round == 12) rows = 0;
+    }
+    const Table t = MakeShapedTable(
+        /*seed=*/1000 + static_cast<uint64_t>(round), rows, shape);
     std::vector<std::string> base_columns = all;
     for (size_t i = base_columns.size(); i > 1; --i) {
       std::swap(base_columns[i - 1],
@@ -193,12 +213,11 @@ TEST(RollupTest, FuzzAdversarialColumnOrders) {
     const GroupedCounts direct =
         GroupCountByEstablishment(t, columns, "estab").value();
     for (int threads : {1, 2, 4, 8}) {
-      RollupKind kind;
       const GroupedCounts rolled =
           RollupGroupedCounts(base,
                               GroupKeyCodec::Create(t.schema(), columns)
                                   .value(),
-                              threads, &kind)
+                              threads)
               .value();
       std::string context = "round=" + std::to_string(round) + " base={";
       for (const auto& c : base_columns) context += c + ",";
@@ -242,35 +261,6 @@ TEST(RollupTest, RejectsColumnsOutsideTheBaseGrouping) {
   EXPECT_FALSE(result.ok());
 }
 
-TEST(WeightedAggregateTest, MatchesUnweightedExpansion) {
-  // Weighted items must aggregate exactly like their expansion into unit
-  // rows — the invariant the roll-up relies on.
-  Rng rng(77);
-  std::vector<uint64_t> keys, expanded_keys;
-  std::vector<int64_t> estabs, weights, expanded_estabs;
-  const uint64_t domain = 97;
-  for (int i = 0; i < 5000; ++i) {
-    const uint64_t key = static_cast<uint64_t>(rng.UniformInt(0, 96));
-    const int64_t estab = rng.UniformInt(1, 30);
-    const int64_t weight = rng.UniformInt(1, 4);
-    keys.push_back(key);
-    estabs.push_back(estab);
-    weights.push_back(weight);
-    for (int64_t w = 0; w < weight; ++w) {
-      expanded_keys.push_back(key);
-      expanded_estabs.push_back(estab);
-    }
-  }
-  const auto expected =
-      AggregateByKeyAndEstab(expanded_keys, expanded_estabs, domain, 1);
-  for (int threads : {1, 2, 4, 8}) {
-    const auto actual = AggregateWeightedByKeyAndEstab(keys, estabs, weights,
-                                                       domain, threads);
-    ExpectCellsEqual(expected, actual,
-                     "threads=" + std::to_string(threads));
-  }
-}
-
 TEST(GroupByCacheTest, ServesExactHitsThenRollupsAndScansOnlyOnce) {
   const Table t = MakeRandomTable(/*seed=*/41, /*num_rows=*/10000,
                                   /*num_estabs=*/80);
@@ -312,8 +302,8 @@ TEST(GroupByCacheTest, ServesExactHitsThenRollupsAndScansOnlyOnce) {
 TEST(GroupByCacheTest, CostModelPrefersScanOverPathologicallyWideRollup) {
   // A table whose establishment id is unique per row: EVERY grouping holds
   // one item per row, the worst case for roll-ups. The cost model must
-  // then prefer a fresh scan (2 units/row) over a re-sort roll-up from the
-  // cached wide grouping (4 units/item = 2x a scan), while the prefix
+  // then prefer a fresh scan (2 units/row) over a non-prefix roll-up from
+  // the cached wide grouping (4 units/item = 2x a scan), while the prefix
   // merge (1 unit/item) stays cheaper than scanning — the accounting fix
   // over the old fewest-items rule, which would always have picked the
   // wide grouping.

@@ -133,7 +133,7 @@ TEST(ComputeWorkloadTest, EveryMarginalMatchesIndependentCompute) {
       {{MarginalSpec::FullDemographics(),
         MarginalSpec::WorkplaceBySexEducation(),
         MarginalSpec::EstablishmentMarginal(),
-        // Non-prefix subset of the sexedu union: the parallel re-sort path.
+        // Non-prefix subset of the sexedu union: the base cells are sorted.
         MarginalSpec::IndustryBySexEducation(),
         // Permuted attribute order exercises the digit re-packing.
         MarginalSpec{{"ownership", "place"}, {"education", "sex"}}}},

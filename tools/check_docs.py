@@ -7,11 +7,11 @@ not fetched), and that every bench binary named in docs/BENCHMARKS.md
 corresponds to a bench/bench_*.cc source (the set bench/CMakeLists.txt
 registers via its glob) — so a bench rename cannot silently rot the
 benchmark book's repro commands. API names are cross-checked too: every
-project-namespace-qualified name in README.md / docs/ARCHITECTURE.md /
-docs/BENCHMARKS.md code, every inline span that is one bare
-UpperCamelCase identifier, and every `->Name(` call in README's cpp
-blocks, must still exist in some src/**/*.h, so the docs cannot
-advertise deleted API. Exits nonzero listing each problem.
+project-namespace-qualified name and every `Type::member` name in
+README.md / docs/ARCHITECTURE.md / docs/BENCHMARKS.md code, every inline
+span that is one bare UpperCamelCase identifier, and every `->Name(` call
+in README's cpp blocks, must still exist in some src/**/*.h, so the docs
+cannot advertise deleted API. Exits nonzero listing each problem.
 
 Usage: tools/check_docs.py [repo_root]
 """
@@ -265,6 +265,9 @@ API_NAMESPACES = ("release", "serve", "store", "lodes", "table", "eval",
                   "privacy")
 QUALIFIED_RE = re.compile(r"\b(?:%s)::(\w+(?:::\w+)*)"
                           % "|".join(API_NAMESPACES))
+# A member spelled through its UpperCamelCase type, with or without a
+# namespace in front: `Store::ReadCoded`, `Outcome::kScan`.
+TYPE_MEMBER_RE = re.compile(r"\b[A-Z]\w*(?:::\w+)+")
 ARROW_CALL_RE = re.compile(r"->\s*(\w+)\s*\(")
 # An inline span that is one bare UpperCamelCase identifier, optionally
 # called: `GroupByCache`, `RunReleaseWorkload()`. Only names with a
@@ -311,12 +314,13 @@ def code_in(path):
 
 
 def check_api_names(root):
-    """Every component of every project-namespace-qualified name in the
-    API_DOCS' code (fenced blocks and inline spans), every inline span
-    that is one bare UpperCamelCase identifier, and every `->Name(` call
-    in README's fenced cpp blocks, must be declared in some src/**/*.h —
-    so a deleted function or method cannot live on in a doc snippet.
-    Returns (checked, broken)."""
+    """Every component of every project-namespace-qualified name and of
+    every `Type::member` name in the API_DOCS' code (fenced blocks and
+    inline spans), every inline span that is one bare UpperCamelCase
+    identifier, and every `->Name(` call in README's fenced cpp blocks,
+    must be declared in some src/**/*.h — so a deleted function, method,
+    type or enumerator cannot live on in a doc snippet. Returns (checked,
+    broken)."""
     declared = header_identifiers(root)
     if not declared:
         return 0, []
@@ -329,6 +333,8 @@ def check_api_names(root):
         for number, code, fence in code_in(path):
             names = [(m.group(0), m.group(1).split("::"))
                      for m in QUALIFIED_RE.finditer(code)]
+            names += [(m.group(0), m.group(0).split("::"))
+                      for m in TYPE_MEMBER_RE.finditer(code)]
             bare = BARE_NAME_RE.fullmatch(code) if fence is None else None
             if bare and any(c.islower() for c in bare.group(1)):
                 names.append((code, [bare.group(1)]))
