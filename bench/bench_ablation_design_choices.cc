@@ -66,23 +66,29 @@ int main(int argc, char** argv) {
   std::printf("=== Ablations: design choices ===\n");
   bench::PrintDatasetSummary(data, setup);
 
-  auto query = lodes::MarginalQuery::Compute(
-                   data, lodes::MarginalSpec::EstablishmentMarginal())
-                   .value();
+  auto query = bench::ValueOrExit(
+      lodes::MarginalQuery::Compute(
+          data, lodes::MarginalSpec::EstablishmentMarginal()),
+      "establishment marginal");
   eval::ExperimentRunner runner(&data, setup.experiment);
   const double alpha = 0.1, eps = 2.0, delta = 0.05;
 
   // --- A: Log-Laplace bias correction. --------------------------------
   {
-    auto biased =
-        mechanisms::LogLaplaceMechanism::Create({alpha, eps, 0.0}).value();
-    auto debiased =
-        mechanisms::LogLaplaceMechanism::Create({alpha, eps, 0.0}, true)
-            .value();
+    auto biased = bench::ValueOrExit(
+        mechanisms::LogLaplaceMechanism::Create({alpha, eps, 0.0}),
+        "ablation A, biased Log-Laplace");
+    auto debiased = bench::ValueOrExit(
+        mechanisms::LogLaplaceMechanism::Create({alpha, eps, 0.0}, true),
+        "ablation A, debiased Log-Laplace");
     const double err_biased =
-        runner.MechanismError(query, biased).value().overall;
+        bench::ValueOrExit(runner.MechanismError(query, biased),
+                           "ablation A, biased Log-Laplace error")
+            .overall;
     const double err_debiased =
-        runner.MechanismError(query, debiased).value().overall;
+        bench::ValueOrExit(runner.MechanismError(query, debiased),
+                           "ablation A, debiased Log-Laplace error")
+            .overall;
     std::printf(
         "A. Log-Laplace L1 (alpha=%.2f, eps=%.1f): biased %.1f vs "
         "debiased %.1f (%+.1f%%)\n",
@@ -92,13 +98,18 @@ int main(int argc, char** argv) {
 
   // --- B: Smooth Gamma budget split. -----------------------------------
   {
-    auto paper_split =
-        mechanisms::SmoothGammaMechanism::Create({alpha, eps, 0.0}).value();
+    auto paper_split = bench::ValueOrExit(
+        mechanisms::SmoothGammaMechanism::Create({alpha, eps, 0.0}),
+        "ablation B, Smooth Gamma");
     EqualSplitSmoothGamma equal_split(alpha, eps);
     const double err_paper =
-        runner.MechanismError(query, paper_split).value().overall;
+        bench::ValueOrExit(runner.MechanismError(query, paper_split),
+                           "ablation B, paper split error")
+            .overall;
     const double err_equal =
-        runner.MechanismError(query, equal_split).value().overall;
+        bench::ValueOrExit(runner.MechanismError(query, equal_split),
+                           "ablation B, equal split error")
+            .overall;
     std::printf(
         "B. Smooth Gamma L1: paper split (eps2=5ln(1+a)) %.1f vs equal "
         "split %.1f (equal split %+.1f%%)\n",
@@ -111,9 +122,13 @@ int main(int argc, char** argv) {
     eval::ExperimentConfig uniform_cfg = setup.experiment;
     uniform_cfg.sdl_params.ramp_distribution = false;
     eval::ExperimentRunner uniform_runner(&data, uniform_cfg);
-    const double ramp_err = runner.SdlError(query).value().overall;
+    const double ramp_err =
+        bench::ValueOrExit(runner.SdlError(query), "ablation C, ramp error")
+            .overall;
     const double uniform_err =
-        uniform_runner.SdlError(query).value().overall;
+        bench::ValueOrExit(uniform_runner.SdlError(query),
+                           "ablation C, uniform error")
+            .overall;
     std::printf(
         "C. SDL baseline L1: ramp factors %.1f vs uniform factors %.1f "
         "(uniform %+.1f%%)\n",
@@ -123,15 +138,20 @@ int main(int argc, char** argv) {
 
   // --- D: integer vs continuous smooth release. ------------------------
   {
-    auto continuous =
-        mechanisms::SmoothLaplaceMechanism::Create({alpha, eps, delta})
-            .value();
-    auto integer =
-        mechanisms::GeometricMechanism::Create({alpha, eps, delta}).value();
+    auto continuous = bench::ValueOrExit(
+        mechanisms::SmoothLaplaceMechanism::Create({alpha, eps, delta}),
+        "ablation D, Smooth Laplace");
+    auto integer = bench::ValueOrExit(
+        mechanisms::GeometricMechanism::Create({alpha, eps, delta}),
+        "ablation D, Smooth Geometric");
     const double err_cont =
-        runner.MechanismError(query, continuous).value().overall;
+        bench::ValueOrExit(runner.MechanismError(query, continuous),
+                           "ablation D, Smooth Laplace error")
+            .overall;
     const double err_int =
-        runner.MechanismError(query, integer).value().overall;
+        bench::ValueOrExit(runner.MechanismError(query, integer),
+                           "ablation D, Smooth Geometric error")
+            .overall;
     std::printf(
         "D. Smooth Laplace L1 %.1f vs Smooth Geometric (integer) %.1f "
         "(integer %+.1f%%)\n",

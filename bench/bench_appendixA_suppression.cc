@@ -18,9 +18,10 @@ int main(int argc, char** argv) {
       "===\n");
   bench::PrintDatasetSummary(data, setup);
 
-  auto query = lodes::MarginalQuery::Compute(
-                   data, lodes::MarginalSpec::EstablishmentMarginal())
-                   .value();
+  auto query = bench::ValueOrExit(
+      lodes::MarginalQuery::Compute(
+          data, lodes::MarginalSpec::EstablishmentMarginal()),
+      "establishment marginal");
 
   TextTable table({"rule (min estabs / dominance)", "cells suppressed",
                    "share of cells", "share of employment"});
@@ -30,7 +31,8 @@ int main(int argc, char** argv) {
     sdl::SuppressionParams params;
     params.min_establishments = min_estabs;
     params.dominance_share = dominance;
-    auto result = sdl::SuppressMarginal(query, params).value();
+    auto result = bench::ValueOrExit(sdl::SuppressMarginal(query, params),
+                                     "cell suppression");
     table.AddRow({FormatDouble(static_cast<double>(min_estabs)) + " / " +
                       FormatDouble(dominance),
                   FormatDouble(static_cast<double>(result.suppressed_cells)),
@@ -46,14 +48,18 @@ int main(int argc, char** argv) {
       "cost is noise, not absence:\n",
       query.cells().size());
   eval::ExperimentRunner runner(&data, setup.experiment);
-  const double sdl_err = runner.SdlError(query).value().overall;
+  const double sdl_err =
+      bench::ValueOrExit(runner.SdlError(query), "noise infusion error")
+          .overall;
   std::printf("  noise infusion total L1: %.0f\n", sdl_err);
-  auto mech = eval::MakeMechanism(eval::MechanismKind::kSmoothLaplace, 0.1,
-                                  2.0, 0.05)
-                  .value();
+  auto mech = bench::ValueOrExit(
+      eval::MakeMechanism(eval::MechanismKind::kSmoothLaplace, 0.1, 2.0, 0.05),
+      "Smooth Laplace");
   std::printf(
       "  Smooth Laplace (eps=2, alpha=0.1) total L1: %.0f — provable "
       "privacy, zero suppression\n",
-      runner.MechanismError(query, *mech).value().overall);
+      bench::ValueOrExit(runner.MechanismError(query, *mech),
+                         "Smooth Laplace error")
+          .overall);
   return 0;
 }

@@ -245,6 +245,19 @@ inline lodes::LodesDataset MustGenerate(const BenchSetup& setup) {
   return std::move(data).value();
 }
 
+/// The value of `result`; on an error, prints `what` with the status and
+/// exits 1, so a refused experiment (for example at --trials=0) ends the
+/// bench with its reason instead of aborting it.
+template <typename T>
+T ValueOrExit(Result<T> result, const char* what) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what,
+                 result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(result).value();
+}
+
 inline void PrintDatasetSummary(const lodes::LodesDataset& data,
                                 const BenchSetup& setup) {
   std::printf(

@@ -3,7 +3,8 @@
 // the one-element workload) and a privacy target; charges the privacy
 // accountant (refusing to release when the budget is exhausted); applies
 // the chosen mechanism to every cell; emits labeled, optionally
-// integer-rounded protected tables ready for CSV publication.
+// integer-rounded protected tables ready for CSV publication, rendered
+// from the dictionary-coded tables it persists.
 //
 // The noise-sharding determinism contract (released tables bit-identical
 // for every thread count, shard_size part of the noise derivation) is
@@ -28,7 +29,9 @@ namespace eep::release {
 
 /// \brief A protected table ready for publication: attribute columns
 /// followed by "count" in `header`, one labeled row per released cell, and
-/// the name the table carries in a store epoch ("m<i>:<columns>").
+/// the name the table carries in a store epoch ("m<i>:<columns>"). The
+/// rows are rendered from the coded table the release builds, which is
+/// what a persisting release commits.
 using ReleasedTable = store::TableData;
 
 /// \brief Configuration of one fused workload release: every marginal of
@@ -59,13 +62,14 @@ struct WorkloadReleaseConfig {
   /// batched mechanism sampling dominates scheduling overhead.
   int shard_size = 1024;
   /// When non-null, the released tables are persisted as one new epoch of
-  /// this store AFTER the last marginal is noised: every table written,
-  /// checksummed and fsynced, then committed atomically (store/store.h's
-  /// commit protocol) under the workload's WorkloadFingerprint. A persist
-  /// failure fails the release call — but the accountant charge stands
-  /// (noise was drawn) and a reopened store still serves its previous
-  /// epoch. Persisting never touches the noise derivation: the released
-  /// tables are bit-identical with or without a store attached.
+  /// this store AFTER the last marginal is noised: the coded tables the
+  /// rows were rendered from are written, checksummed and fsynced, then
+  /// committed atomically (store/store.h's commit protocol) under the
+  /// workload's WorkloadFingerprint. A persist failure fails the release
+  /// call — but the accountant charge stands (noise was drawn) and a
+  /// reopened store still serves its previous epoch. Persisting never
+  /// touches the noise derivation: the released tables are bit-identical
+  /// with or without a store attached.
   store::Store* persist_to = nullptr;
 };
 
@@ -74,11 +78,15 @@ struct WorkloadReleaseConfig {
 /// most 1 (0 when a caller-held cache already covered the workload).
 struct WorkloadReleaseStats {
   lodes::WorkloadComputeStats compute;
-  /// Mechanism sampling / row formatting, CPU time summed across shard
-  /// workers and marginals (with N threads the wall share is roughly 1/N).
+  /// CPU time summed across shard workers and marginals (with N threads
+  /// the wall share is roughly 1/N): mechanism sampling, and coding plus
+  /// rendering — each cell's codes and published value, the per-table
+  /// dictionary ranking, recoding by rank and rendering the rows.
   double noise_ms = 0.0;
   double format_ms = 0.0;
-  /// Wall time of the optional persist step (0 when no store is attached).
+  /// Wall time of the optional persist step (0 when no store is attached):
+  /// CommitEpoch's checks, segment writes and fsyncs. The tables arrive
+  /// coded, so no encoding is in it.
   double persist_ms = 0.0;
   /// Epoch id the persist step committed (0 when no store is attached).
   uint64_t persisted_epoch = 0;
@@ -90,7 +98,8 @@ struct WorkloadReleaseStats {
 
 /// Releases every marginal of a workload from ONE shared scan: the fused
 /// group-by + cube roll-ups of lodes::ComputeWorkload replace the
-/// per-marginal table scans, then each marginal is noised and formatted.
+/// per-marginal table scans, then each marginal is noised, coded and
+/// rendered.
 /// Table i is named "m<i>:<columns>" (unique within the epoch even when
 /// two marginals share a column list). Determinism contract: marginal i
 /// draws one rng value in workload order, so the caller's stream advances

@@ -286,19 +286,45 @@ std::string ChunkHeader(size_t column, uint32_t kind, uint64_t first,
   return chunk;
 }
 
-TableData RenderTable(CodedTable coded) {
-  TableData table;
-  table.name = std::move(coded.name);
-  table.header = std::move(coded.header);
-  table.rows.assign(coded.num_rows,
-                    std::vector<std::string>(coded.columns.size()));
-  for (size_t c = 0; c < coded.columns.size(); ++c) {
-    const CodedColumn& column = coded.columns[c];
-    for (size_t r = 0; r < table.rows.size(); ++r) {
-      table.rows[r][c] = column.dict[column.codes[r]];
+/// Why `table` breaks the segment format, or "" when it does not: the
+/// content checks that both CommitEpoch (before it writes) and ReadCoded
+/// (after it decodes) apply, so a commit that succeeds always reads back.
+std::string FormatProblem(const CodedTable& table) {
+  if (table.num_rows > UINT32_MAX) return "more rows than 32-bit codes index";
+  if (table.columns.size() != table.header.size()) {
+    return std::to_string(table.columns.size()) + " columns for " +
+           std::to_string(table.header.size()) + " header entries";
+  }
+  for (size_t c = 0; c < table.columns.size(); ++c) {
+    const CodedColumn& column = table.columns[c];
+    const std::string where = "column " + std::to_string(c);
+    const size_t dict_size = column.dict.size();
+    if (column.codes.size() != table.num_rows) {
+      return where + " has " + std::to_string(column.codes.size()) +
+             " codes for " + std::to_string(table.num_rows) + " rows";
+    }
+    // Every dictionary value is some row's, so a column with rows has a
+    // dictionary of 1 to num_rows values and a column without rows none.
+    if ((dict_size == 0) != (table.num_rows == 0) ||
+        dict_size > table.num_rows) {
+      return where + " has a dictionary of " + std::to_string(dict_size) +
+             " values for " + std::to_string(table.num_rows) + " rows";
+    }
+    for (size_t i = 1; i < dict_size; ++i) {
+      if (!(column.dict[i - 1] < column.dict[i])) {
+        return "dictionary of " + where +
+               " is not strictly ascending at value " + std::to_string(i);
+      }
+    }
+    for (uint32_t code : column.codes) {
+      if (code >= dict_size) {
+        return "code " + std::to_string(code) + " of " + where +
+               " is past its " + std::to_string(dict_size) +
+               "-value dictionary";
+      }
     }
   }
-  return table;
+  return "";
 }
 
 std::string FormatDoubleKey(double v) {
@@ -331,6 +357,27 @@ std::string WorkloadFingerprint(const lodes::WorkloadSpec& workload,
   fp += "|eps=" + FormatDoubleKey(epsilon);
   fp += "|delta=" + FormatDoubleKey(delta);
   return fp;
+}
+
+void RenderRows(const CodedTable& coded, size_t begin, size_t end,
+                std::vector<std::vector<std::string>>* rows) {
+  for (size_t r = begin; r < end; ++r) {
+    std::vector<std::string> row;
+    row.reserve(coded.columns.size());
+    for (const CodedColumn& column : coded.columns) {
+      row.push_back(column.dict[column.codes[r]]);
+    }
+    (*rows)[r] = std::move(row);
+  }
+}
+
+TableData RenderTable(const CodedTable& coded) {
+  TableData table;
+  table.name = coded.name;
+  table.header = coded.header;
+  table.rows.resize(coded.num_rows);
+  RenderRows(coded, 0, coded.num_rows, &table.rows);
+  return table;
 }
 
 Result<CodedTable> EncodeTable(const TableData& table) {
@@ -620,6 +667,17 @@ Status Store::AppendManifestRecord(const std::string& record,
 
 Result<uint64_t> Store::CommitEpoch(const std::string& fingerprint,
                                     const std::vector<TableData>& tables) {
+  std::vector<CodedTable> coded;
+  coded.reserve(tables.size());
+  for (const TableData& table : tables) {
+    EEP_ASSIGN_OR_RETURN(CodedTable encoded, EncodeTable(table));
+    coded.push_back(std::move(encoded));
+  }
+  return CommitEpoch(fingerprint, coded);
+}
+
+Result<uint64_t> Store::CommitEpoch(const std::string& fingerprint,
+                                    const std::vector<CodedTable>& tables) {
   if (read_only_) {
     return Status::FailedPrecondition(
         "CommitEpoch on a read-only store (OpenReadOnly)");
@@ -633,12 +691,12 @@ Result<uint64_t> Store::CommitEpoch(const std::string& fingerprint,
     return Status::InvalidArgument("CommitEpoch: empty table set");
   }
   std::vector<std::string> names;
-  std::vector<CodedTable> coded;
-  coded.reserve(tables.size());
-  for (const TableData& table : tables) {
+  for (const CodedTable& table : tables) {
     names.push_back(table.name);
-    EEP_ASSIGN_OR_RETURN(CodedTable encoded, EncodeTable(table));
-    coded.push_back(std::move(encoded));
+    if (std::string problem = FormatProblem(table); !problem.empty()) {
+      return Status::InvalidArgument("CommitEpoch: table '" + table.name +
+                                     "': " + problem);
+    }
   }
   std::sort(names.begin(), names.end());
   if (std::adjacent_find(names.begin(), names.end()) != names.end()) {
@@ -656,7 +714,7 @@ Result<uint64_t> Store::CommitEpoch(const std::string& fingerprint,
   bool appending = false;
   for (size_t t = 0; t < tables.size(); ++t) {
     TableMeta meta;
-    failed = WriteSegment(SegmentFileName(epoch, t), coded[t], &meta);
+    failed = WriteSegment(SegmentFileName(epoch, t), tables[t], &meta);
     if (!failed.ok()) break;
     info.tables.push_back(std::move(meta));
   }
@@ -791,17 +849,6 @@ Result<CodedTable> Store::ReadCoded(uint64_t epoch,
   if (table.num_rows != meta->num_rows) {
     return Status::IOError(path + ": header row count disagrees with manifest");
   }
-  // Every dictionary value is some row's, so a column with rows has a
-  // dictionary of 1 to num_rows values and a column without rows none.
-  for (size_t c = 0; c < dict_sizes.size(); ++c) {
-    if ((dict_sizes[c] == 0) != (table.num_rows == 0) ||
-        dict_sizes[c] > table.num_rows) {
-      return Status::IOError(
-          path + ": column " + std::to_string(c) + " has a dictionary of " +
-          std::to_string(dict_sizes[c]) + " values for " +
-          std::to_string(table.num_rows) + " rows");
-    }
-  }
 
   // Chunks must arrive column by column, dictionary before codes, each
   // starting where the previous one of its kind ended.
@@ -843,13 +890,6 @@ Result<CodedTable> Store::ReadCoded(uint64_t epoch,
       for (uint32_t i = 0; i < entries; ++i) {
         std::string_view value;
         EEP_RETURN_NOT_OK(reader.GetLengthPrefixed(&value));
-        if (!column.dict.empty() &&
-            !(std::string_view(column.dict.back()) < value)) {
-          return Status::IOError(
-              path + ": dictionary of column " + std::to_string(col) +
-              " is not strictly ascending at value " +
-              std::to_string(column.dict.size()));
-        }
         column.dict.emplace_back(value);
       }
       if (!reader.AtEnd()) {
@@ -871,20 +911,16 @@ Result<CodedTable> Store::ReadCoded(uint64_t epoch,
       std::string_view bytes;
       EEP_RETURN_NOT_OK(reader.GetBytes(reader.remaining(), &bytes));
       for (uint32_t i = 0; i < entries; ++i) {
-        const uint32_t code = DecodeCode(bytes.data() + size_t{i} * width,
-                                         width);
-        if (code >= dict_size) {
-          return Status::IOError(
-              path + ": code " + std::to_string(code) + " of column " +
-              std::to_string(col) + " is past its " +
-              std::to_string(dict_size) + "-value dictionary");
-        }
-        column.codes.push_back(code);
+        column.codes.push_back(
+            DecodeCode(bytes.data() + size_t{i} * width, width));
       }
     }
   }
   if (pos != data.size()) {
     return Status::IOError(path + ": blocks past the last column");
+  }
+  if (std::string problem = FormatProblem(table); !problem.empty()) {
+    return Status::IOError(path + ": " + problem);
   }
   return table;
 }
@@ -892,7 +928,7 @@ Result<CodedTable> Store::ReadCoded(uint64_t epoch,
 Result<TableData> Store::ReadTable(uint64_t epoch,
                                    const std::string& name) const {
   EEP_ASSIGN_OR_RETURN(CodedTable coded, ReadCoded(epoch, name));
-  return RenderTable(std::move(coded));
+  return RenderTable(coded);
 }
 
 Result<std::vector<TableData>> Store::ReadEpoch(uint64_t epoch) const {

@@ -53,10 +53,13 @@
 // content breaks the format: a dictionary that is not strictly ascending,
 // a code past its dictionary, a dictionary size of 0 with rows present or
 // above the row count, a chunk out of order or range, a code chunk whose
-// length is not entries x width, or an incomplete column.
+// length is not entries x width, or an incomplete column. CommitEpoch
+// refuses the content half of that list before it writes a byte, so a
+// commit that succeeds always reads back.
 #ifndef EEP_STORE_STORE_H_
 #define EEP_STORE_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -69,10 +72,10 @@
 
 namespace eep::store {
 
-/// \brief One named string table, the unit the store persists: a name
-/// that is unique within its epoch, a header and rows. The release
-/// pipeline emits this type directly (release::ReleasedTable is an alias),
-/// so a release is committed as-is.
+/// \brief One named string table: a name that is unique within its epoch,
+/// a header and rows. The release pipeline returns its tables in this form
+/// (release::ReleasedTable is an alias), rendered from the coded tables it
+/// commits.
 struct TableData {
   std::string name;
   std::vector<std::string> header;
@@ -91,21 +94,43 @@ struct TableData {
 struct CodedColumn {
   std::vector<std::string> dict;
   std::vector<uint32_t> codes;  ///< One per row, each < dict.size().
+
+  bool operator==(const CodedColumn& other) const {
+    return dict == other.dict && codes == other.codes;
+  }
 };
 
 /// \brief A TableData column by column, the form the store commits and
 /// Store::ReadCoded returns: every column is coded, the value column too.
+/// The release pipeline builds its tables in this form straight from the
+/// key-sorted cells.
 struct CodedTable {
   std::string name;
   std::vector<std::string> header;
   uint64_t num_rows = 0;
   std::vector<CodedColumn> columns;  ///< One per header entry.
+
+  bool operator==(const CodedTable& other) const {
+    return name == other.name && header == other.header &&
+           num_rows == other.num_rows && columns == other.columns;
+  }
 };
 
 /// \brief Codes every column of `table`, including the value column and any
 /// binary, empty or 0-row one. InvalidArgument on a row whose arity
 /// differs from the header, or more rows than 32-bit codes can index.
 Result<CodedTable> EncodeTable(const TableData& table);
+
+/// \brief Renders rows [begin, end) of `coded` back to strings into the
+/// same slots of *rows, which must hold at least `end` rows. Touches no
+/// other slot, so disjoint ranges can be rendered concurrently. `coded`
+/// must be well formed (every code below its dictionary's size).
+void RenderRows(const CodedTable& coded, size_t begin, size_t end,
+                std::vector<std::vector<std::string>>* rows);
+
+/// \brief `coded` with every row rendered back to strings: the inverse of
+/// EncodeTable.
+TableData RenderTable(const CodedTable& coded);
 
 /// \brief Manifest metadata of one persisted table.
 struct TableMeta {
@@ -183,9 +208,16 @@ class Store {
   /// with one crash-semantics exception: once any byte of the epoch's
   /// record may have reached MANIFEST, an error can come back although
   /// the epoch is durably committed, exactly like a crash there would.
-  /// Argument errors (InvalidArgument) touch no file. Any other failure
-  /// makes this instance stale: every later CommitEpoch returns
+  /// Argument errors (InvalidArgument) touch no file and leave the
+  /// instance usable: an empty set, a duplicate table name, or a table
+  /// ReadCoded would refuse to decode (a column count that differs from
+  /// the header, a code vector not num_rows long, a content check of the
+  /// file comment, or more rows than 32-bit codes index). Any other
+  /// failure makes this instance stale: every later CommitEpoch returns
   /// FailedPrecondition until the directory is reopened.
+  Result<uint64_t> CommitEpoch(const std::string& fingerprint,
+                               const std::vector<CodedTable>& tables);
+  /// EncodeTable of every table, then the coded CommitEpoch above.
   Result<uint64_t> CommitEpoch(const std::string& fingerprint,
                                const std::vector<TableData>& tables);
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "common/csv.h"
 #include "lodes/generator.h"
+#include "store/store.h"
 
 namespace eep::release {
 namespace {
@@ -228,6 +230,101 @@ TEST_F(ReleasePipelineTest, RejectsInvalidShardSize) {
   Rng rng(25);
   EXPECT_EQ(RunReleaseWorkload(*data_, config, nullptr, rng).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// Releases `workload` into a fresh store at `dir`, rounded and unrounded,
+/// on 1 and 4 threads. The coded tables the pipeline commits must be
+/// exactly store::EncodeTable of the rows it returns, so each segment
+/// must match, in size and CRC, the one committing those rows writes.
+/// `shard_size` should leave several shards per table, so that 4 workers
+/// all run.
+void ExpectPersistedTablesAreTheEncodedRows(const lodes::LodesDataset& data,
+                                            const lodes::WorkloadSpec& workload,
+                                            int shard_size,
+                                            const std::string& dir) {
+  for (bool round_counts : {true, false}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "round_counts=" << round_counts
+                                      << " threads=" << threads);
+      std::filesystem::remove_all(dir);
+      std::filesystem::remove_all(dir + "-rows");
+      auto store = store::Store::Open(dir);
+      auto rows_store = store::Store::Open(dir + "-rows");
+      ASSERT_TRUE(store.ok() && rows_store.ok());
+      WorkloadReleaseConfig config = EstabConfig();
+      config.workload = workload;
+      config.round_counts = round_counts;
+      config.num_threads = threads;
+      config.shard_size = shard_size;
+      config.persist_to = store.value().get();
+      Rng rng(31);
+      auto released = RunReleaseWorkload(data, config, nullptr, rng);
+      ASSERT_TRUE(released.ok()) << released.status().ToString();
+      ASSERT_EQ(released.value().size(), workload.marginals.size());
+
+      const store::EpochInfo* persisted = store.value()->CurrentEpoch().value();
+      ASSERT_TRUE(rows_store.value()
+                      ->CommitEpoch(persisted->fingerprint, released.value())
+                      .ok());
+      const store::EpochInfo* from_rows =
+          rows_store.value()->CurrentEpoch().value();
+      ASSERT_EQ(persisted->tables.size(), released.value().size());
+      ASSERT_EQ(from_rows->tables.size(), released.value().size());
+      for (size_t t = 0; t < released.value().size(); ++t) {
+        const ReleasedTable& table = released.value()[t];
+        SCOPED_TRACE(table.name);
+        auto coded = store.value()->ReadCoded(persisted->epoch, table.name);
+        ASSERT_TRUE(coded.ok()) << coded.status().ToString();
+        EXPECT_TRUE(coded.value() == store::EncodeTable(table).value());
+        EXPECT_EQ(persisted->tables[t].name, from_rows->tables[t].name);
+        EXPECT_EQ(persisted->tables[t].size_bytes,
+                  from_rows->tables[t].size_bytes);
+        EXPECT_EQ(persisted->tables[t].crc32c, from_rows->tables[t].crc32c);
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(dir + "-rows");
+}
+
+TEST_F(ReleasePipelineTest, PersistedTablesAreTheEncodedReleasedRows) {
+  const std::string dir = testing::TempDir() + "/eep_release_pipeline_store";
+  for (const char* name :
+       {"paper", "establishment,industry_sexedu,sexedu,full_demographics"}) {
+    SCOPED_TRACE(name);
+    ExpectPersistedTablesAreTheEncodedRows(
+        *data_, lodes::WorkloadSpec::ByName(name).value(), 64, dir);
+  }
+}
+
+TEST_F(ReleasePipelineTest, CountsPastTheDenseRangeAreCodedLikeTheRest) {
+  // Coarse marginals of a 300k-job extract: cells of ownership x sex and of
+  // sex alone hold more than 2^16 jobs, next to smaller ones, so the
+  // release interns counts on both sides of its dense range.
+  lodes::GeneratorConfig generator;
+  generator.seed = 13;
+  generator.target_jobs = 300000;
+  generator.num_places = 12;
+  const lodes::LodesDataset data =
+      lodes::SyntheticLodesGenerator(generator).Generate().value();
+  lodes::WorkloadSpec workload;
+  workload.marginals = {{{"ownership"}, {"sex"}}, {{}, {"sex"}}};
+  ExpectPersistedTablesAreTheEncodedRows(
+      data, workload, 2,
+      testing::TempDir() + "/eep_release_pipeline_large_counts");
+
+  WorkloadReleaseConfig config = EstabConfig();
+  config.workload = workload;
+  Rng rng(32);
+  auto released = RunReleaseWorkload(data, config, nullptr, rng);
+  ASSERT_TRUE(released.ok()) << released.status().ToString();
+  int64_t large = 0;
+  int64_t small = 0;
+  for (const auto& row : released.value()[0].rows) {
+    (std::stoll(row.back()) >= (int64_t{1} << 16) ? large : small) += 1;
+  }
+  EXPECT_GT(large, 0);
+  EXPECT_GT(small, 0);
 }
 
 TEST_F(ReleasePipelineTest, InvalidSpecRejected) {

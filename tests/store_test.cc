@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <thread>
@@ -495,7 +496,10 @@ TEST_F(StoreTest, OrphanSegmentsRemovedAtOpen) {
 TEST_F(StoreTest, CommitValidation) {
   auto store = Store::Open(dir_);
   ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store.value()->CommitEpoch("fp", {}).status().code(),
+  EXPECT_EQ(store.value()
+                ->CommitEpoch("fp", std::vector<TableData>{})
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(store.value()
                 ->CommitEpoch("fp", {MakeTable("dup", 2), MakeTable("dup", 3)})
@@ -509,6 +513,71 @@ TEST_F(StoreTest, CommitValidation) {
   // Nothing was committed, and no stray files survive the failed attempts.
   EXPECT_EQ(store.value()->last_committed_epoch(), 0u);
   EXPECT_EQ(Env::Default()->ListDir(dir_).value().size(), 0u);
+}
+
+TEST_F(StoreTest, CommitRefusesCodedTablesReadCodedWouldRefuse) {
+  auto store = Store::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store.value()->CommitEpoch("fp-1", {MakeTable("t", 4)}).ok());
+  const auto listing = [this] {
+    std::vector<std::string> entries = Env::Default()->ListDir(dir_).value();
+    std::sort(entries.begin(), entries.end());
+    return entries;
+  };
+  const std::vector<std::string> before = listing();
+  // Six rows: place has 6 distinct values, sector 3 and count 6.
+  const CodedTable good = EncodeTable(MakeTable("t", 6, 1)).value();
+  struct Case {
+    const char* what;
+    CodedTable table;
+    const char* message;
+  };
+  std::vector<Case> cases;
+  const auto add = [&cases, &good](const char* what, const char* message,
+                                   const auto& edit) {
+    Case c{what, good, message};
+    edit(c.table);
+    cases.push_back(std::move(c));
+  };
+  add("a column count that differs from the header",
+      "2 columns for 3 header entries",
+      [](CodedTable& t) { t.columns.pop_back(); });
+  add("a code vector that is not num_rows long", "has 5 codes for 6 rows",
+      [](CodedTable& t) { t.columns[1].codes.pop_back(); });
+  add("a dictionary that is not strictly ascending", "not strictly ascending",
+      [](CodedTable& t) {
+        std::swap(t.columns[0].dict[0], t.columns[0].dict[1]);
+      });
+  add("a repeated dictionary value", "not strictly ascending",
+      [](CodedTable& t) { t.columns[1].dict[1] = t.columns[1].dict[0]; });
+  add("a code at its dictionary's size", "is past its 3-value dictionary",
+      [](CodedTable& t) { t.columns[1].codes[4] = 3; });
+  add("an empty dictionary with rows present", "dictionary of 0 values",
+      [](CodedTable& t) { t.columns[2].dict.clear(); });
+  add("a dictionary larger than the row count",
+      "dictionary of 7 values for 6 rows", [](CodedTable& t) {
+        for (const char* extra : {"s3", "s4", "s5", "s6"}) {
+          t.columns[1].dict.push_back(extra);
+        }
+      });
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    auto result =
+        store.value()->CommitEpoch("fp-bad", std::vector<CodedTable>{c.table});
+    ASSERT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find(c.message), std::string::npos)
+        << result.status().ToString();
+    EXPECT_EQ(listing(), before);
+    EXPECT_EQ(store.value()->last_committed_epoch(), 1u);
+  }
+  // The refusals left the instance usable: the good table commits as epoch
+  // 2 and reads back as committed.
+  auto next = store.value()->CommitEpoch("fp-2", std::vector<CodedTable>{good});
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value(), 2u);
+  auto read = store.value()->ReadCoded(2, "t");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read.value() == good);
 }
 
 TEST_F(StoreTest, NotFoundLookups) {
@@ -608,7 +677,10 @@ TEST_F(StoreTest, FailedCommitLeavesTheInstanceStaleUntilReopened) {
   auto writer = Store::Open(dir_);
   ASSERT_TRUE(writer.ok());
   // An argument error touches no file and leaves the instance usable.
-  EXPECT_EQ(writer.value()->CommitEpoch("fp-1", {}).status().code(),
+  EXPECT_EQ(writer.value()
+                ->CommitEpoch("fp-1", std::vector<TableData>{})
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
   ASSERT_TRUE(writer.value()->CommitEpoch("fp-1", v1).ok());
 
