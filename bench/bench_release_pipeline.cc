@@ -14,12 +14,15 @@
 //                      edge_laplace | geometric — mechanism for the thread
 //                      sweep (default smooth_laplace)
 //   --max_threads=N    highest thread count in the sweep (default 8)
-//   --reps=N           timed repetitions per thread count, best-of (default 3)
-//                      Values below 1 of either flag count as 1, so the
-//                      bit-identity check always compares something.
+//   --reps=N           timed repetitions per thread count, best-of in the
+//                      sweep and median [min, max] in the phase table
+//                      (default 3). Values below 1 of either flag count as
+//                      1, so the bit-identity check always compares
+//                      something.
 //   --shard=N          cells per shard (default 1024)
 #include <chrono>
 #include <functional>
+#include <string>
 
 #include "bench_common.h"
 #include "release/pipeline.h"
@@ -36,6 +39,21 @@ size_t HashRows(const eep::release::ReleasedTable& table) {
     h = (h ^ '\n') * 0x100000001b3ULL;
   }
   return h;
+}
+
+// The median [min, max] of one phase's repetitions.
+struct Spread {
+  double median;
+  double min;
+  double max;
+};
+
+Spread SpreadOf(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  const size_t mid = ms.size() / 2;
+  const double median =
+      ms.size() % 2 == 1 ? ms[mid] : (ms[mid - 1] + ms[mid]) / 2.0;
+  return {median, ms.front(), ms.back()};
 }
 
 }  // namespace
@@ -142,43 +160,60 @@ int main(int argc, char** argv) {
   // group-by is the wall time of the scan plus deriving the marginal from
   // it (the compute stats' base + derive); noise and
   // formatting are CPU time summed across shard workers (at N threads their
-  // wall share is roughly 1/N).
-  std::printf("\n=== Release phase breakdown (ms) ===\n");
+  // wall share is roughly 1/N). One run is too noisy to show a few-ms
+  // change, so each thread count runs --reps times; every rep's table must
+  // hash like the sweep's 1-thread table.
+  std::printf("\n=== Release phase breakdown (ms, median [min, max] of %d) "
+              "===\n",
+              reps);
   TextTable phase_table(
       {"threads", "group-by", "noise", "format", "total wall"});
   for (int threads : {1, max_threads}) {
     config.num_threads = threads;
-    Rng rng(noise_seed);
-    release::WorkloadReleaseStats stats;
-    const auto start = std::chrono::steady_clock::now();
-    auto released = release::RunReleaseWorkload(data, config, nullptr, rng,
-                                                nullptr, &stats);
-    const double total_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    if (!released.ok()) {
-      std::fprintf(stderr, "release failed: %s\n",
-                   released.status().ToString().c_str());
-      return 1;
+    // Per phase, in column order: group-by, noise, format, total wall.
+    std::vector<std::vector<double>> phase_ms(4);
+    for (int rep = 0; rep < reps; ++rep) {
+      Rng rng(noise_seed);
+      release::WorkloadReleaseStats stats;
+      const auto start = std::chrono::steady_clock::now();
+      auto released = release::RunReleaseWorkload(data, config, nullptr, rng,
+                                                  nullptr, &stats);
+      const double total_ms = bench::MsSince(start);
+      if (!released.ok()) {
+        std::fprintf(stderr, "release failed: %s\n",
+                     released.status().ToString().c_str());
+        return 1;
+      }
+      if (HashRows(released.value()[0]) != base_hash) all_identical = false;
+      phase_ms[0].push_back(stats.compute.base_ms + stats.compute.derive_ms);
+      phase_ms[1].push_back(stats.noise_ms);
+      phase_ms[2].push_back(stats.format_ms);
+      phase_ms[3].push_back(total_ms);
     }
-    const double group_by_ms =
-        stats.compute.base_ms + stats.compute.derive_ms;
-    phase_table.AddRow({std::to_string(threads),
-                        FormatDouble(group_by_ms, 2),
-                        FormatDouble(stats.noise_ms, 2),
-                        FormatDouble(stats.format_ms, 2),
-                        FormatDouble(total_ms, 2)});
+    std::vector<std::string> cells = {std::to_string(threads)};
     bench::BenchJson entry;
     entry["threads"] = bench::BenchJson::Num(threads);
-    entry["group_by_ms"] = bench::BenchJson::Num(group_by_ms);
-    entry["noise_ms"] = bench::BenchJson::Num(stats.noise_ms);
-    entry["format_ms"] = bench::BenchJson::Num(stats.format_ms);
-    entry["total_wall_ms"] = bench::BenchJson::Num(total_ms);
+    const char* const keys[] = {"group_by_ms", "noise_ms", "format_ms",
+                                "total_wall_ms"};
+    for (size_t p = 0; p < phase_ms.size(); ++p) {
+      const Spread spread = SpreadOf(phase_ms[p]);
+      cells.push_back(FormatDouble(spread.median, 3) + " [" +
+                      FormatDouble(spread.min, 3) + ", " +
+                      FormatDouble(spread.max, 3) + "]");
+      const std::string key = keys[p];
+      entry[key] = bench::BenchJson::Num(spread.median);
+      entry[key + "_min"] = bench::BenchJson::Num(spread.min);
+      entry[key + "_max"] = bench::BenchJson::Num(spread.max);
+    }
+    phase_table.AddRow(cells);
     json["phases"].Append(std::move(entry));
     if (threads == max_threads) break;  // dedupe when max_threads == 1
   }
   phase_table.Print(std::cout);
+  if (!all_identical) {
+    std::printf("a phase-table rep's table DIFFERS from the 1-thread sweep "
+                "(BUG!)\n");
+  }
 
   // --- Scalar vs batch sampling throughput, per mechanism. ----------------
   // Times the mechanism layer in isolation over the same cells the sweep

@@ -1,9 +1,10 @@
 // Serving-layer bench: answers-per-second out of the epoch-pinned
-// snapshot index, scaling over 1..8 reader threads, plus the cost of the
-// things the serving layer does off the hot path — loading an epoch into
-// a Snapshot and swapping it in under reader load. Every measured lookup
-// is validated against the released tables (nonzero exit on mismatch:
-// the bit-identity contract is part of the measurement).
+// snapshot index, scaling over 1..8 reader threads, the cost of one lookup
+// in random order through the map form Service::Lookup calls, plus the
+// cost of the things the serving layer does off the hot path — loading an
+// epoch into a Snapshot and swapping it in under reader load. Every
+// measured lookup is validated against the released tables (nonzero exit
+// on mismatch: the bit-identity contract is part of the measurement).
 //
 // Extra flags on top of bench_common's:
 //   --reps=N     timed repetitions per measurement, best-of (default 5)
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <thread>
 
@@ -49,6 +51,38 @@ uint64_t LookupSlice(const eep::serve::Snapshot& snap,
     }
   }
   return mismatches;
+}
+
+// One released cell as Service::Lookup receives it: the table's name and
+// one value per attribute column, by column name.
+struct CellRequest {
+  std::string table;
+  std::map<std::string, std::string> values;
+  const std::string* want;  // the released count
+};
+
+// Every released cell once, in a seeded random order, so consecutive
+// lookups touch unrelated tables, labels and keys.
+std::vector<CellRequest> ShuffledRequests(
+    const std::vector<eep::release::ReleasedTable>& released,
+    uint64_t seed) {
+  std::vector<CellRequest> requests;
+  for (const auto& table : released) {
+    for (const auto& row : table.rows) {
+      CellRequest request{table.name, {}, &row.back()};
+      for (size_t c = 0; c + 1 < table.header.size(); ++c) {
+        request.values[table.header[c]] = row[c];
+      }
+      requests.push_back(std::move(request));
+    }
+  }
+  eep::Rng rng(seed);
+  for (size_t i = requests.size(); i > 1; --i) {
+    std::swap(requests[i - 1],
+              requests[static_cast<size_t>(
+                  rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
+  }
+  return requests;
 }
 
 }  // namespace
@@ -180,6 +214,32 @@ int main(int argc, char** argv) {
     entry["identical"] = bench::BenchJson::Bool(round_identical);
   }
 
+  // --- Random order through the map form: what a request pays. ----------
+  // Find + LookupCell on one pinned snapshot, as Service::Lookup runs
+  // them, over every released cell in a seeded shuffle.
+  const std::vector<CellRequest> requests =
+      ShuffledRequests(released_by_epoch[0], setup.generator.seed ^ 0x10C4u);
+  double random_ms = 0.0;
+  {
+    std::shared_ptr<const serve::Snapshot> snap = server->snapshot();
+    for (int rep = 0; rep < reps; ++rep) {
+      uint64_t mismatches = 0;
+      const auto start = std::chrono::steady_clock::now();
+      for (const CellRequest& request : requests) {
+        auto table = snap->Find(request.table);
+        auto got = table.ok() ? table.value()->LookupCell(request.values)
+                              : Result<std::string>(table.status());
+        if (!got.ok() || got.value() != *request.want) ++mismatches;
+      }
+      const double ms = bench::MsSince(start);
+      if (rep == 0 || ms < random_ms) random_ms = ms;
+      if (mismatches != 0) identical = false;
+    }
+  }
+  const double random_lookup_ns =
+      requests.empty() ? 0.0
+                       : random_ms * 1e6 / static_cast<double>(requests.size());
+
   // --- Swap under load: commits race pinned readers; measure how long ----
   // --- a committed epoch takes to start serving.                      ----
   constexpr int kLoadReaders = 4;
@@ -240,6 +300,9 @@ int main(int argc, char** argv) {
   TextTable table({"measurement", "best ms", "note"});
   table.AddRow({"snapshot load (Server::Open)", FormatDouble(load_ms, 2),
                 "decode + index one epoch"});
+  table.AddRow({"random-order LookupCell", FormatDouble(random_ms, 2),
+                std::to_string(std::llround(random_lookup_ns)) +
+                    " ns per lookup"});
   table.AddRow({"commit -> serving (under load)",
                 FormatDouble(swap_visible_ms, 2),
                 std::to_string(kLoadReaders) + " readers pinned"});
@@ -258,6 +321,7 @@ int main(int argc, char** argv) {
   json["snapshot_load_ms"] = bench::BenchJson::Num(load_ms);
   json["one_reader_ms"] = bench::BenchJson::Num(one_thread_ms);
   json["sweep"] = sweep;
+  json["random_lookup_ns"] = bench::BenchJson::Num(random_lookup_ns);
   json["epochs_served"] = bench::BenchJson::Num(epochs);
   json["swap_visible_ms"] = bench::BenchJson::Num(swap_visible_ms);
   json["load_phase_lookups"] =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <utility>
 
@@ -22,6 +23,20 @@ bool ParseCount(const std::string& s, double* value) {
 /// Bits needed to store codes 0..v.
 uint32_t BitWidth(uint64_t v) {
   return v == 0 ? 0 : static_cast<uint32_t>(64 - __builtin_clzll(v));
+}
+
+/// The hash slots of a column's dictionary (ServedTable::Column::slots):
+/// at least twice as many as labels, so a probe meets an empty slot.
+std::vector<uint32_t> HashLabels(const std::vector<std::string>& labels) {
+  size_t size = 1;
+  while (size < 2 * labels.size()) size <<= 1;
+  std::vector<uint32_t> slots(size, 0);
+  for (size_t code = 0; code < labels.size(); ++code) {
+    size_t s = std::hash<std::string>{}(labels[code]) & (size - 1);
+    while (slots[s] != 0) s = (s + 1) & (size - 1);
+    slots[s] = static_cast<uint32_t>(code + 1);
+  }
+  return slots;
 }
 
 Status NoSuchCell(const std::string& table,
@@ -81,6 +96,7 @@ Result<ServedTable> ServedTable::FromCoded(store::CodedTable coded) {
       keys[r] = (keys[r] << column.bits) | coded_column.codes[r];
     }
     column.labels = std::move(coded_column.dict);
+    column.slots = HashLabels(column.labels);
   }
   if (total_bits > 64) {
     return Status::InvalidArgument(
@@ -107,6 +123,27 @@ Result<ServedTable> ServedTable::FromCoded(store::CodedTable coded) {
     table.keys_[pos] = sorted[pos].first;
     table.value_codes_[pos] = value.codes[sorted[pos].second];
   }
+
+  // Buckets over the keys' top b bits, b = min(key bits, ceil(log2 n)):
+  // about one key per bucket when the keys spread. b is at least 1 when
+  // the key has any bits, so the shift stays below 64.
+  const uint32_t b = std::min(
+      total_bits, std::max<uint32_t>(1, BitWidth(n == 0 ? 0 : n - 1)));
+  table.bucket_shift_ = total_bits - b;
+  table.buckets_.assign((size_t{1} << b) + 1, 0);
+  for (const uint64_t key : table.keys_) {
+    ++table.buckets_[(key >> table.bucket_shift_) + 1];
+  }
+  std::partial_sum(table.buckets_.begin(), table.buckets_.end(),
+                   table.buckets_.begin());
+
+  // LookupCell's request map iterates in column-name order.
+  table.by_name_.resize(attrs);
+  std::iota(table.by_name_.begin(), table.by_name_.end(), 0u);
+  std::sort(table.by_name_.begin(), table.by_name_.end(),
+            [&coded](uint32_t a, uint32_t b) {
+              return coded.header[a] < coded.header[b];
+            });
 
   // Rank: count descending, ties by attribute tuple ascending. Value
   // codes whose numbers are equal ("2", "2.0000") share a bucket; filling
@@ -135,6 +172,36 @@ Result<ServedTable> ServedTable::FromCoded(store::CodedTable coded) {
   table.name_ = std::move(coded.name);
   table.header_ = std::move(coded.header);
   return table;
+}
+
+uint32_t ServedTable::Column::CodeOf(const std::string& label) const {
+  const size_t mask = slots.size() - 1;
+  for (size_t s = std::hash<std::string>{}(label) & mask;; s = (s + 1) & mask) {
+    const uint32_t slot = slots[s];
+    if (slot == 0) return kNoCode;
+    if (labels[slot - 1] == label) return slot - 1;
+  }
+}
+
+template <typename LabelOf>
+size_t ServedTable::FindRow(const uint32_t* order, LabelOf label_of) const {
+  uint64_t packed = 0;
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    const size_t c = order == nullptr ? i : order[i];
+    const std::string* label = label_of(c);
+    if (label == nullptr) return keys_.size();
+    const uint32_t code = columns_[c].CodeOf(*label);
+    if (code == kNoCode) return keys_.size();
+    packed |= static_cast<uint64_t>(code) << columns_[c].shift;
+  }
+  const size_t bucket = static_cast<size_t>(packed >> bucket_shift_);
+  const auto first = keys_.begin() + buckets_[bucket];
+  const auto last = keys_.begin() + buckets_[bucket + 1];
+  // Equal keys sit in stored order, so the first match is the first
+  // stored row of a repeated tuple.
+  const auto it = std::lower_bound(first, last, packed);
+  if (it == last || *it != packed) return keys_.size();
+  return static_cast<size_t>(it - keys_.begin());
 }
 
 std::vector<std::string> ServedTable::Unpack(uint64_t key) const {
@@ -169,16 +236,9 @@ Result<std::string> ServedTable::Lookup(
         "lookup key has " + std::to_string(key.size()) + " values, table '" +
         name_ + "' has " + std::to_string(attrs) + " attribute columns");
   }
-  uint64_t packed = 0;
-  for (size_t c = 0; c < attrs; ++c) {
-    const std::vector<std::string>& labels = columns_[c].labels;
-    const auto it = std::lower_bound(labels.begin(), labels.end(), key[c]);
-    if (it == labels.end() || *it != key[c]) return NoSuchCell(name_, key);
-    packed |= static_cast<uint64_t>(it - labels.begin()) << columns_[c].shift;
-  }
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), packed);
-  if (it == keys_.end() || *it != packed) return NoSuchCell(name_, key);
-  return values_[value_codes_[static_cast<size_t>(it - keys_.begin())]];
+  const size_t pos = FindRow(nullptr, [&key](size_t c) { return &key[c]; });
+  if (pos == keys_.size()) return NoSuchCell(name_, key);
+  return values_[value_codes_[pos]];
 }
 
 Result<std::string> ServedTable::LookupCell(
@@ -189,6 +249,16 @@ Result<std::string> ServedTable::LookupCell(
         "expected exactly one value per attribute column of table '" +
         name_ + "'");
   }
+  auto entry = values.begin();
+  const size_t pos =
+      FindRow(by_name_.data(), [&](size_t c) -> const std::string* {
+        const auto& [column, label] = *entry++;
+        return column == header_[c] ? &label : nullptr;
+      });
+  if (pos < keys_.size()) return values_[value_codes_[pos]];
+
+  // A misnamed column or a miss: rebuild the key in header order to name
+  // the first missing column, or the absent cell.
   std::vector<std::string> key;
   key.reserve(attrs);
   for (size_t c = 0; c < attrs; ++c) {

@@ -17,10 +17,14 @@
 //   labels    per attribute column, its distinct labels sorted in byte
 //             order; a label's code is its rank, so comparing codes
 //             compares the strings;
+//   slots     per attribute column, an open-addressing hash table from
+//             label to code, so a label resolves in O(1) expected;
 //   keys      each row's codes packed into one uint64 (first column in the
-//             most significant bits), rows stored in ascending key order —
-//             the packed keys ARE the lookup index: a marginal cell lookup
-//             is one binary search per label plus one over the keys;
+//             most significant bits), rows stored in ascending key order;
+//   buckets   2^b + 1 row offsets over the keys' top b bits, b = min(key
+//             bits, ceil(log2 rows)): a packed key is searched only among
+//             the keys sharing its top bits, O(1) expected on spread keys
+//             and never worse than one binary search over all of them;
 //   values    the value column's dictionary (the released counts'
 //             verbatim texts) and one code into it per row, in key order;
 //   by_rank   positions by released count descending, ties by attribute
@@ -84,14 +88,17 @@ class ServedTable {
   std::vector<std::vector<std::string>> Rows() const;
 
   /// Point lookup by attribute tuple (one value per attribute column, in
-  /// header order): O(log) per label, then O(log n) over the packed keys.
+  /// header order): one hash probe per label, then a search of the packed
+  /// key's bucket.
   /// Returns the released count verbatim (the first stored row's, when
   /// the tuple repeats); NotFound when the combination is not in the
   /// released domain.
   Result<std::string> Lookup(const std::vector<std::string>& key) const;
 
   /// Map-form lookup mirroring lodes::MarginalQuery::FindCell: requires
-  /// exactly one value per attribute column, by column name.
+  /// exactly one value per attribute column, by column name. Walks the map
+  /// (ordered by name) beside the attribute columns in name order, with
+  /// no per-request copy and no search by name.
   Result<std::string> LookupCell(
       const std::map<std::string, std::string>& values) const;
 
@@ -104,9 +111,17 @@ class ServedTable {
   /// One attribute column's dictionary and its field in the packed key.
   struct Column {
     std::vector<std::string> labels;  // distinct labels, byte order
-    uint32_t shift = 0;               // field offset within the key
-    uint32_t bits = 0;                // field width; 0 for a single label
+    // Open addressing, linear probing, at most half full: code + 1 per
+    // occupied slot, 0 for an empty one; a power-of-two size.
+    std::vector<uint32_t> slots;
+    uint32_t shift = 0;  // field offset within the key
+    uint32_t bits = 0;   // field width; 0 for a single label
+
+    /// The code of `label`, or kNoCode when it is not in the dictionary.
+    uint32_t CodeOf(const std::string& label) const;
   };
+
+  static constexpr uint32_t kNoCode = UINT32_MAX;
 
   friend class Snapshot;
 
@@ -119,10 +134,22 @@ class ServedTable {
   /// The attribute values packed into `key`, in header order.
   std::vector<std::string> Unpack(uint64_t key) const;
 
+  /// The one resolve path behind Lookup and LookupCell: the position of
+  /// the first stored row whose tuple has, for each attribute column c,
+  /// the label `label_of(c)`, or num_rows() when a label is not in its
+  /// column's dictionary or no row holds the tuple. Columns are visited in
+  /// header order, or in `order` when it is not null; a null label stops
+  /// the walk as a miss.
+  template <typename LabelOf>
+  size_t FindRow(const uint32_t* order, LabelOf label_of) const;
+
   std::string name_;
   std::vector<std::string> header_;
   std::vector<Column> columns_;         // one per attribute column
+  std::vector<uint32_t> by_name_;       // attribute columns, name order
   std::vector<uint64_t> keys_;          // ascending; row position = index
+  std::vector<uint32_t> buckets_;       // 2^b + 1 offsets into keys_
+  uint32_t bucket_shift_ = 0;           // key >> shift = its bucket
   std::vector<std::string> values_;     // value dictionary, verbatim texts
   std::vector<uint32_t> value_codes_;   // into values_, by row position
   std::vector<uint32_t> by_rank_;       // row positions, rank order

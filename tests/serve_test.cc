@@ -186,6 +186,144 @@ void ExpectMatchesBruteForce(const store::TableData& data) {
   ExpectAnswersMatchBruteForce(built.value(), data);
 }
 
+// Each attribute column's distinct labels in byte order (a served column's
+// dictionary).
+std::vector<std::vector<std::string>> Dictionaries(
+    const store::TableData& data) {
+  std::vector<std::vector<std::string>> dicts(data.header.size() - 1);
+  for (size_t c = 0; c < dicts.size(); ++c) {
+    for (const auto& row : data.rows) dicts[c].push_back(row[c]);
+    std::sort(dicts[c].begin(), dicts[c].end());
+    dicts[c].erase(std::unique(dicts[c].begin(), dicts[c].end()),
+                   dicts[c].end());
+  }
+  return dicts;
+}
+
+// Probes whose every label is in its column's dictionary: each stored
+// tuple, and each stored tuple with one column's label moved to its
+// dictionary neighbour on either side. In packed-key order these sit just
+// before and after every stored key, so they include the keys next to the
+// first and last key of every run of keys sharing their top bits; moving
+// a leading column's label lands in key ranges that may hold no row.
+std::vector<std::vector<std::string>> NeighbourProbes(
+    const store::TableData& data) {
+  const std::vector<std::vector<std::string>> dicts = Dictionaries(data);
+  std::vector<std::vector<std::string>> probes;
+  for (const auto& row : data.rows) {
+    probes.push_back(Attrs(row));
+    for (size_t c = 0; c < dicts.size(); ++c) {
+      const size_t at = static_cast<size_t>(
+          std::lower_bound(dicts[c].begin(), dicts[c].end(), row[c]) -
+          dicts[c].begin());
+      // at - 1 wraps past the end when `at` is the first label.
+      for (const size_t neighbour : {at - 1, at + 1}) {
+        if (neighbour >= dicts[c].size()) continue;
+        std::vector<std::string> probe = Attrs(row);
+        probe[c] = dicts[c][neighbour];
+        probes.push_back(std::move(probe));
+      }
+    }
+  }
+  return probes;
+}
+
+// Every probe answers like a map of the stored rows in which the first
+// stored row of a repeated tuple wins, through both Lookup and LookupCell;
+// an absent tuple is NotFound with the message naming it.
+void ExpectProbesMatchTupleMap(
+    const ServedTable& table, const store::TableData& data,
+    const std::vector<std::vector<std::string>>& probes) {
+  SCOPED_TRACE(data.name);
+  std::map<std::vector<std::string>, std::string> first;
+  for (const auto& row : data.rows) first.emplace(Attrs(row), row.back());
+  size_t hits = 0;
+  for (const std::vector<std::string>& key : probes) {
+    std::map<std::string, std::string> cell;
+    for (size_t c = 0; c < key.size(); ++c) cell[data.header[c]] = key[c];
+    const auto want = first.find(key);
+    const Result<std::string> got = table.Lookup(key);
+    const Result<std::string> got_cell = table.LookupCell(cell);
+    if (want == first.end()) {
+      std::string label_list;
+      for (size_t c = 0; c < key.size(); ++c) {
+        label_list += (c > 0 ? "," : "") + key[c];
+      }
+      const std::string message =
+          "table '" + data.name + "' has no cell [" + label_list + "]";
+      for (const Result<std::string>* miss : {&got, &got_cell}) {
+        EXPECT_EQ(miss->status().code(), StatusCode::kNotFound) << message;
+        EXPECT_EQ(miss->status().message(), message);
+      }
+      continue;
+    }
+    ++hits;
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(got_cell.ok()) << got_cell.status().ToString();
+    EXPECT_EQ(got.value(), want->second);
+    EXPECT_EQ(got_cell.value(), want->second);
+  }
+  EXPECT_GE(hits, first.size());
+}
+
+// Every tuple of the columns' dictionaries' cross product, which covers
+// every absent tuple whose labels all exist.
+std::vector<std::vector<std::string>> CrossProduct(
+    const store::TableData& data) {
+  std::vector<std::vector<std::string>> probes = {{}};
+  for (const std::vector<std::string>& dict : Dictionaries(data)) {
+    std::vector<std::vector<std::string>> longer;
+    for (const auto& prefix : probes) {
+      for (const std::string& label : dict) {
+        longer.push_back(prefix);
+        longer.back().push_back(label);
+      }
+    }
+    probes = std::move(longer);
+  }
+  return probes;
+}
+
+// Eight attribute columns of `labels` labels each: 256 labels fill the
+// 64-bit key exactly.
+store::TableData WideTable(int labels) {
+  store::TableData wide;
+  wide.name = "wide-" + std::to_string(labels);
+  for (int c = 0; c < 8; ++c) wide.header.push_back("c" + std::to_string(c));
+  wide.header.push_back("count");
+  for (int r = 0; r < labels; ++r) {
+    std::vector<std::string> row;
+    for (int c = 0; c < 8; ++c) {
+      row.push_back("v" + std::to_string((r * (c + 1)) % labels));
+    }
+    row.push_back(std::to_string(r % 17));
+    wide.rows.push_back(std::move(row));
+  }
+  return wide;
+}
+
+// A table in which one first-column label holds most rows: rows r % 8 != 0
+// share place "big" and sector "hot" and differ only in `id`, so their
+// keys agree on every bit above the id field. With the rows' 13 id bits
+// below 11 place bits and 11 sector bits, thousands of keys share their
+// top 13 bits.
+store::TableData SkewedTable() {
+  store::TableData data;
+  data.name = "skewed";
+  data.header = {"place", "sector", "id", "count"};
+  char id[16];
+  char label[16];
+  for (int r = 0; r < 8192; ++r) {
+    std::snprintf(id, sizeof(id), "id-%05d", r);
+    std::snprintf(label, sizeof(label), "%05d", r);
+    const bool big = r % 8 != 0;
+    data.rows.push_back({big ? "big" : std::string("p") + label,
+                         big ? "hot" : std::string("s") + label, id,
+                         std::to_string(r % 97)});
+  }
+  return data;
+}
+
 // Counts that tie numerically under different texts, stored out of tuple
 // order: ranking must bucket them by number (ties by tuple), and every
 // row must still answer its own text.
@@ -216,25 +354,77 @@ TEST_F(ServeTest, LookupMatchesLinearScanOnEveryRow) {
 
   // Code widths: 8 columns of 256 labels fill the 64-bit key exactly;
   // 257 labels need 72 bits and the build refuses.
-  for (const int labels : {256, 257}) {
-    store::TableData wide;
-    wide.name = "wide-" + std::to_string(labels);
-    for (int c = 0; c < 8; ++c) wide.header.push_back("c" + std::to_string(c));
-    wide.header.push_back("count");
-    for (int r = 0; r < labels; ++r) {
-      std::vector<std::string> row;
-      for (int c = 0; c < 8; ++c) {
-        row.push_back("v" + std::to_string((r * (c + 1)) % labels));
-      }
-      row.push_back(std::to_string(r % 17));
-      wide.rows.push_back(std::move(row));
-    }
-    if (labels == 256) {
-      ExpectMatchesBruteForce(wide);
-    } else {
-      EXPECT_EQ(ServedTable::Build(wide).status().code(),
-                StatusCode::kInvalidArgument);
-    }
+  ExpectMatchesBruteForce(WideTable(256));
+  EXPECT_EQ(ServedTable::Build(WideTable(257)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(ServeTest, IndexEdgeCasesAnswerLikeATupleMap) {
+  // One first-column label holds 7/8 of 8192 rows.
+  const store::TableData skewed = SkewedTable();
+  auto skewed_table = ServedTable::Build(skewed);
+  ASSERT_TRUE(skewed_table.ok()) << skewed_table.status().ToString();
+  std::vector<std::vector<std::string>> probes = NeighbourProbes(skewed);
+  // Absent tuples of existing labels away from every stored key: a small
+  // place with the big rows' sector, and the big place with a small
+  // row's sector.
+  for (const auto& row : skewed.rows) {
+    if (row[0] == "big") continue;
+    probes.push_back({row[0], "hot", row[2]});
+    probes.push_back({"big", row[1], row[2]});
+  }
+  ExpectProbesMatchTupleMap(skewed_table.value(), skewed, probes);
+
+  // The 64-bit key: the top bits are the first column's whole field.
+  const store::TableData wide = WideTable(256);
+  auto wide_table = ServedTable::Build(wide);
+  ASSERT_TRUE(wide_table.ok()) << wide_table.status().ToString();
+  ExpectProbesMatchTupleMap(wide_table.value(), wide, NeighbourProbes(wide));
+
+  // 0, 1 and 2 rows; a repeated tuple; a one-label (0-bit) column; and
+  // column names whose order is not header order, so a map-form lookup
+  // walks the columns in another order than the key packs them.
+  std::vector<store::TableData> tiny(6);
+  for (store::TableData& data : tiny) {
+    data.header = {"place", "sector", "count"};
+  }
+  tiny[0].name = "rows-0";
+  tiny[1].name = "rows-1";
+  tiny[1].rows = {{"a", "x", "5"}};
+  tiny[2].name = "rows-2";
+  tiny[2].rows = {{"b", "y", "2"}, {"a", "x", "1"}};
+  tiny[3].name = "rows-2-repeated";
+  tiny[3].rows = {{"a", "x", "1"}, {"a", "x", "2"}};
+  tiny[4].name = "rows-2-one-place";
+  tiny[4].rows = {{"a", "y", "2"}, {"a", "x", "1"}};
+  tiny[5].name = "names-out-of-header-order";
+  tiny[5].header = {"sector", "place", "age", "count"};
+  for (int r = 0; r < 40; ++r) {
+    tiny[5].rows.push_back({"s" + std::to_string(r % 5),
+                            "p" + std::to_string(r % 3),
+                            "a" + std::to_string(r % 4),
+                            std::to_string(r)});
+  }
+  for (const store::TableData& data : tiny) {
+    auto table = ServedTable::Build(data);
+    ASSERT_TRUE(table.ok()) << data.name << ": " << table.status().ToString();
+    ExpectAnswersMatchBruteForce(table.value(), data);
+    probes = CrossProduct(data);
+    probes.push_back(std::vector<std::string>(data.header.size() - 1, "a"));
+    ExpectProbesMatchTupleMap(table.value(), data, probes);
+  }
+
+  // Seeded random tables: every tuple of the dictionaries where that is
+  // small, neighbour probes otherwise.
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    const store::TableData data = RandomTable(seed, 1 + seed % 8);
+    auto table = ServedTable::Build(data);
+    ASSERT_TRUE(table.ok()) << data.name << ": " << table.status().ToString();
+    size_t tuples = 1;
+    for (const auto& dict : Dictionaries(data)) tuples *= dict.size();
+    ExpectProbesMatchTupleMap(
+        table.value(), data,
+        tuples <= 20000 ? CrossProduct(data) : NeighbourProbes(data));
   }
 }
 
@@ -254,6 +444,44 @@ TEST_F(ServeTest, LookupCellRequiresExactlyTheAttributeColumns) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+
+  // The right number of entries with one misnamed column, sorting before,
+  // between or after the real names: the message names the first
+  // attribute column, in header order, that the request lacks.
+  const std::vector<std::pair<std::map<std::string, std::string>,
+                              std::string>>
+      misnamed = {
+          {{{"place", "place-1"}, {"bogus", "s1"}},
+           "no value for attribute column 'sector' of table 't'"},
+          {{{"aaa", "place-1"}, {"sector", "s1"}},
+           "no value for attribute column 'place' of table 't'"},
+          {{{"place", "place-1"}, {"zzz", "s1"}},
+           "no value for attribute column 'sector' of table 't'"},
+          {{{"plaza", "place-1"}, {"sector", "s1"}},
+           "no value for attribute column 'place' of table 't'"},
+          {{{"place", "place-1"}, {"sector", "s1"}, {"zone", "z"}},
+           "expected exactly one value per attribute column of table 't'"},
+      };
+  for (const auto& [values, message] : misnamed) {
+    const Status status = table.value().LookupCell(values).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << message;
+    EXPECT_EQ(status.message(), message);
+  }
+
+  // A label absent from its column's dictionary, in either column.
+  for (const auto& [place, sector] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"nowhere", "s1"}, {"place-1", "s9"}, {"place-1", ""}}) {
+    const std::string message =
+        "table 't' has no cell [" + place + "," + sector + "]";
+    for (const Status& status :
+         {table.value().LookupCell({{"place", place}, {"sector", sector}})
+              .status(),
+          table.value().Lookup({place, sector}).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kNotFound) << message;
+      EXPECT_EQ(status.message(), message);
+    }
+  }
 }
 
 TEST_F(ServeTest, NumericTiesUnderDifferentTextsRankByTuple) {
