@@ -60,7 +60,7 @@ class EqualSplitSmoothGamma : public mechanisms::CountMechanism {
 int main(int argc, char** argv) {
   using namespace eep;
   const Flags flags = Flags::Parse(argc, argv);
-  const bench::BenchSetup setup = bench::SetupFromFlags(flags);
+  bench::BenchSetup setup = bench::SetupFromFlags(flags);
   lodes::LodesDataset data = bench::MustGenerate(setup);
 
   std::printf("=== Ablations: design choices ===\n");

@@ -40,6 +40,8 @@ namespace eep::bench {
 struct BenchSetup {
   lodes::GeneratorConfig generator;
   eval::ExperimentConfig experiment;
+  /// Wall time of the extract's Generate() call, set by MustGenerate.
+  double build_ms = 0.0;
 };
 
 /// Milliseconds elapsed since `start` — the timing helper every bench
@@ -235,8 +237,12 @@ inline BenchSetup SetupFromFlags(const Flags& flags) {
   return setup;
 }
 
-inline lodes::LodesDataset MustGenerate(const BenchSetup& setup) {
+/// Generates the extract and records how long that took in
+/// setup.build_ms; exits 1 if generation fails.
+inline lodes::LodesDataset MustGenerate(BenchSetup& setup) {
+  const auto start = std::chrono::steady_clock::now();
   auto data = lodes::SyntheticLodesGenerator(setup.generator).Generate();
+  setup.build_ms = MsSince(start);
   if (!data.ok()) {
     std::cerr << "dataset generation failed: " << data.status().ToString()
               << "\n";
@@ -261,10 +267,11 @@ T ValueOrExit(Result<T> result, const char* what) {
 inline void PrintDatasetSummary(const lodes::LodesDataset& data,
                                 const BenchSetup& setup) {
   std::printf(
-      "dataset: %lld jobs, %lld establishments, %zu places, %d trials\n\n",
+      "dataset: %lld jobs, %lld establishments, %zu places, %d trials "
+      "(built in %.1f ms)\n\n",
       static_cast<long long>(data.num_jobs()),
       static_cast<long long>(data.num_establishments()),
-      data.places().size(), setup.experiment.trials);
+      data.places().size(), setup.experiment.trials, setup.build_ms);
 }
 
 inline void FillJsonHeader(BenchJson& json, const std::string& bench_name,
@@ -278,6 +285,7 @@ inline void FillJsonHeader(BenchJson& json, const std::string& bench_name,
   dataset["places"] = BenchJson::Num(static_cast<double>(data.places().size()));
   dataset["seed"] =
       BenchJson::Num(static_cast<double>(setup.generator.seed));
+  dataset["build_ms"] = BenchJson::Num(setup.build_ms);
 }
 
 /// Renders a figure sweep as one table per mechanism: rows = alpha, columns

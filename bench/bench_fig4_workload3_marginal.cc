@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace eep;
   const Flags flags = Flags::Parse(argc, argv);
-  const bench::BenchSetup setup = bench::SetupFromFlags(flags);
+  bench::BenchSetup setup = bench::SetupFromFlags(flags);
   lodes::LodesDataset data = bench::MustGenerate(setup);
 
   std::printf(

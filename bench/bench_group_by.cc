@@ -54,7 +54,7 @@ const char* PathName(ScanPath path) {
 int main(int argc, char** argv) {
   using namespace eep;
   const Flags flags = Flags::Parse(argc, argv);
-  const bench::BenchSetup setup = bench::SetupFromFlags(flags);
+  bench::BenchSetup setup = bench::SetupFromFlags(flags);
   lodes::LodesDataset data = bench::MustGenerate(setup);
 
   const std::string marginal = flags.GetString("marginal", "establishment");

@@ -61,7 +61,7 @@ Spread SpreadOf(std::vector<double> ms) {
 int main(int argc, char** argv) {
   using namespace eep;
   const Flags flags = Flags::Parse(argc, argv);
-  const bench::BenchSetup setup = bench::SetupFromFlags(flags);
+  bench::BenchSetup setup = bench::SetupFromFlags(flags);
   lodes::LodesDataset data = bench::MustGenerate(setup);
 
   release::WorkloadReleaseConfig config;

@@ -53,7 +53,7 @@ size_t HashTables(const std::vector<eep::release::ReleasedTable>& tables) {
 int main(int argc, char** argv) {
   using namespace eep;
   const Flags flags = Flags::Parse(argc, argv);
-  const bench::BenchSetup setup = bench::SetupFromFlags(flags);
+  bench::BenchSetup setup = bench::SetupFromFlags(flags);
   lodes::LodesDataset data = bench::MustGenerate(setup);
 
   const std::string workload_name = flags.GetString("workload", "paper");

@@ -13,6 +13,12 @@
 //                                    edge_laplace|geometric)
 //       --alpha=0.1 --epsilon=1.0 --delta=0.05 --budget=20
 //       --jobs=50000 --threads=1 --out=/tmp/protected.csv
+//
+// --budget sets the epsilon budget; the delta budget is fixed at 0.9.
+// Under the weak adversary model (any marginal with worker attributes) a
+// marginal is charged its worker-domain size times --delta, so a
+// full_demographics marginal (768 worker cells, charged 768 x delta)
+// needs --delta below 0.9/768 ~ 0.00117, or a pure-epsilon mechanism.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>

@@ -1,7 +1,6 @@
 #include "lodes/dataset.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "table/group_by.h"
 #include "table/rollup.h"
@@ -32,6 +31,11 @@ Result<std::vector<uint64_t>> DistinctWorkplaceKeys(
   return keys;
 }
 
+Status SecondJob(int64_t worker) {
+  return Status::InvalidArgument("worker " + std::to_string(worker) +
+                                 " holds more than one job");
+}
+
 }  // namespace
 
 Result<LodesDataset> LodesDataset::Create(AttributeDomains domains,
@@ -49,17 +53,12 @@ Result<LodesDataset> LodesDataset::Create(AttributeDomains domains,
   EEP_ASSIGN_OR_RETURN(const table::Column* jw,
                        jobs.ColumnByName(kColWorkerId));
   EEP_ASSIGN_OR_RETURN(const std::vector<int64_t>* job_workers, jw->AsInt64());
-  std::unordered_set<int64_t> seen;
-  seen.reserve(job_workers->size());
-  for (int64_t w : *job_workers) {
-    if (!seen.insert(w).second) {
-      return Status::InvalidArgument("worker " + std::to_string(w) +
-                                     " holds more than one job");
-    }
-  }
+  EEP_RETURN_NOT_OK(table::KeyIndex::Build(*job_workers, SecondJob).status());
 
   // Job ⋈ Worker ⋈ Workplace. HashJoin is an inner join with unique right
-  // keys, so a row-count drop means a dangling foreign key.
+  // keys, so a row-count drop means a dangling foreign key. Every job
+  // matches, so WorkerFull shares the jobs' columns; when the workers are
+  // stored in job order, it shares theirs too.
   EEP_ASSIGN_OR_RETURN(
       table::Table with_worker,
       table::Table::HashJoin(jobs, kColWorkerId, workers, kColWorkerId));

@@ -20,11 +20,14 @@ namespace eep::lodes {
 /// public place metadata, and the released workplace domain.
 class LodesDataset {
  public:
-  /// Builds the dataset and materializes WorkerFull via hash joins
-  /// (Job ⋈ Worker on worker_id, then ⋈ Workplace on estab_id), then
-  /// groups the Workplace table once for the released workplace domain.
-  /// Fails if any job references a missing worker or workplace, or if a
-  /// worker holds more than one job (the paper's assumption).
+  /// Groups the Workplace table once for the released workplace domain,
+  /// then builds WorkerFull with Table::HashJoin (Job ⋈ Worker on
+  /// worker_id, then ⋈ Workplace on estab_id). WorkerFull keeps the job
+  /// order and shares the Job columns' values; it also shares the Worker
+  /// columns' values when workers are stored in job order, and copies
+  /// only the gathered Workplace columns. Fails if a worker holds more
+  /// than one job (the paper's assumption), or if any job references a
+  /// missing worker or workplace.
   static Result<LodesDataset> Create(AttributeDomains domains,
                                      table::Table workers,
                                      table::Table workplaces,

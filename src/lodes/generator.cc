@@ -215,7 +215,10 @@ Result<LodesDataset> SyntheticLodesGenerator::Generate() const {
 
   std::vector<int64_t> w_ids, j_worker, j_estab;
   std::vector<uint32_t> w_sex, w_age, w_race, w_eth, w_edu;
-  w_ids.reserve(total_jobs);
+  for (auto* ids : {&w_ids, &j_worker, &j_estab}) ids->reserve(total_jobs);
+  for (auto* codes : {&w_sex, &w_age, &w_race, &w_eth, &w_edu}) {
+    codes->reserve(total_jobs);
+  }
   const std::vector<double> race_weights = RaceWeights();
   int64_t next_worker_id = 1;
   for (const Estab& e : estabs) {

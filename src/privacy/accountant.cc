@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "common/text_table.h"
+
 namespace eep::privacy {
 
 Result<PrivacyAccountant> PrivacyAccountant::Create(double alpha,
@@ -34,7 +36,10 @@ Status PrivacyAccountant::Charge(const std::string& description,
         std::to_string(epsilon_budget_));
   }
   if (spent_delta_ + delta > delta_budget_ + kSlack) {
-    return Status::ResourceExhausted("delta budget exhausted");
+    return Status::ResourceExhausted(
+        "delta budget exhausted: the charge costs " + FormatDouble(delta, 6) +
+        " with " + FormatDouble(delta_budget_ - spent_delta_, 6) +
+        " remaining");
   }
   spent_epsilon_ += epsilon;
   spent_delta_ += delta;
@@ -97,7 +102,10 @@ Status PrivacyAccountant::ChargeMarginalWorkload(
   }
   if (spent_delta_ + delta_sum > delta_budget_ + kSlack) {
     return Status::ResourceExhausted(
-        "delta budget exhausted by the workload; nothing was charged");
+        "delta budget exhausted: the workload costs " +
+        FormatDouble(delta_sum, 6) + " with " +
+        FormatDouble(delta_budget_ - spent_delta_, 6) +
+        " remaining; nothing was charged");
   }
   for (const MarginalCharge& m : marginals) {
     const auto [total_epsilon, total_delta] =

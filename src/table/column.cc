@@ -1,12 +1,20 @@
 #include "table/column.h"
 
 namespace eep::table {
+namespace {
+
+template <typename T>
+std::shared_ptr<const std::vector<T>> Share(std::vector<T> values) {
+  return std::make_shared<const std::vector<T>>(std::move(values));
+}
+
+}  // namespace
 
 Column Column::OfInt64(std::vector<int64_t> values) {
-  return Column(Storage(std::move(values)));
+  return Column(Storage(Share(std::move(values))));
 }
 Column Column::OfCategory(std::vector<uint32_t> codes) {
-  return Column(Storage(std::move(codes)));
+  return Column(Storage(Share(std::move(codes))));
 }
 
 DataType Column::type() const {
@@ -14,35 +22,35 @@ DataType Column::type() const {
 }
 
 size_t Column::size() const {
-  return std::visit([](const auto& v) { return v.size(); }, values_);
+  return std::visit([](const auto& v) { return v->size(); }, values_);
 }
 
 Result<const std::vector<int64_t>*> Column::AsInt64() const {
-  if (auto* v = std::get_if<std::vector<int64_t>>(&values_)) return v;
+  if (auto* v = std::get_if<Int64Values>(&values_)) return v->get();
   return Status::InvalidArgument("column is not int64");
 }
 
 Column Column::FilterCopy(const std::vector<bool>& mask) const {
   return std::visit(
-      [&mask](const auto& values) {
-        using Vec = std::decay_t<decltype(values)>;
-        Vec out;
+      [&mask](const auto& shared) {
+        const auto& values = *shared;
+        std::decay_t<decltype(values)> out;
         for (size_t i = 0; i < values.size(); ++i) {
           if (mask[i]) out.push_back(values[i]);
         }
-        return Column(Storage(std::move(out)));
+        return Column(Storage(Share(std::move(out))));
       },
       values_);
 }
 
 Column Column::TakeCopy(const std::vector<uint32_t>& indices) const {
   return std::visit(
-      [&indices](const auto& values) {
-        using Vec = std::decay_t<decltype(values)>;
-        Vec out;
+      [&indices](const auto& shared) {
+        const auto& values = *shared;
+        std::decay_t<decltype(values)> out;
         out.reserve(indices.size());
         for (uint32_t idx : indices) out.push_back(values[idx]);
-        return Column(Storage(std::move(out)));
+        return Column(Storage(Share(std::move(out))));
       },
       values_);
 }

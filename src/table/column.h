@@ -3,6 +3,7 @@
 #define EEP_TABLE_COLUMN_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -14,9 +15,11 @@ namespace eep::table {
 
 /// \brief One column of a Table: contiguous int64 values or category codes.
 ///
-/// A Column owns its values. Type mismatches between a Column and the
-/// accessor used on it are programming errors and abort in debug builds;
-/// the checked AsInt64 returns Status instead.
+/// A Column's values never change after construction, so copies of a
+/// Column (and of a Table) share one immutable vector instead of copying
+/// it; the values live as long as any copy does. Type mismatches between
+/// a Column and the accessor used on it are programming errors and abort
+/// in debug builds; the checked AsInt64 returns Status instead.
 class Column {
  public:
   static Column OfInt64(std::vector<int64_t> values);
@@ -28,10 +31,10 @@ class Column {
   /// Unchecked typed views (UB on type mismatch; use in hot loops after
   /// validating the schema once).
   const std::vector<int64_t>& int64s() const {
-    return std::get<std::vector<int64_t>>(values_);
+    return *std::get<Int64Values>(values_);
   }
   const std::vector<uint32_t>& codes() const {
-    return std::get<std::vector<uint32_t>>(values_);
+    return *std::get<CategoryCodes>(values_);
   }
 
   /// Checked int64 view (id columns: join keys, establishment ids).
@@ -46,7 +49,9 @@ class Column {
   Column TakeCopy(const std::vector<uint32_t>& indices) const;
 
  private:
-  using Storage = std::variant<std::vector<int64_t>, std::vector<uint32_t>>;
+  using Int64Values = std::shared_ptr<const std::vector<int64_t>>;
+  using CategoryCodes = std::shared_ptr<const std::vector<uint32_t>>;
+  using Storage = std::variant<Int64Values, CategoryCodes>;
   explicit Column(Storage values) : values_(std::move(values)) {}
   Storage values_;
 };

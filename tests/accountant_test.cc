@@ -50,9 +50,31 @@ TEST(AccountantTest, DeltaBudgetEnforced) {
   auto acct = PrivacyAccountant::Create(0.1, 10.0, 0.05,
                                         AdversaryModel::kInformed)
                   .value();
-  EXPECT_EQ(acct.ChargeSequential("q", 1.0, 0.06).code(),
-            StatusCode::kResourceExhausted);
+  const Status refused = acct.ChargeSequential("q", 1.0, 0.06);
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(refused.message(),
+            "delta budget exhausted: the charge costs 0.06 with 0.05 "
+            "remaining");
   EXPECT_TRUE(acct.ChargeSequential("q", 1.0, 0.05).ok());
+}
+
+TEST(AccountantTest, WeakModelDeltaRefusalNamesCostAndRemaining) {
+  // A full_demographics marginal has 768 worker cells, so the weak model
+  // charges 768 x delta against the whole delta budget.
+  auto acct =
+      PrivacyAccountant::Create(0.1, 100000.0, 0.9, AdversaryModel::kWeak)
+          .value();
+  const Status refused =
+      acct.ChargeMarginalWorkload({{"full_demographics", 1.0, 768, 0.05}});
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(refused.message(),
+            "delta budget exhausted: the workload costs 38.4 with 0.9 "
+            "remaining; nothing was charged");
+  EXPECT_TRUE(acct.ledger().empty());
+  EXPECT_TRUE(
+      acct.ChargeMarginalWorkload({{"full_demographics", 1.0, 768, 0.001}})
+          .ok());
+  EXPECT_DOUBLE_EQ(acct.spent_delta(), 0.768);
 }
 
 TEST(AccountantTest, StrongModelMarginalParallelComposes) {

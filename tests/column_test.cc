@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "table/table.h"
+
 namespace eep::table {
 namespace {
 
@@ -52,6 +56,21 @@ TEST(ColumnTest, EmptyColumn) {
   EXPECT_EQ(c.size(), 0u);
   EXPECT_EQ(c.FilterCopy({}).size(), 0u);
   EXPECT_EQ(c.TakeCopy({}).size(), 0u);
+}
+
+TEST(ColumnTest, CopySharesValuesAndOutlivesItsTable) {
+  std::optional<Column> copy;
+  {
+    const Table table =
+        Table::Create(Schema::Create({{"v", DataType::kInt64, nullptr}})
+                          .value(),
+                      {Column::OfInt64({4, 5, 6})})
+            .value();
+    copy = table.column(0);
+    EXPECT_EQ(copy->int64s().data(), table.column(0).int64s().data());
+  }
+  // Under AddressSanitizer a view of freed values fails here.
+  EXPECT_EQ(copy->int64s(), (std::vector<int64_t>{4, 5, 6}));
 }
 
 }  // namespace

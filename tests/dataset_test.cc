@@ -20,37 +20,56 @@ struct Fixture {
   table::Table jobs;
 };
 
-Fixture MakeFixture(bool dangling_worker = false, bool dangling_estab = false,
-                    bool duplicate_job = false) {
+struct FixtureOptions {
+  bool dangling_worker = false;
+  bool dangling_estab = false;
+  bool duplicate_job = false;
+  /// Store the Worker rows last to first (the join gathers them).
+  bool reverse_workers = false;
+  /// Multiplies every worker and establishment id (sparse join keys).
+  int64_t id_scale = 1;
+};
+
+Fixture MakeFixture(const FixtureOptions& options) {
   auto domains =
       AttributeDomains::Create({{"small_town", 80}, {"big_city", 500000}})
           .value();
   using table::Column;
 
   // Workers: 4 workers; attributes (sex, age, race, eth, edu).
-  auto workers =
-      table::Table::Create(
-          domains.WorkerSchema().value(),
-          {Column::OfInt64({1, 2, 3, 4}), Column::OfCategory({0, 1, 1, 0}),
-           Column::OfCategory({3, 3, 4, 5}), Column::OfCategory({0, 0, 1, 0}),
-           Column::OfCategory({0, 1, 0, 0}),
-           Column::OfCategory({1, 3, 3, 0})})
-          .value();
+  std::vector<std::vector<uint32_t>> attrs = {
+      {0, 1, 1, 0}, {3, 3, 4, 5}, {0, 0, 1, 0}, {0, 1, 0, 0}, {1, 3, 3, 0}};
+  std::vector<int64_t> worker_ids = {1, 2, 3, 4};
+  if (options.reverse_workers) {
+    std::reverse(worker_ids.begin(), worker_ids.end());
+    for (auto& codes : attrs) std::reverse(codes.begin(), codes.end());
+  }
+  for (int64_t& id : worker_ids) id *= options.id_scale;
+  std::vector<Column> worker_columns = {Column::OfInt64(worker_ids)};
+  for (auto& codes : attrs) {
+    worker_columns.push_back(Column::OfCategory(std::move(codes)));
+  }
+  auto workers = table::Table::Create(domains.WorkerSchema().value(),
+                                      std::move(worker_columns))
+                     .value();
 
   // Workplaces: estab 100 (sector 0, private, small_town),
   //             estab 200 (sector 15, state-local, big_city).
   auto workplaces =
       table::Table::Create(
           domains.WorkplaceSchema().value(),
-          {Column::OfInt64({100, 200}), Column::OfCategory({0, 15}),
-           Column::OfCategory({0, 1}), Column::OfCategory({0, 1})})
+          {Column::OfInt64({100 * options.id_scale, 200 * options.id_scale}),
+           Column::OfCategory({0, 15}), Column::OfCategory({0, 1}),
+           Column::OfCategory({0, 1})})
           .value();
 
   std::vector<int64_t> job_workers = {1, 2, 3, 4};
   std::vector<int64_t> job_estabs = {100, 100, 200, 200};
-  if (dangling_worker) job_workers[0] = 999;
-  if (dangling_estab) job_estabs[0] = 999;
-  if (duplicate_job) job_workers[1] = 1;
+  if (options.dangling_worker) job_workers[0] = 999;
+  if (options.dangling_estab) job_estabs[0] = 999;
+  if (options.duplicate_job) job_workers[1] = 1;
+  for (int64_t& id : job_workers) id *= options.id_scale;
+  for (int64_t& id : job_estabs) id *= options.id_scale;
   auto jobs = table::Table::Create(domains.JobSchema().value(),
                                    {Column::OfInt64(std::move(job_workers)),
                                     Column::OfInt64(std::move(job_estabs))})
@@ -61,7 +80,7 @@ Fixture MakeFixture(bool dangling_worker = false, bool dangling_estab = false,
 }
 
 TEST(LodesDatasetTest, CreateJoinsWorkerFull) {
-  Fixture f = MakeFixture();
+  Fixture f = MakeFixture({});
   auto data = LodesDataset::Create(f.domains, f.workers, f.workplaces,
                                    f.jobs)
                   .value();
@@ -82,26 +101,76 @@ TEST(LodesDatasetTest, CreateJoinsWorkerFull) {
   }
 }
 
+Status CreateStatus(const FixtureOptions& options) {
+  Fixture f = MakeFixture(options);
+  return LodesDataset::Create(f.domains, f.workers, f.workplaces, f.jobs)
+      .status();
+}
+
 TEST(LodesDatasetTest, RejectsDanglingWorker) {
-  Fixture f = MakeFixture(/*dangling_worker=*/true);
-  EXPECT_FALSE(
-      LodesDataset::Create(f.domains, f.workers, f.workplaces, f.jobs).ok());
+  FixtureOptions options;
+  options.dangling_worker = true;
+  const Status st = CreateStatus(options);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "job references missing worker");
 }
 
 TEST(LodesDatasetTest, RejectsDanglingWorkplace) {
-  Fixture f = MakeFixture(false, /*dangling_estab=*/true);
-  EXPECT_FALSE(
-      LodesDataset::Create(f.domains, f.workers, f.workplaces, f.jobs).ok());
+  FixtureOptions options;
+  options.dangling_estab = true;
+  const Status st = CreateStatus(options);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "job references missing workplace");
 }
 
 TEST(LodesDatasetTest, RejectsMultipleJobsPerWorker) {
-  Fixture f = MakeFixture(false, false, /*duplicate_job=*/true);
-  EXPECT_FALSE(
-      LodesDataset::Create(f.domains, f.workers, f.workplaces, f.jobs).ok());
+  FixtureOptions options;
+  options.duplicate_job = true;
+  const Status st = CreateStatus(options);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "worker 1 holds more than one job");
+}
+
+// Workers stored out of job order make the join gather them, and ids far
+// apart send both joins through the hash map; WorkerFull must not change
+// beyond the scaled ids.
+TEST(LodesDatasetTest, WorkerFullIgnoresWorkerOrderAndIdSpacing) {
+  Fixture ordered = MakeFixture({});
+  const table::Table expected =
+      LodesDataset::Create(ordered.domains, ordered.workers,
+                           ordered.workplaces, ordered.jobs)
+          .value()
+          .worker_full();
+  FixtureOptions reversed;
+  reversed.reverse_workers = true;
+  FixtureOptions sparse;
+  sparse.id_scale = 1'000'003;
+  for (const FixtureOptions& options : {reversed, sparse}) {
+    SCOPED_TRACE(options.id_scale);
+    Fixture f = MakeFixture(options);
+    auto data = LodesDataset::Create(f.domains, f.workers, f.workplaces,
+                                     f.jobs);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    const table::Table& full = data.value().worker_full();
+    ASSERT_EQ(full.num_columns(), expected.num_columns());
+    ASSERT_EQ(full.num_rows(), expected.num_rows());
+    for (size_t c = 0; c < expected.num_columns(); ++c) {
+      const table::Field& field = expected.schema().field(c);
+      EXPECT_EQ(full.schema().field(c).name, field.name);
+      if (field.type == table::DataType::kCategory) {
+        EXPECT_EQ(full.column(c).codes(), expected.column(c).codes())
+            << field.name;
+        continue;
+      }
+      std::vector<int64_t> ids = expected.column(c).int64s();
+      for (int64_t& id : ids) id *= options.id_scale;
+      EXPECT_EQ(full.column(c).int64s(), ids) << field.name;
+    }
+  }
 }
 
 TEST(LodesDatasetTest, PlacePopulationLookup) {
-  Fixture f = MakeFixture();
+  Fixture f = MakeFixture({});
   auto data =
       LodesDataset::Create(f.domains, f.workers, f.workplaces, f.jobs)
           .value();
@@ -111,7 +180,7 @@ TEST(LodesDatasetTest, PlacePopulationLookup) {
 }
 
 TEST(LodesDatasetTest, BuildGraphMatchesJobs) {
-  Fixture f = MakeFixture();
+  Fixture f = MakeFixture({});
   auto data =
       LodesDataset::Create(f.domains, f.workers, f.workplaces, f.jobs)
           .value();

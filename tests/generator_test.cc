@@ -9,6 +9,32 @@
 namespace eep::lodes {
 namespace {
 
+/// 64-bit FNV-1a over every column's name, type, length and values.
+uint64_t Fingerprint(const table::Table& table) {
+  uint64_t hash = 14695981039346656037ULL;
+  auto bytes = [&hash](const void* data, size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash = (hash ^ p[i]) * 1099511628211ULL;
+    }
+  };
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const table::Field& field = table.schema().field(c);
+    bytes(field.name.c_str(), field.name.size() + 1);
+    const auto type = static_cast<unsigned char>(field.type);
+    bytes(&type, 1);
+    const table::Column& column = table.column(c);
+    const uint64_t rows = column.size();
+    bytes(&rows, sizeof(rows));
+    if (field.type == table::DataType::kInt64) {
+      bytes(column.int64s().data(), rows * sizeof(int64_t));
+    } else {
+      bytes(column.codes().data(), rows * sizeof(uint32_t));
+    }
+  }
+  return hash;
+}
+
 GeneratorConfig SmallConfig() {
   GeneratorConfig config;
   config.seed = 99;
@@ -101,6 +127,53 @@ TEST_F(GeneratorTest, DeterministicAcrossRuns) {
   const auto& b = again.worker_full().ColumnByName(kColSex).value()->codes();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); i += 997) EXPECT_EQ(a[i], b[i]);
+}
+
+struct ExtractPin {
+  int64_t target_jobs;
+  int32_t num_places;
+  uint64_t workers, workplaces, jobs, worker_full;
+};
+
+// Fingerprints of the seed-42 extract, computed with joins that copied
+// every column: any change to a generated or joined value moves one.
+TEST(GeneratorPinTest, ExtractMatchesPinnedFingerprints) {
+  const ExtractPin pins[] = {
+      {20000, 20, 0x1ed1c318eac6bfceULL, 0x5bd17684f1b816acULL,
+       0xa2702b9733781c9dULL, 0x772220d0a8d5d785ULL},
+      {400000, 160, 0x2a0415f499db7936ULL, 0x3174e7fb301dbec8ULL,
+       0x5a57a3b602f0c483ULL, 0x67c2bbafe665ee73ULL},
+  };
+  for (const ExtractPin& pin : pins) {
+    SCOPED_TRACE(pin.target_jobs);
+    GeneratorConfig config;
+    config.seed = 42;
+    config.target_jobs = pin.target_jobs;
+    config.num_places = pin.num_places;
+    const LodesDataset data =
+        SyntheticLodesGenerator(config).Generate().value();
+    EXPECT_EQ(Fingerprint(data.workers()), pin.workers);
+    EXPECT_EQ(Fingerprint(data.workplaces()), pin.workplaces);
+    EXPECT_EQ(Fingerprint(data.jobs()), pin.jobs);
+    EXPECT_EQ(Fingerprint(data.worker_full()), pin.worker_full);
+  }
+}
+
+TEST_F(GeneratorTest, WorkerFullSharesJobAndWorkerColumns) {
+  const table::Table& full = data_->worker_full();
+  auto storage = [](const table::Table& table, const char* name) {
+    const table::Column& column = *table.ColumnByName(name).value();
+    return column.type() == table::DataType::kInt64
+               ? static_cast<const void*>(column.int64s().data())
+               : static_cast<const void*>(column.codes().data());
+  };
+  for (const char* col : {kColWorkerId, kColEstabId}) {
+    EXPECT_EQ(storage(full, col), storage(data_->jobs(), col)) << col;
+  }
+  for (const char* col :
+       {kColSex, kColAge, kColRace, kColEthnicity, kColEducation}) {
+    EXPECT_EQ(storage(full, col), storage(data_->workers(), col)) << col;
+  }
 }
 
 TEST_F(GeneratorTest, DifferentSeedsDiffer) {
