@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,10 @@ struct BenchSetup {
   eval::ExperimentConfig experiment;
   /// Wall time of the extract's Generate() call, set by MustGenerate.
   double build_ms = 0.0;
+  /// The process's resident set (VmRSS) right after Generate(), in MiB,
+  /// set by MustGenerate: the extract's footprint plus what the process
+  /// held before it (NaN where /proc/self/status cannot be read).
+  double rss_mib = 0.0;
 };
 
 /// Milliseconds elapsed since `start` — the timing helper every bench
@@ -237,12 +242,27 @@ inline BenchSetup SetupFromFlags(const Flags& flags) {
   return setup;
 }
 
+/// The process's current resident set (VmRSS) in MiB, or NaN where
+/// /proc/self/status cannot be read.
+inline double ResidentMib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // in KiB
+    }
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
 /// Generates the extract and records how long that took in
-/// setup.build_ms; exits 1 if generation fails.
+/// setup.build_ms and the resident set after it in setup.rss_mib; exits 1
+/// if generation fails.
 inline lodes::LodesDataset MustGenerate(BenchSetup& setup) {
   const auto start = std::chrono::steady_clock::now();
   auto data = lodes::SyntheticLodesGenerator(setup.generator).Generate();
   setup.build_ms = MsSince(start);
+  setup.rss_mib = ResidentMib();
   if (!data.ok()) {
     std::cerr << "dataset generation failed: " << data.status().ToString()
               << "\n";
@@ -268,10 +288,11 @@ inline void PrintDatasetSummary(const lodes::LodesDataset& data,
                                 const BenchSetup& setup) {
   std::printf(
       "dataset: %lld jobs, %lld establishments, %zu places, %d trials "
-      "(built in %.1f ms)\n\n",
+      "(built in %.1f ms, %.1f MiB resident)\n\n",
       static_cast<long long>(data.num_jobs()),
       static_cast<long long>(data.num_establishments()),
-      data.places().size(), setup.experiment.trials, setup.build_ms);
+      data.places().size(), setup.experiment.trials, setup.build_ms,
+      setup.rss_mib);
 }
 
 inline void FillJsonHeader(BenchJson& json, const std::string& bench_name,
@@ -286,6 +307,7 @@ inline void FillJsonHeader(BenchJson& json, const std::string& bench_name,
   dataset["seed"] =
       BenchJson::Num(static_cast<double>(setup.generator.seed));
   dataset["build_ms"] = BenchJson::Num(setup.build_ms);
+  dataset["rss_mib"] = BenchJson::Num(setup.rss_mib);
 }
 
 /// Renders a figure sweep as one table per mechanism: rows = alpha, columns

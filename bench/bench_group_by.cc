@@ -2,11 +2,11 @@
 // GroupCountByEstablishment over a marginal's group columns across a
 // worker-thread sweep, printing which scan path (dense or radix, see
 // table/partitioned_group_by.h) each thread count took, then times the
-// radix path on its own (MaterializeGroupKeys + AggregateByKeyAndEstab, one
-// thread). Exits nonzero unless every thread count AND the radix path
-// reproduce the 1-thread scan bit for bit; on the generator's
-// establishment-ordered extract the 1-thread scan takes the dense path, so
-// this gates the dense path against the radix path.
+// radix path on its own (AggregateByKeyAndEstab, one thread). Exits
+// nonzero unless every thread count AND the radix path reproduce the
+// 1-thread scan bit for bit; on the generator's establishment-ordered
+// extract the 1-thread scan takes the dense path, so this gates the dense
+// path against the radix path.
 //
 // Extra flags on top of bench_common's (including --paper for the 10.9M
 // extract):
@@ -137,42 +137,29 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  // The radix path on one thread, whatever path the scan took: key
-  // materialization, then partition + sort + run-length aggregation. Its
-  // cells must equal the scan's.
+  // The radix path on one thread, whatever path the scan took: chunked
+  // key packing with run compression, then partition + sort + run-length
+  // aggregation. Its cells must equal the scan's.
   auto codec = table::GroupKeyCodec::Create(jobs.schema(), columns).value();
-  double mat_ms = 0.0;
-  double agg_ms = 0.0;
+  double radix_ms = 0.0;
   bool radix_identical = true;
   for (int rep = 0; rep < reps; ++rep) {
-    const auto mat_start = std::chrono::steady_clock::now();
-    std::vector<uint64_t> keys = table::MaterializeGroupKeys(jobs, codec, 1);
-    const double rep_mat_ms = bench::MsSince(mat_start);
-    const auto agg_start = std::chrono::steady_clock::now();
-    auto cells = table::AggregateByKeyAndEstab(std::move(keys), *estab_ids,
-                                               domain, 1);
-    const double rep_agg_ms = bench::MsSince(agg_start);
-    if (rep == 0 || rep_mat_ms + rep_agg_ms < mat_ms + agg_ms) {
-      mat_ms = rep_mat_ms;
-      agg_ms = rep_agg_ms;
-    }
+    const auto start = std::chrono::steady_clock::now();
+    auto cells = table::AggregateByKeyAndEstab(jobs, codec, *estab_ids, 1);
+    const double ms = bench::MsSince(start);
+    if (rep == 0 || ms < radix_ms) radix_ms = ms;
     if (!SameCells(cells, reference.cells)) radix_identical = false;
   }
   std::printf(
-      "\nradix path, 1 thread: materialize keys %.2f ms + "
-      "partition+sort+aggregate %.2f ms = %.2f ms; %s the %s scan's %zu "
-      "cells\n",
-      mat_ms, agg_ms, mat_ms + agg_ms,
-      radix_identical ? "matches" : "DIFFERS FROM (BUG!)",
+      "\nradix path, 1 thread: %.2f ms; %s the %s scan's %zu cells\n",
+      radix_ms, radix_identical ? "matches" : "DIFFERS FROM (BUG!)",
       PathName(reference_path), reference.cells.size());
   std::printf("groupings %s across all configurations and both paths\n",
               all_identical && radix_identical ? "BIT-IDENTICAL"
                                                : "DIFFER (BUG!)");
   json["scan_1_thread_ms"] = bench::BenchJson::Num(engine_1t_ms);
   bench::BenchJson& json_radix = json["radix_1_thread"];
-  json_radix["materialize_ms"] = bench::BenchJson::Num(mat_ms);
-  json_radix["aggregate_ms"] = bench::BenchJson::Num(agg_ms);
-  json_radix["total_ms"] = bench::BenchJson::Num(mat_ms + agg_ms);
+  json_radix["total_ms"] = bench::BenchJson::Num(radix_ms);
   json_radix["identical"] = bench::BenchJson::Bool(radix_identical);
   json["bit_identical"] =
       bench::BenchJson::Bool(all_identical && radix_identical);

@@ -124,6 +124,10 @@ void Rng::FillTwoSidedGeometric(double p, int64_t* out, size_t n) {
 size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) total += w;
+  return Categorical(weights, total);
+}
+
+size_t Rng::Categorical(const std::vector<double>& weights, double total) {
   assert(total > 0.0);
   double target = Uniform() * total;
   for (size_t i = 0; i < weights.size(); ++i) {

@@ -91,6 +91,11 @@ class Rng {
   /// Weights must be non-negative with a positive sum.
   size_t Categorical(const std::vector<double>& weights);
 
+  /// Categorical(weights) for a caller that holds `total`, the weights
+  /// summed in index order from 0.0: the same draw returns the same index,
+  /// without re-summing fixed weights on every call.
+  size_t Categorical(const std::vector<double>& weights, double total);
+
   /// Fisher-Yates shuffle of [0, n) indices; returns the permutation.
   std::vector<uint32_t> Permutation(uint32_t n);
 

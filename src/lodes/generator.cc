@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/math_util.h"
 #include "table/table.h"
@@ -62,6 +65,18 @@ std::vector<double> RaceWeights() {
 // Education split conditional on not-BA+: {<HS, HS, SomeCollege} shares of
 // the remaining mass.
 constexpr double kNonCollegeSplit[3] = {0.18, 0.45, 0.37};
+
+/// Fixed category weights with their sum, formed once per Generate() so a
+/// draw only scans them: Draw returns what rng.Categorical(weights) would.
+struct Weights {
+  explicit Weights(std::vector<double> w) : weights(std::move(w)) {
+    for (double x : weights) total += x;
+  }
+  size_t Draw(Rng& rng) const { return rng.Categorical(weights, total); }
+
+  std::vector<double> weights;
+  double total = 0.0;
+};
 
 }  // namespace
 
@@ -123,14 +138,19 @@ Result<LodesDataset> SyntheticLodesGenerator::Generate() const {
   // Establishments land in places with probability ~ population^0.8:
   // big places are dense, small places sparse but not empty (sub-linear
   // exponent reflects that even hamlets host a gas station or co-op).
-  std::vector<double> place_weights;
-  place_weights.reserve(places.size());
+  std::vector<double> place_shares;
+  place_shares.reserve(places.size());
   for (const auto& p : places) {
-    place_weights.push_back(std::pow(static_cast<double>(p.population), 0.8));
+    place_shares.push_back(std::pow(static_cast<double>(p.population), 0.8));
   }
-
-  std::vector<double> sector_weights(std::begin(kSectorShare),
-                                     std::end(kSectorShare));
+  const Weights place_weights(std::move(place_shares));
+  const Weights sector_weights(
+      std::vector<double>(std::begin(kSectorShare), std::end(kSectorShare)));
+  std::vector<Weights> ownership_weights;
+  for (int sector = 0; sector < static_cast<int>(std::size(kSectorShare));
+       ++sector) {
+    ownership_weights.emplace_back(OwnershipWeights(sector));
+  }
 
   // --- Establishments: skewed sizes until target_jobs is reached. ---------
   struct Estab {
@@ -148,16 +168,16 @@ Result<LodesDataset> SyntheticLodesGenerator::Generate() const {
   while (total_jobs < config_.target_jobs) {
     Estab e;
     e.id = next_estab_id++;
-    e.naics = static_cast<uint32_t>(rng.Categorical(sector_weights));
+    e.naics = static_cast<uint32_t>(sector_weights.Draw(rng));
     e.ownership =
-        static_cast<uint32_t>(rng.Categorical(OwnershipWeights(e.naics)));
+        static_cast<uint32_t>(ownership_weights[e.naics].Draw(rng));
     // The first num_places establishments seed one employer per place so
     // every population stratum has released cells (as in the production
     // data, where every tabulated place has some employer).
     if (e.id <= config_.num_places) {
       e.place = static_cast<uint32_t>(e.id - 1);
     } else {
-      e.place = static_cast<uint32_t>(rng.Categorical(place_weights));
+      e.place = static_cast<uint32_t>(place_weights.Draw(rng));
     }
 
     if (rng.Bernoulli(config_.pareto_tail_prob)) {
@@ -213,25 +233,30 @@ Result<LodesDataset> SyntheticLodesGenerator::Generate() const {
                             table::Column::OfCategory(std::move(wp_own)),
                             table::Column::OfCategory(std::move(wp_place))}));
 
-  std::vector<int64_t> w_ids, j_worker, j_estab;
-  std::vector<uint32_t> w_sex, w_age, w_race, w_eth, w_edu;
-  for (auto* ids : {&w_ids, &j_worker, &j_estab}) ids->reserve(total_jobs);
+  // Worker k holds job k, so Workers and Jobs share one worker-id column;
+  // every worker attribute has at most 8 values and is built 1 byte wide.
+  std::vector<int64_t> w_ids, j_estab;
+  std::vector<uint8_t> w_sex, w_age, w_race, w_eth, w_edu;
+  for (auto* ids : {&w_ids, &j_estab}) ids->reserve(total_jobs);
   for (auto* codes : {&w_sex, &w_age, &w_race, &w_eth, &w_edu}) {
     codes->reserve(total_jobs);
   }
-  const std::vector<double> race_weights = RaceWeights();
+  const Weights age_weights[2] = {Weights(AgeWeights(false)),
+                                  Weights(AgeWeights(true))};
+  const Weights race_weights(RaceWeights());
+  const auto female = static_cast<uint8_t>(FemaleCode());
+  const auto college = static_cast<uint8_t>(CollegeCode());
   int64_t next_worker_id = 1;
   for (const Estab& e : estabs) {
-    const std::vector<double> age_weights = AgeWeights(kSectorYoung[e.naics]);
+    const Weights& estab_age_weights = age_weights[kSectorYoung[e.naics]];
     for (int64_t k = 0; k < e.size; ++k) {
-      const int64_t worker_id = next_worker_id++;
-      w_ids.push_back(worker_id);
-      w_sex.push_back(rng.Bernoulli(e.female_share) ? FemaleCode() : 0);
-      w_age.push_back(static_cast<uint32_t>(rng.Categorical(age_weights)));
-      w_race.push_back(static_cast<uint32_t>(rng.Categorical(race_weights)));
+      w_ids.push_back(next_worker_id++);
+      w_sex.push_back(rng.Bernoulli(e.female_share) ? female : 0);
+      w_age.push_back(static_cast<uint8_t>(estab_age_weights.Draw(rng)));
+      w_race.push_back(static_cast<uint8_t>(race_weights.Draw(rng)));
       w_eth.push_back(rng.Bernoulli(0.18) ? 1 : 0);
       if (rng.Bernoulli(e.college_share)) {
-        w_edu.push_back(CollegeCode());
+        w_edu.push_back(college);
       } else {
         const double u = rng.Uniform();
         if (u < kNonCollegeSplit[0]) {
@@ -242,14 +267,14 @@ Result<LodesDataset> SyntheticLodesGenerator::Generate() const {
           w_edu.push_back(2);  // SomeCollege
         }
       }
-      j_worker.push_back(worker_id);
       j_estab.push_back(e.id);
     }
   }
+  const table::Column worker_ids = table::Column::OfInt64(std::move(w_ids));
   EEP_ASSIGN_OR_RETURN(
       table::Table workers,
       table::Table::Create(worker_schema,
-                           {table::Column::OfInt64(std::move(w_ids)),
+                           {worker_ids,
                             table::Column::OfCategory(std::move(w_sex)),
                             table::Column::OfCategory(std::move(w_age)),
                             table::Column::OfCategory(std::move(w_race)),
@@ -258,7 +283,7 @@ Result<LodesDataset> SyntheticLodesGenerator::Generate() const {
   EEP_ASSIGN_OR_RETURN(
       table::Table jobs,
       table::Table::Create(job_schema,
-                           {table::Column::OfInt64(std::move(j_worker)),
+                           {worker_ids,
                             table::Column::OfInt64(std::move(j_estab))}));
 
   return LodesDataset::Create(std::move(domains), std::move(workers),

@@ -1,5 +1,6 @@
 #include "lodes/io.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/csv.h"
@@ -10,9 +11,14 @@ namespace {
 
 Result<int64_t> ParseInt(const std::string& text) {
   char* end = nullptr;
+  errno = 0;
   const int64_t v = std::strtoll(text.c_str(), &end, 10);
   if (end == nullptr || *end != '\0' || text.empty()) {
     return Status::InvalidArgument("not an integer: '" + text + "'");
+  }
+  // strtoll saturates out-of-range text at the int64 limits.
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("integer outside int64: '" + text + "'");
   }
   return v;
 }
@@ -33,9 +39,11 @@ Status WriteTableCsv(const table::Table& t, const std::string& path) {
         }
         break;
       case table::DataType::kCategory:
-        for (size_t r = 0; r < t.num_rows(); ++r) {
-          rows[r].push_back(field.dictionary->value(col.codes()[r]));
-        }
+        col.VisitCodes([&](const auto& codes) {
+          for (size_t r = 0; r < t.num_rows(); ++r) {
+            rows[r].push_back(field.dictionary->value(codes[r]));
+          }
+        });
         break;
     }
   }

@@ -1,5 +1,8 @@
 #include "table/column.h"
 
+#include <algorithm>
+#include <limits>
+
 namespace eep::table {
 namespace {
 
@@ -10,11 +13,39 @@ std::shared_ptr<const std::vector<T>> Share(std::vector<T> values) {
 
 }  // namespace
 
+template <typename Code>
+Column Column::Narrowest(std::vector<Code> codes) {
+  const Code largest =
+      codes.empty() ? 0 : *std::max_element(codes.begin(), codes.end());
+  if constexpr (sizeof(Code) > 1) {
+    if (largest <= std::numeric_limits<uint8_t>::max()) {
+      return Column(
+          Storage(Share(std::vector<uint8_t>(codes.begin(), codes.end()))));
+    }
+  }
+  if constexpr (sizeof(Code) > 2) {
+    if (largest <= std::numeric_limits<uint16_t>::max()) {
+      return Column(
+          Storage(Share(std::vector<uint16_t>(codes.begin(), codes.end()))));
+    }
+  }
+  return Column(Storage(Share(std::move(codes))));
+}
+
 Column Column::OfInt64(std::vector<int64_t> values) {
   return Column(Storage(Share(std::move(values))));
 }
+Column Column::OfCategory(std::vector<uint8_t> codes) {
+  return Narrowest(std::move(codes));
+}
+Column Column::OfCategory(std::vector<uint16_t> codes) {
+  return Narrowest(std::move(codes));
+}
 Column Column::OfCategory(std::vector<uint32_t> codes) {
-  return Column(Storage(Share(std::move(codes))));
+  return Narrowest(std::move(codes));
+}
+Column Column::OfCategory(std::initializer_list<uint32_t> codes) {
+  return Narrowest(std::vector<uint32_t>(codes));
 }
 
 DataType Column::type() const {
@@ -23,6 +54,16 @@ DataType Column::type() const {
 
 size_t Column::size() const {
   return std::visit([](const auto& v) { return v->size(); }, values_);
+}
+
+uint32_t Column::code(size_t row) const {
+  return VisitCodes([row](const auto& codes) -> uint32_t {
+    return codes[row];
+  });
+}
+
+size_t Column::code_width() const {
+  return VisitCodes([](const auto& codes) { return sizeof(codes[0]); });
 }
 
 Result<const std::vector<int64_t>*> Column::AsInt64() const {

@@ -108,9 +108,8 @@ Result<GroupedCounts> GroupCountByEstablishment(
     result.cells = GroupEstabOrdered(table, result.codec, *estab_ids,
                                      options.num_threads);
   } else {
-    result.cells = AggregateByKeyAndEstab(
-        MaterializeGroupKeys(table, result.codec, options.num_threads),
-        *estab_ids, domain, options.num_threads);
+    result.cells = AggregateByKeyAndEstab(table, result.codec, *estab_ids,
+                                          options.num_threads);
   }
   return result;
 }

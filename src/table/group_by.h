@@ -48,8 +48,8 @@ class GroupKeyCodec {
 /// \brief Execution options for the group-by entry points.
 struct GroupByOptions {
   /// Worker threads for either scan path (partitioned_group_by.h): row
-  /// blocks of the dense path, or key materialization, partitioning and
-  /// per-partition sorting of the radix path; <= 0 means
+  /// blocks of the dense path, or key packing with run compression,
+  /// partitioning and per-partition sorting of the radix path; <= 0 means
   /// std::thread::hardware_concurrency(). The count also enters the
   /// dense path's gate (one domain-sized table per worker), so a sweep may
   /// cross paths; the result is bit-identical for every thread count and

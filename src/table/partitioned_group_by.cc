@@ -35,30 +35,39 @@ void RunWorkers(int threads, Fn&& fn) {
 
 int BitWidth(uint64_t v) { return v == 0 ? 0 : 64 - __builtin_clzll(v); }
 
-/// Code arrays of `codec`'s group columns in `table`, in key order.
-std::vector<const uint32_t*> GroupColumnCodes(const Table& table,
-                                              const GroupKeyCodec& codec) {
-  std::vector<const uint32_t*> columns;
+/// The group columns of `codec` in `table`, in key order.
+std::vector<const Column*> GroupColumns(const Table& table,
+                                        const GroupKeyCodec& codec) {
+  std::vector<const Column*> columns;
   columns.reserve(codec.column_indices().size());
   for (size_t idx : codec.column_indices()) {
-    columns.push_back(table.column(idx).codes().data());
+    columns.push_back(&table.column(idx));
   }
   return columns;
 }
 
+// Rows whose keys a scan packs at a time: the chunk's keys stay in L1
+// between packing and use, so no n-sized key vector is written.
+constexpr size_t kChunkRows = 1024;
+
 /// keys[j] = packed key of row first + j, for j in [0, m): one contiguous
-/// multiply-add sweep per group column, no per-row gather. Key must hold
-/// every key of the codec's domain.
+/// multiply-add sweep per group column over its codes at their stored
+/// width (one width dispatch per column per call, none per row). Key must
+/// hold every key of the codec's domain.
 template <typename Key>
-void PackKeys(const std::vector<const uint32_t*>& columns,
+void PackKeys(const std::vector<const Column*>& columns,
               const std::vector<uint32_t>& radices, size_t first, size_t m,
               Key* keys) {
-  const uint32_t* c0 = columns[0] + first;
-  for (size_t j = 0; j < m; ++j) keys[j] = c0[j];
+  columns[0]->VisitCodes([&](const auto& codes) {
+    const auto* c0 = codes.data() + first;
+    for (size_t j = 0; j < m; ++j) keys[j] = c0[j];
+  });
   for (size_t c = 1; c < columns.size(); ++c) {
     const Key radix = radices[c];
-    const uint32_t* cc = columns[c] + first;
-    for (size_t j = 0; j < m; ++j) keys[j] = keys[j] * radix + cc[j];
+    columns[c]->VisitCodes([&](const auto& codes) {
+      const auto* cc = codes.data() + first;
+      for (size_t j = 0; j < m; ++j) keys[j] = keys[j] * radix + cc[j];
+    });
   }
 }
 
@@ -263,62 +272,54 @@ void RadixSortWithWeights(uint64_t* vals, int64_t* weights, size_t n,
   }
 }
 
-std::vector<uint64_t> MaterializeGroupKeys(const Table& table,
-                                           const GroupKeyCodec& codec,
-                                           int num_threads) {
-  const size_t n = table.num_rows();
-  std::vector<uint64_t> keys(n);
-  if (n == 0) return keys;
-  const std::vector<const uint32_t*> columns = GroupColumnCodes(table, codec);
-  const int threads = ResolveGroupByThreads(num_threads);
-  const size_t block =
-      (n + static_cast<size_t>(threads) - 1) / static_cast<size_t>(threads);
-  // Worker w writes keys[begin, end) only, its contiguous row block;
-  // blocks partition [0, n).
-  RunWorkers(threads, [&](int w) {
-    const size_t begin = static_cast<size_t>(w) * block;
-    const size_t end = std::min(n, begin + block);
-    if (begin < end) {
-      PackKeys(columns, codec.radices(), begin, end - begin,
-               keys.data() + begin);
-    }
-  });
-  return keys;
-}
-
 std::vector<GroupedCell> AggregateByKeyAndEstab(
-    std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
-    uint64_t domain_size, int num_threads) {
-  assert(estab_ids.size() == keys.size());
-  assert(domain_size > 0);
-  const size_t n = keys.size();
+    const Table& table, const GroupKeyCodec& codec,
+    const std::vector<int64_t>& estab_ids, int num_threads) {
+  assert(estab_ids.size() == table.num_rows());
+  const uint64_t domain_size = codec.DomainSize();
+  const size_t n = table.num_rows();
   if (n == 0) return {};
   const PartitionPlan plan = PlanFor(n, domain_size, num_threads);
   const size_t P = plan.num_partitions;
+  const std::vector<const Column*> columns = GroupColumns(table, codec);
 
-  // Phase 1: per-block run compression + partition histogram + estab range.
+  // Phase 1: per-block run compression + partition histogram + estab
+  // range. Keys are packed a chunk at a time; a run may span chunks.
   std::vector<CompressedBlock> blocks(static_cast<size_t>(plan.threads));
   RunWorkers(plan.threads, [&](int w) {
     const size_t begin = static_cast<size_t>(w) * plan.block_size;
     const size_t end = std::min(n, begin + plan.block_size);
     CompressedBlock& block = blocks[static_cast<size_t>(w)];
     block.hist.assign(P, 0);
-    size_t i = begin;
-    while (i < end) {
-      const uint64_t key = keys[i];
-      const int64_t estab = estab_ids[i];
-      size_t j = i + 1;
-      while (j < end && keys[j] == key && estab_ids[j] == estab) ++j;
-      block.keys.push_back(key);
-      block.estabs.push_back(estab);
-      block.weights.push_back(static_cast<int64_t>(j - i));
-      ++block.hist[key >> plan.shift];
-      block.min_estab = std::min(block.min_estab, estab);
-      block.max_estab = std::max(block.max_estab, estab);
-      i = j;
+    uint64_t run_key = 0;
+    int64_t run_estab = 0;
+    int64_t run_rows = 0;
+    auto close_run = [&] {
+      block.keys.push_back(run_key);
+      block.estabs.push_back(run_estab);
+      block.weights.push_back(run_rows);
+      ++block.hist[run_key >> plan.shift];
+      block.min_estab = std::min(block.min_estab, run_estab);
+      block.max_estab = std::max(block.max_estab, run_estab);
+    };
+    std::array<uint64_t, kChunkRows> keys{};
+    for (size_t chunk = begin; chunk < end; chunk += kChunkRows) {
+      const size_t m = std::min(kChunkRows, end - chunk);
+      PackKeys(columns, codec.radices(), chunk, m, keys.data());
+      for (size_t j = 0; j < m; ++j) {
+        const int64_t estab = estab_ids[chunk + j];
+        if (run_rows > 0 && keys[j] == run_key && estab == run_estab) {
+          ++run_rows;
+          continue;
+        }
+        if (run_rows > 0) close_run();
+        run_key = keys[j];
+        run_estab = estab;
+        run_rows = 1;
+      }
     }
+    if (run_rows > 0) close_run();
   });
-  keys = {};
   int64_t min_estab = std::numeric_limits<int64_t>::max();
   int64_t max_estab = std::numeric_limits<int64_t>::min();
   for (const auto& block : blocks) {
@@ -418,10 +419,6 @@ struct DenseBlock {
   std::vector<uint32_t> table;
 };
 
-// Rows whose keys the dense path packs at a time: the chunk's keys stay in
-// L1 between packing and dedup, so no n-sized key vector is written.
-constexpr size_t kDenseChunkRows = 1024;
-
 // Table entries the dense gate allows whatever the row count: a 256 KiB
 // table is cheap even next to a tiny input.
 constexpr uint64_t kDenseMinTableEntries = uint64_t{1} << 16;
@@ -474,7 +471,7 @@ std::vector<GroupedCell> GroupEstabOrdered(
   const auto domain = static_cast<size_t>(codec.DomainSize());
   const int threads = ResolveGroupByThreads(num_threads);
   const std::vector<size_t> bounds = EstabAlignedBounds(estab_ids, threads);
-  const std::vector<const uint32_t*> columns = GroupColumnCodes(table, codec);
+  const std::vector<const Column*> columns = GroupColumns(table, codec);
   const int64_t* ids = estab_ids.data();
 
   // Phase 1: pack keys chunk by chunk and keep one item per distinct
@@ -494,11 +491,11 @@ std::vector<GroupedCell> GroupEstabOrdered(
     // written, so it costs address space, not resident memory.
     std::vector<DenseItem>& items = block.items;
     items.reserve(end - begin);
-    std::array<uint32_t, kDenseChunkRows> keys{};
+    std::array<uint32_t, kChunkRows> keys{};
     int64_t estab = begin < end ? ids[begin] : 0;
     uint32_t estab_first_item = 0;
-    for (size_t chunk = begin; chunk < end; chunk += kDenseChunkRows) {
-      const size_t m = std::min(kDenseChunkRows, end - chunk);
+    for (size_t chunk = begin; chunk < end; chunk += kChunkRows) {
+      const size_t m = std::min(kChunkRows, end - chunk);
       PackKeys(columns, codec.radices(), chunk, m, keys.data());
       for (size_t j = 0; j < m; ++j) {
         if (ids[chunk + j] != estab) {

@@ -7,27 +7,33 @@
 //
 //  * DENSE — establishment ids non-decreasing (the extract's natural
 //    order) and a key domain small enough for one uint32 table per worker
-//    (domain <= max(rows, 2^16) / workers, so the tables never outgrow the
-//    key buffer the radix path would allocate). GroupEstabOrdered packs
-//    keys in cache-sized row chunks and keeps one item per distinct
-//    (key, estab) pair through a domain-sized slot table, then sorts the
-//    items by key with one stable counting sort (histogram, prefix sum,
-//    scatter) and copies each key's run into an exact-size contribution
-//    list. Worker blocks start at establishment boundaries, so key-major,
-//    block-minor order is establishment order within every cell: no sort,
-//    no merge.
-//  * RADIX — everything else (unordered ids, wide domains):
-//      1. MaterializeGroupKeys packs every row's group key with one
-//         contiguous loop per group column (no per-row gather).
-//      2. AggregateByKeyAndEstab run-compresses each worker block into
-//         (key, estab, run length) items, range-partitions them by key
-//         (partition p holds keys in [p, p+1) * domain/P), sorts each
-//         partition — as packed (key, estab) uint64s through
-//         RadixSortWithWeights when they fit in one word, as (key, estab)
-//         pairs through std::sort otherwise — and run-length aggregates
-//         the sorted runs, summing run lengths per (key, estab) pair.
+//    (domain <= max(rows, 2^16) / workers, so the tables together hold at
+//    most 4 bytes per input row at any worker count, or 256 KiB below
+//    2^16 rows). GroupEstabOrdered packs keys in cache-sized row chunks and
+//    keeps one item per distinct (key, estab) pair through a domain-sized
+//    slot table, then sorts the items by key with one stable counting
+//    sort (histogram, prefix sum, scatter) and copies each key's run into
+//    an exact-size contribution list. Worker blocks start at
+//    establishment boundaries, so key-major, block-minor order is
+//    establishment order within every cell: no sort, no merge.
+//  * RADIX — everything else (unordered ids, wide domains), all in
+//    AggregateByKeyAndEstab:
+//      1. Each worker packs its row block's group keys in the same
+//         cache-sized chunks (one contiguous loop per group column, no
+//         per-row gather, no n-sized key vector) and run-compresses them
+//         into (key, estab, run length) items.
+//      2. The items are range-partitioned by key (partition p holds keys
+//         in [p, p+1) * domain/P), each partition is sorted — as packed
+//         (key, estab) uint64s through RadixSortWithWeights when they fit
+//         in one word, as (key, estab) pairs through std::sort otherwise
+//         — and the sorted runs are run-length aggregated, summing run
+//         lengths per (key, estab) pair.
 //      3. Partitions concatenate in order, so the result is globally
 //         key-sorted without a merge.
+//
+// Both paths read each group column's codes at their stored width (1, 2
+// or 4 bytes, see Column), dispatching on the width once per column per
+// chunk.
 //
 // Determinism contract: on either path the output depends only on the
 // multiset of input rows — key-sorted cells, each with its
@@ -77,28 +83,21 @@ ScanPath ChooseScanPath(const std::vector<int64_t>& estab_ids,
 /// per-establishment contributions, for establishment-ordered input.
 /// Requires ChooseScanPath(estab_ids, codec.DomainSize(), num_threads) ==
 /// ScanPath::kDense and estab_ids.size() == table.num_rows(). Returns
-/// exactly AggregateByKeyAndEstab(MaterializeGroupKeys(...)) for every
+/// exactly AggregateByKeyAndEstab(table, codec, estab_ids, ...) for every
 /// thread count.
 std::vector<GroupedCell> GroupEstabOrdered(
     const Table& table, const GroupKeyCodec& codec,
     const std::vector<int64_t>& estab_ids, int num_threads);
 
-/// Columnwise fused key packing: keys[row] = codec.Pack(codes of row),
-/// computed as one contiguous multiply-add sweep per group column.
-/// `codec` must have been created against `table`'s schema. Splits the row
-/// range across `num_threads` workers (<= 0 means hardware concurrency);
-/// the result is identical for every thread count.
-std::vector<uint64_t> MaterializeGroupKeys(const Table& table,
-                                           const GroupKeyCodec& codec,
-                                           int num_threads);
-
-/// Aggregates (keys[i], estab_ids[i]) pairs into key-sorted cells with
-/// estab-sorted contribution lists. Requires keys[i] < domain_size and
-/// estab_ids.size() == keys.size(). Consumes `keys` (it is reused as
-/// scratch). Deterministic for every thread count.
+/// The radix path: groups `table` by `codec`'s columns into key-sorted
+/// cells with estab-sorted contribution lists, for rows in any order.
+/// `codec` must have been created against `table`'s schema, and
+/// estab_ids.size() must equal table.num_rows(). Splits the rows across
+/// `num_threads` workers (<= 0 means hardware concurrency); deterministic
+/// for every thread count.
 std::vector<GroupedCell> AggregateByKeyAndEstab(
-    std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
-    uint64_t domain_size, int num_threads);
+    const Table& table, const GroupKeyCodec& codec,
+    const std::vector<int64_t>& estab_ids, int num_threads);
 
 /// LSD radix sort of vals[0, n) by their low `used_bytes` bytes (the caller
 /// knows how many carry bits), skipping every byte on which all values

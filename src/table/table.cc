@@ -74,12 +74,14 @@ Result<Table> Table::Create(Schema schema, std::vector<Column> columns) {
     if (schema.field(i).type == DataType::kCategory) {
       // Validate codes against the dictionary so later hot loops can skip
       // bounds checks.
-      const auto& dict = *schema.field(i).dictionary;
-      for (uint32_t code : columns[i].codes()) {
-        if (code >= dict.size()) {
-          return Status::OutOfRange("category code out of range in column " +
-                                    schema.field(i).name);
-        }
+      const size_t dict_size = schema.field(i).dictionary->size();
+      auto in_range = [dict_size](const auto& codes) {
+        return std::all_of(codes.begin(), codes.end(),
+                           [dict_size](auto code) { return code < dict_size; });
+      };
+      if (!columns[i].VisitCodes(in_range)) {
+        return Status::OutOfRange("category code out of range in column " +
+                                  schema.field(i).name);
       }
     }
   }

@@ -9,7 +9,9 @@
 namespace eep::lodes {
 namespace {
 
-/// 64-bit FNV-1a over every column's name, type, length and values.
+/// 64-bit FNV-1a over every column's name, type, length and values, each
+/// category code hashed as its 4-byte uint32 value whatever its stored
+/// width.
 uint64_t Fingerprint(const table::Table& table) {
   uint64_t hash = 14695981039346656037ULL;
   auto bytes = [&hash](const void* data, size_t size) {
@@ -29,7 +31,9 @@ uint64_t Fingerprint(const table::Table& table) {
     if (field.type == table::DataType::kInt64) {
       bytes(column.int64s().data(), rows * sizeof(int64_t));
     } else {
-      bytes(column.codes().data(), rows * sizeof(uint32_t));
+      column.VisitCodes([&bytes](const auto& codes) {
+        for (const uint32_t code : codes) bytes(&code, sizeof(code));
+      });
     }
   }
   return hash;
@@ -123,10 +127,11 @@ TEST_F(GeneratorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(again.num_jobs(), data_->num_jobs());
   EXPECT_EQ(again.num_establishments(), data_->num_establishments());
   // Spot-check one column matches exactly.
-  const auto& a = data_->worker_full().ColumnByName(kColSex).value()->codes();
-  const auto& b = again.worker_full().ColumnByName(kColSex).value()->codes();
+  const table::Column& a =
+      *data_->worker_full().ColumnByName(kColSex).value();
+  const table::Column& b = *again.worker_full().ColumnByName(kColSex).value();
   ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); i += 997) EXPECT_EQ(a[i], b[i]);
+  for (size_t i = 0; i < a.size(); i += 997) EXPECT_EQ(a.code(i), b.code(i));
 }
 
 struct ExtractPin {
@@ -163,9 +168,11 @@ TEST_F(GeneratorTest, WorkerFullSharesJobAndWorkerColumns) {
   const table::Table& full = data_->worker_full();
   auto storage = [](const table::Table& table, const char* name) {
     const table::Column& column = *table.ColumnByName(name).value();
-    return column.type() == table::DataType::kInt64
-               ? static_cast<const void*>(column.int64s().data())
-               : static_cast<const void*>(column.codes().data());
+    if (column.type() == table::DataType::kInt64) {
+      return static_cast<const void*>(column.int64s().data());
+    }
+    return column.VisitCodes(
+        [](const auto& codes) -> const void* { return codes.data(); });
   };
   for (const char* col : {kColWorkerId, kColEstabId}) {
     EXPECT_EQ(storage(full, col), storage(data_->jobs(), col)) << col;
@@ -174,6 +181,19 @@ TEST_F(GeneratorTest, WorkerFullSharesJobAndWorkerColumns) {
        {kColSex, kColAge, kColRace, kColEthnicity, kColEducation}) {
     EXPECT_EQ(storage(full, col), storage(data_->workers(), col)) << col;
   }
+  // Jobs and Workers share one worker-id vector.
+  EXPECT_EQ(storage(data_->jobs(), kColWorkerId),
+            storage(data_->workers(), kColWorkerId));
+}
+
+TEST_F(GeneratorTest, CategoryColumnsAreStoredAtTheirNarrowestWidth) {
+  const table::Table& full = data_->worker_full();
+  for (const char* col : {kColSex, kColAge, kColRace, kColEthnicity,
+                          kColEducation, kColNaics, kColOwnership}) {
+    EXPECT_EQ(full.ColumnByName(col).value()->code_width(), 1u) << col;
+  }
+  // 40 places fit a byte; the paper preset's 640 take two.
+  EXPECT_EQ(full.ColumnByName(kColPlace).value()->code_width(), 1u);
 }
 
 TEST_F(GeneratorTest, DifferentSeedsDiffer) {
@@ -187,8 +207,8 @@ TEST_F(GeneratorTest, WorkerAttributesCorrelateWithIndustry) {
   // Health care (sector index of "62") should employ a higher share of
   // women than construction ("23").
   const auto& full = data_->worker_full();
-  const auto& naics = full.ColumnByName(kColNaics).value()->codes();
-  const auto& sex = full.ColumnByName(kColSex).value()->codes();
+  const table::Column& naics = *full.ColumnByName(kColNaics).value();
+  const table::Column& sex = *full.ColumnByName(kColSex).value();
   const auto& dict = *full.schema()
                           .field(full.schema().IndexOf(kColNaics).value())
                           .dictionary;
@@ -197,12 +217,12 @@ TEST_F(GeneratorTest, WorkerAttributesCorrelateWithIndustry) {
   int64_t health_total = 0, health_female = 0;
   int64_t constr_total = 0, constr_female = 0;
   for (size_t i = 0; i < naics.size(); ++i) {
-    if (naics[i] == health) {
+    if (naics.code(i) == health) {
       ++health_total;
-      health_female += sex[i] == FemaleCode();
-    } else if (naics[i] == construction) {
+      health_female += sex.code(i) == FemaleCode();
+    } else if (naics.code(i) == construction) {
       ++constr_total;
-      constr_female += sex[i] == FemaleCode();
+      constr_female += sex.code(i) == FemaleCode();
     }
   }
   ASSERT_GT(health_total, 100);
@@ -213,17 +233,17 @@ TEST_F(GeneratorTest, WorkerAttributesCorrelateWithIndustry) {
 
 TEST_F(GeneratorTest, OwnershipConcentratedInPublicAdmin) {
   const auto& full = data_->worker_full();
-  const auto& naics = full.ColumnByName(kColNaics).value()->codes();
-  const auto& own = full.ColumnByName(kColOwnership).value()->codes();
+  const table::Column& naics = *full.ColumnByName(kColNaics).value();
+  const table::Column& own = *full.ColumnByName(kColOwnership).value();
   const auto& dict = *full.schema()
                           .field(full.schema().IndexOf(kColNaics).value())
                           .dictionary;
   const uint32_t pubadmin = dict.CodeOf("92").value();
   int64_t pub_total = 0, pub_private = 0;
   for (size_t i = 0; i < naics.size(); ++i) {
-    if (naics[i] == pubadmin) {
+    if (naics.code(i) == pubadmin) {
       ++pub_total;
-      pub_private += own[i] == 0;  // "Private"
+      pub_private += own.code(i) == 0;  // "Private"
     }
   }
   ASSERT_GT(pub_total, 50);

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "lodes/generator.h"
@@ -163,6 +166,66 @@ TEST_F(IoTest, LoadRejectsNonIntegerId) {
   out << "name,population\ntown,not_a_number\n";
   out.close();
   EXPECT_FALSE(LoadDataset(dir_).ok());
+}
+
+/// Replaces the first field of data row `row` (0-based, header excluded)
+/// of the CSV file at `path` with `text`.
+void ReplaceFirstField(const std::string& path, size_t row,
+                       const std::string& text) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  in.close();
+  ASSERT_GT(lines.size(), row + 1) << path;
+  std::string& line = lines[row + 1];
+  line = text + line.substr(line.find(','));
+  std::ofstream out(path);
+  for (const std::string& l : lines) out << l << "\n";
+}
+
+TEST_F(IoTest, LoadRefusesIntegersOutsideInt64) {
+  const std::string max = std::to_string(std::numeric_limits<int64_t>::max());
+  const std::string min = std::to_string(std::numeric_limits<int64_t>::min());
+  // Job 1 is worker 1's job: both files name the same new worker id.
+  for (const std::string& id : {max, min}) {
+    SCOPED_TRACE(id);
+    ASSERT_TRUE(SaveDataset(SmallData(), dir_).ok());
+    ReplaceFirstField(dir_ + "/workers.csv", 0, id);
+    ReplaceFirstField(dir_ + "/jobs.csv", 0, id);
+    auto loaded = LoadDataset(dir_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().jobs().column(0).int64s()[0], std::stoll(id));
+  }
+  for (const std::string& population : {max, min}) {
+    SCOPED_TRACE(population);
+    ASSERT_TRUE(SaveDataset(SmallData(), dir_).ok());
+    std::ofstream(dir_ + "/places.csv", std::ios::app)
+        << "extra_place," << population << "\n";
+    auto loaded = LoadDataset(dir_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().places().back().population,
+              std::stoll(population));
+  }
+
+  // One past each bound: strtoll would saturate at the bound.
+  for (const char* text :
+       {"9223372036854775808", "-9223372036854775809",
+        "99999999999999999999"}) {
+    SCOPED_TRACE(text);
+    ASSERT_TRUE(SaveDataset(SmallData(), dir_).ok());
+    ReplaceFirstField(dir_ + "/jobs.csv", 0, text);
+    const Status jobs = LoadDataset(dir_).status();
+    EXPECT_EQ(jobs.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(jobs.message().find(text), std::string::npos) << jobs.message();
+
+    ASSERT_TRUE(SaveDataset(SmallData(), dir_).ok());
+    std::ofstream(dir_ + "/places.csv", std::ios::app)
+        << "extra_place," << text << "\n";
+    const Status places = LoadDataset(dir_).status();
+    EXPECT_EQ(places.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(places.message().find(text), std::string::npos)
+        << places.message();
+  }
 }
 
 }  // namespace

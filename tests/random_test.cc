@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -159,6 +160,48 @@ TEST(RngTest, CategoricalZeroWeightNeverChosen) {
   Rng rng(43);
   std::vector<double> weights = {0.0, 1.0, 0.0};
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(rng.Categorical(weights), 1u);
+}
+
+TEST(RngTest, CategoricalWithTotalMatchesTheOneArgumentForm) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  std::vector<double> places;  // the generator's population^0.8 shape
+  for (int i = 0; i < 320; ++i) {
+    places.push_back(std::pow(30.0 + 4700.0 * i, 0.8));
+  }
+  const std::vector<std::vector<double>> cases = {
+      {1.0, 3.0, 6.0},
+      {2.5},
+      {0.0, 1.0, 0.0},
+      {0.1, 0.2, 0.3, 0.0},  // inexact sum, zero last weight
+      // The sum overflows to +inf, so no subtraction ever reaches a
+      // negative target: every draw lands on the last bucket through the
+      // numeric-edge return.
+      {kMax, kMax},
+      places,
+  };
+  for (size_t k = 0; k < cases.size(); ++k) {
+    SCOPED_TRACE(k);
+    const std::vector<double>& weights = cases[k];
+    double total = 0.0;
+    for (double w : weights) total += w;
+    Rng one(71 + k);
+    Rng two(71 + k);
+    std::vector<int> counts(weights.size(), 0);
+    for (int i = 0; i < 100000; ++i) {
+      const size_t index = one.Categorical(weights);
+      ASSERT_EQ(two.Categorical(weights, total), index) << "draw " << i;
+      ++counts[index];
+    }
+    for (size_t i = 0; i < weights.size(); ++i) {
+      if (weights[i] == 0.0) {
+        EXPECT_EQ(counts[i], 0) << "bucket " << i;
+      }
+    }
+    if (std::isinf(total)) {
+      EXPECT_EQ(counts.back(), 100000);
+    }
+    EXPECT_EQ(one.NextUint64(), two.NextUint64());
+  }
 }
 
 TEST(RngTest, PermutationIsValid) {

@@ -44,6 +44,27 @@ TEST(TableTest, CreateValidatesCategoryCodes) {
   EXPECT_TRUE(Table::Create(schema, {Column::OfCategory({0, 1})}).ok());
 }
 
+TEST(TableTest, CreateRefusesOutOfDictionaryCodesAtEveryWidth) {
+  // Dictionaries whose largest codes take 1, 2 and 4 bytes.
+  for (const uint32_t size : {3u, 300u, 70000u}) {
+    SCOPED_TRACE(size);
+    std::vector<std::string> values;
+    for (uint32_t v = 0; v < size; ++v) values.push_back(std::to_string(v));
+    const auto schema =
+        Schema::Create({{"cat", DataType::kCategory,
+                         Dictionary::Create(std::move(values)).value()}})
+            .value();
+    const Column last = Column::OfCategory({0, size - 1});
+    const Column past = Column::OfCategory({0, size});
+    ASSERT_EQ(last.code_width(), past.code_width());
+    EXPECT_TRUE(Table::Create(schema, {last}).ok());
+    const auto refused = Table::Create(schema, {past});
+    EXPECT_EQ(refused.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(refused.status().message(),
+              "category code out of range in column cat");
+  }
+}
+
 TEST(TableTest, ColumnByName) {
   auto t = Table::Create(TwoColumnSchema(), {Column::OfInt64({7}),
                                              Column::OfCategory({2})})
@@ -145,13 +166,26 @@ Table JoinLeft(const std::vector<int64_t>& keys) {
       .value();
 }
 
+/// A category column's codes, widened to uint32.
+std::vector<uint32_t> Codes(const Column& column) {
+  return column.VisitCodes([](const auto& codes) {
+    return std::vector<uint32_t>(codes.begin(), codes.end());
+  });
+}
+
+/// Where a category column's codes are stored.
+const void* CodeData(const Column& column) {
+  return column.VisitCodes(
+      [](const auto& codes) -> const void* { return codes.data(); });
+}
+
 // The join HashJoin must produce, by a nested loop in left row order.
 Table NestedLoopJoin(const Table& left, const Table& right) {
   const auto& lk = left.column(0).int64s();
-  const auto& lc = left.column(1).codes();
+  const std::vector<uint32_t> lc = Codes(left.column(1));
   const auto& rk = right.column(0).int64s();
   const auto& rv = right.column(1).int64s();
-  const auto& rc = right.column(2).codes();
+  const std::vector<uint32_t> rc = Codes(right.column(2));
   std::vector<int64_t> k, v;
   std::vector<uint32_t> l, r;
   for (size_t i = 0; i < lk.size(); ++i) {
@@ -185,7 +219,7 @@ void ExpectSameTable(const Table& actual, const Table& expected) {
       EXPECT_EQ(actual.column(c).int64s(), expected.column(c).int64s())
           << field.name;
     } else {
-      EXPECT_EQ(actual.column(c).codes(), expected.column(c).codes())
+      EXPECT_EQ(Codes(actual.column(c)), Codes(expected.column(c)))
           << field.name;
     }
   }
@@ -236,7 +270,7 @@ TEST_P(HashJoinKeySetTest, MatchesNestedLoopJoinOnItsIndexPath) {
   EXPECT_EQ(shared.column(0).int64s().data(),
             in_order.column(0).int64s().data());
   EXPECT_EQ(shared.column(2).int64s().data(), right.column(1).int64s().data());
-  EXPECT_EQ(shared.column(3).codes().data(), right.column(2).codes().data());
+  EXPECT_EQ(CodeData(shared.column(3)), CodeData(right.column(2)));
 
   // Every right row matched once, but out of order: gathered, not shared.
   const Table permuted = JoinLeft(keys);
@@ -261,6 +295,42 @@ TEST_P(HashJoinKeySetTest, MatchesNestedLoopJoinOnItsIndexPath) {
       Table::HashJoin(left, "k", JoinRight({}), "k").value();
   ExpectSameTable(no_right, NestedLoopJoin(left, JoinRight({})));
   EXPECT_EQ(no_right.num_rows(), 0u);
+}
+
+TEST(TableTest, HashJoinKeepsCodeWidths) {
+  // Left codes 2 bytes wide, right codes 4 bytes wide; an unmatched left
+  // row and out-of-order right rows make the join copy both sides, and
+  // the copies drop each side's widest code.
+  auto dictionary = [](uint32_t size) {
+    std::vector<std::string> values;
+    for (uint32_t v = 0; v < size; ++v) values.push_back(std::to_string(v));
+    return Dictionary::Create(std::move(values)).value();
+  };
+  const Table left =
+      Table::Create(Schema::Create({{"k", DataType::kInt64, nullptr},
+                                    {"lc", DataType::kCategory,
+                                     dictionary(300)}})
+                        .value(),
+                    {Column::OfInt64({1, 2, 3}),
+                     Column::OfCategory({299, 5, 6})})
+          .value();
+  const Table right =
+      Table::Create(Schema::Create({{"k", DataType::kInt64, nullptr},
+                                    {"rc", DataType::kCategory,
+                                     dictionary(65537)}})
+                        .value(),
+                    {Column::OfInt64({4, 3, 2}),
+                     Column::OfCategory({65536, 9, 10})})
+          .value();
+  ASSERT_EQ(left.column(1).code_width(), 2u);
+  ASSERT_EQ(right.column(1).code_width(), 4u);
+  const Table joined = Table::HashJoin(left, "k", right, "k").value();
+  ASSERT_EQ(joined.num_rows(), 2u);
+  EXPECT_EQ(joined.column(0).int64s(), (std::vector<int64_t>{2, 3}));
+  EXPECT_EQ(Codes(joined.column(1)), (std::vector<uint32_t>{5, 6}));
+  EXPECT_EQ(Codes(joined.column(2)), (std::vector<uint32_t>{10, 9}));
+  EXPECT_EQ(joined.column(1).code_width(), 2u);
+  EXPECT_EQ(joined.column(2).code_width(), 4u);
 }
 
 std::vector<int64_t> KeysOf(int64_t n, int64_t scale) {

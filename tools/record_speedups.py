@@ -5,10 +5,11 @@ CI runners have more than one core (unlike the original dev container), so
 the thread sweeps the benches run are finally meaningful there. This script
 reads the BENCH_*.json documents written by bench_release_pipeline,
 bench_group_by and bench_workload_release, prints the 1-vs-4-thread (and
-1-vs-max) speedup per bench so the numbers land in the job log and the
-uploaded artifact, and FAILS only when a sweep entry reports broken
-bit-identity — speedups are recorded, never asserted, to keep CI stable on
-noisy shared runners.
+1-vs-max) speedup per bench beside the extract's build time and resident
+set after generation (dataset.build_ms, dataset.rss_mib) so the numbers
+land in the job log and the uploaded artifact, and FAILS only when a
+sweep entry reports broken bit-identity — speedups are recorded, never
+asserted, to keep CI stable on noisy shared runners.
 
 Usage: tools/record_speedups.py BENCH_foo.json [BENCH_bar.json ...]
 """
@@ -24,6 +25,12 @@ def sweep_of(doc):
     return []
 
 
+def fmt(value):
+    """A dataset number to one decimal, or '?' when the bench left it out
+    (or wrote null for a value it could not measure)."""
+    return "?" if value is None else f"{value:.1f}"
+
+
 def main(paths):
     failed = False
     for path in paths:
@@ -35,7 +42,10 @@ def main(paths):
             failed = True
             continue
         bench = doc.get("bench", path)
-        jobs = doc.get("dataset", {}).get("jobs", "?")
+        dataset = doc.get("dataset", {})
+        jobs = dataset.get("jobs", "?")
+        footprint = (f"extract built in {fmt(dataset.get('build_ms'))} ms, "
+                     f"{fmt(dataset.get('rss_mib'))} MiB resident")
         by_threads = {}
         for entry in sweep_of(doc):
             by_threads[entry.get("threads")] = entry
@@ -44,7 +54,8 @@ def main(paths):
                       f"{entry.get('threads')} threads")
                 failed = True
         if not by_threads:
-            print(f"{bench} ({jobs} jobs): no thread sweep in {path}")
+            print(f"{bench} ({jobs} jobs): no thread sweep in {path}; "
+                  f"{footprint}")
             continue
         one = by_threads.get(1)
         four = by_threads.get(4)
@@ -60,6 +71,7 @@ def main(paths):
             parts.append(
                 f"{max(by_threads)} threads {top['best_ms']:.1f} ms "
                 f"({one['best_ms'] / top['best_ms']:.2f}x)")
+        parts.append(footprint)
         print("  ".join(parts))
         if doc.get("bit_identical") is False:
             print(f"{bench}: bench reported bit_identical=false")
