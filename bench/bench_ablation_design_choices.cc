@@ -1,5 +1,5 @@
-// Ablation bench for design choices called out in DESIGN.md (not figures
-// in the paper, but engineering questions its algorithms raise):
+// Ablation bench for design choices the paper leaves open (not figures in
+// the paper, but engineering questions its algorithms raise):
 //
 //  A. Log-Laplace bias correction (Lemma 8.2): does multiplying by
 //     (1 - lambda^2) reduce L1 error on real marginals?
@@ -29,10 +29,20 @@ class EqualSplitSmoothGamma : public mechanisms::CountMechanism {
 
   std::string name() const override { return "Smooth Gamma (equal split)"; }
 
-  Result<double> Release(const mechanisms::CellQuery& cell,
-                         Rng& rng) const override {
-    EEP_ASSIGN_OR_RETURN(double scale, NoiseScale(cell));
-    return static_cast<double>(cell.true_count) + scale * noise_.Sample(rng);
+  Status ReleaseBatch(const std::vector<mechanisms::CellQuery>& cells,
+                      Rng& rng, std::vector<double>* out) const override {
+    std::vector<double> scale(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+      EEP_ASSIGN_OR_RETURN(scale[i], NoiseScale(cells[i]));
+    }
+    std::vector<double> eta(cells.size());
+    rng.FillUniform(eta.data(), eta.size());
+    noise_.QuantileN(eta.data(), eta.data(), eta.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+      out->push_back(static_cast<double>(cells[i].true_count) +
+                     scale[i] * eta[i]);
+    }
+    return Status::OK();
   }
 
   Result<double> ExpectedL1Error(

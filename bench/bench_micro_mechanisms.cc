@@ -1,10 +1,8 @@
-// Google-benchmark micro-benchmarks: per-release throughput of each
-// mechanism (scalar loop vs vectorized ReleaseBatch override),
-// noise-sampler cost, marginal-engine and SDL release cost. Engineering
-// numbers (not figures from the paper) that justify running the full
-// 10.9M-job extract: every mechanism releases a cell in well under a
-// microsecond, and the batch overrides shave the per-cell constant
-// further.
+// Google-benchmark micro-benchmarks: per-cell throughput of each
+// mechanism's ReleaseBatch, noise-sampler cost, marginal-engine and SDL
+// release cost. Engineering numbers (not figures from the paper) that
+// justify running the full 10.9M-job extract: every mechanism releases a
+// cell in well under a microsecond.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -23,12 +21,9 @@
 namespace eep {
 namespace {
 
-const mechanisms::CellQuery kCell{1234, 321, nullptr};
-
 // ---------------------------------------------------------------------------
-// Scalar-vs-batch release throughput. "Scalar" is the CountMechanism
-// default (one virtual Release per cell); "batch" is the mechanism's
-// vectorized override. Per-cell time = reported time / 1024.
+// Batch release throughput: one ReleaseBatch call over 1024 cells.
+// Per-cell time = reported time / 1024.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kBatchCells = 1024;
@@ -42,18 +37,15 @@ std::vector<mechanisms::CellQuery> BatchCells() {
   return cells;
 }
 
-template <typename Mech>
-void ReleaseLoop(benchmark::State& state, const Mech& mech, bool batch,
+void ReleaseLoop(benchmark::State& state,
+                 const mechanisms::CountMechanism& mech,
                  std::vector<mechanisms::CellQuery> cells = BatchCells()) {
   Rng rng(17);
   std::vector<double> out;
   out.reserve(cells.size());
   for (auto _ : state) {
     out.clear();
-    const Status st =
-        batch ? mech.ReleaseBatch(cells, rng, &out)
-              : mech.mechanisms::CountMechanism::ReleaseBatch(cells, rng,
-                                                              &out);
+    const Status st = mech.ReleaseBatch(cells, rng, &out);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
@@ -64,32 +56,27 @@ void ReleaseLoop(benchmark::State& state, const Mech& mech, bool batch,
                           static_cast<int64_t>(cells.size()));
 }
 
-#define EEP_SCALAR_VS_BATCH(Name, MakeMech)                      \
-  void BM_##Name##_Scalar1k(benchmark::State& state) {           \
-    auto mech = (MakeMech);                                      \
-    ReleaseLoop(state, mech, /*batch=*/false);                   \
-  }                                                              \
-  BENCHMARK(BM_##Name##_Scalar1k);                               \
-  void BM_##Name##_Batch1k(benchmark::State& state) {            \
-    auto mech = (MakeMech);                                      \
-    ReleaseLoop(state, mech, /*batch=*/true);                    \
-  }                                                              \
+#define EEP_BATCH_BENCH(Name, MakeMech)               \
+  void BM_##Name##_Batch1k(benchmark::State& state) { \
+    ReleaseLoop(state, (MakeMech));                   \
+  }                                                   \
   BENCHMARK(BM_##Name##_Batch1k);
 
-EEP_SCALAR_VS_BATCH(EdgeLaplace,
-                    mechanisms::EdgeLaplaceMechanism::Create(1.0).value())
-EEP_SCALAR_VS_BATCH(
-    LogLaplace, mechanisms::LogLaplaceMechanism::Create({0.1, 2.0, 0.0}).value())
-EEP_SCALAR_VS_BATCH(
+EEP_BATCH_BENCH(EdgeLaplace,
+                mechanisms::EdgeLaplaceMechanism::Create(1.0).value())
+EEP_BATCH_BENCH(
+    LogLaplace,
+    mechanisms::LogLaplaceMechanism::Create({0.1, 2.0, 0.0}).value())
+EEP_BATCH_BENCH(
     SmoothLaplace,
     mechanisms::SmoothLaplaceMechanism::Create({0.1, 2.0, 0.05}).value())
-EEP_SCALAR_VS_BATCH(
+EEP_BATCH_BENCH(
     SmoothGamma,
     mechanisms::SmoothGammaMechanism::Create({0.1, 2.0, 0.0}).value())
-EEP_SCALAR_VS_BATCH(
+EEP_BATCH_BENCH(
     Geometric, mechanisms::GeometricMechanism::Create({0.1, 2.0, 0.05}).value())
 
-#undef EEP_SCALAR_VS_BATCH
+#undef EEP_BATCH_BENCH
 
 // Truncated Laplace needs per-establishment contributions on every cell.
 std::vector<mechanisms::CellQuery> TruncatedCells(
@@ -102,17 +89,10 @@ std::vector<mechanisms::CellQuery> TruncatedCells(
 const std::vector<table::EstabContribution> kContribs = {
     {1, 400}, {2, 300}, {3, 534}};
 
-void BM_TruncatedLaplace_Scalar1k(benchmark::State& state) {
-  auto mech = mechanisms::TruncatedLaplaceMechanism::Create(1000, 1.0, {})
-                  .value();
-  ReleaseLoop(state, mech, /*batch=*/false, TruncatedCells(kContribs));
-}
-BENCHMARK(BM_TruncatedLaplace_Scalar1k);
-
 void BM_TruncatedLaplace_Batch1k(benchmark::State& state) {
   auto mech = mechanisms::TruncatedLaplaceMechanism::Create(1000, 1.0, {})
                   .value();
-  ReleaseLoop(state, mech, /*batch=*/true, TruncatedCells(kContribs));
+  ReleaseLoop(state, mech, TruncatedCells(kContribs));
 }
 BENCHMARK(BM_TruncatedLaplace_Batch1k);
 
@@ -127,18 +107,6 @@ void BM_FillUniform1k(benchmark::State& state) {
                           static_cast<int64_t>(buf.size()));
 }
 BENCHMARK(BM_FillUniform1k);
-
-void BM_FillTwoSidedGeometric1k(benchmark::State& state) {
-  Rng rng(19);
-  std::vector<int64_t> buf(kBatchCells);
-  for (auto _ : state) {
-    rng.FillTwoSidedGeometric(0.7, buf.data(), buf.size());
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(buf.size()));
-}
-BENCHMARK(BM_FillTwoSidedGeometric1k);
 
 void BM_LaplaceSample(benchmark::State& state) {
   Rng rng(1);
@@ -156,55 +124,6 @@ void BM_GeneralizedCauchySample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GeneralizedCauchySample);
-
-void BM_EdgeLaplaceRelease(benchmark::State& state) {
-  auto mech = mechanisms::EdgeLaplaceMechanism::Create(1.0).value();
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mech.Release(kCell, rng).value());
-  }
-}
-BENCHMARK(BM_EdgeLaplaceRelease);
-
-void BM_LogLaplaceRelease(benchmark::State& state) {
-  auto mech =
-      mechanisms::LogLaplaceMechanism::Create({0.1, 2.0, 0.0}).value();
-  Rng rng(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mech.Release(kCell, rng).value());
-  }
-}
-BENCHMARK(BM_LogLaplaceRelease);
-
-void BM_SmoothGammaRelease(benchmark::State& state) {
-  auto mech =
-      mechanisms::SmoothGammaMechanism::Create({0.1, 2.0, 0.0}).value();
-  Rng rng(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mech.Release(kCell, rng).value());
-  }
-}
-BENCHMARK(BM_SmoothGammaRelease);
-
-void BM_SmoothLaplaceRelease(benchmark::State& state) {
-  auto mech =
-      mechanisms::SmoothLaplaceMechanism::Create({0.1, 2.0, 0.05}).value();
-  Rng rng(6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mech.Release(kCell, rng).value());
-  }
-}
-BENCHMARK(BM_SmoothLaplaceRelease);
-
-void BM_GeometricRelease(benchmark::State& state) {
-  auto mech =
-      mechanisms::GeometricMechanism::Create({0.1, 2.0, 0.05}).value();
-  Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mech.Release(kCell, rng).value());
-  }
-}
-BENCHMARK(BM_GeometricRelease);
 
 lodes::LodesDataset& BenchData() {
   static lodes::LodesDataset* data = [] {

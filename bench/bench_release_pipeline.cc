@@ -2,8 +2,7 @@
 // over a one-marginal workload of a large marginal at increasing
 // worker-thread counts, verifies that every thread count produces a
 // bit-identical table for the fixed seed, reports the speedup relative to
-// the single-threaded run, and then compares scalar (default per-cell
-// loop) vs vectorized ReleaseBatch sampling throughput for every mechanism
+// the single-threaded run, and then times each mechanism's ReleaseBatch
 // over the same cells.
 //
 // Extra flags on top of bench_common's (including --paper for the 10.9M
@@ -215,12 +214,10 @@ int main(int argc, char** argv) {
                 "(BUG!)\n");
   }
 
-  // --- Scalar vs batch sampling throughput, per mechanism. ----------------
+  // --- Batch sampling throughput, per mechanism. --------------------------
   // Times the mechanism layer in isolation over the same cells the sweep
-  // released: "scalar" forces the CountMechanism default per-cell loop,
-  // "batch" uses the vectorized override.
-  std::printf("\n=== Scalar vs batch ReleaseBatch — %zu cells ===\n",
-              num_cells);
+  // released, best of --reps.
+  std::printf("\n=== ReleaseBatch sampling — %zu cells ===\n", num_cells);
   auto query =
       lodes::MarginalQuery::Compute(data, config.workload.marginals[0]);
   if (!query.ok()) {
@@ -237,8 +234,7 @@ int main(int argc, char** argv) {
     // per-cell grouped() lookup the real pipeline pays for them.
     cells.push_back(cq);
   }
-  TextTable mech_table(
-      {"mechanism", "scalar ms", "batch ms", "speedup", "batch cells/s"});
+  TextTable mech_table({"mechanism", "batch ms", "batch cells/s"});
   const std::vector<eval::MechanismKind> kinds = {
       eval::MechanismKind::kLogLaplace, eval::MechanismKind::kSmoothLaplace,
       eval::MechanismKind::kSmoothGamma, eval::MechanismKind::kEdgeLaplace,
@@ -247,38 +243,29 @@ int main(int argc, char** argv) {
     auto mech = eval::MakeMechanism(kind, config.alpha, config.epsilon,
                                     config.delta);
     if (!mech.ok()) {
-      mech_table.AddRow({eval::MechanismKindName(kind), "-", "-", "-",
-                         "infeasible"});
+      mech_table.AddRow({eval::MechanismKindName(kind), "-", "infeasible"});
       continue;
     }
-    double ms[2] = {0.0, 0.0};
-    for (int batch = 0; batch <= 1; ++batch) {
-      for (int rep = 0; rep < reps; ++rep) {
-        Rng rng(noise_seed);
-        std::vector<double> out;
-        out.reserve(cells.size());
-        const auto start = std::chrono::steady_clock::now();
-        const Status st =
-            batch ? mech.value()->ReleaseBatch(cells, rng, &out)
-                  : mech.value()->mechanisms::CountMechanism::ReleaseBatch(
-                        cells, rng, &out);
-        const auto stop = std::chrono::steady_clock::now();
-        if (!st.ok()) {
-          std::fprintf(stderr, "%s batch=%d failed: %s\n",
-                       eval::MechanismKindName(kind), batch,
-                       st.ToString().c_str());
-          return 1;
-        }
-        const double elapsed =
-            std::chrono::duration<double, std::milli>(stop - start).count();
-        if (rep == 0 || elapsed < ms[batch]) ms[batch] = elapsed;
+    double ms = 0.0;
+    for (int rep = 0; rep < reps; ++rep) {
+      Rng rng(noise_seed);
+      std::vector<double> out;
+      out.reserve(cells.size());
+      const auto start = std::chrono::steady_clock::now();
+      const Status st = mech.value()->ReleaseBatch(cells, rng, &out);
+      const auto stop = std::chrono::steady_clock::now();
+      if (!st.ok()) {
+        std::fprintf(stderr, "%s failed: %s\n", eval::MechanismKindName(kind),
+                     st.ToString().c_str());
+        return 1;
       }
+      const double elapsed =
+          std::chrono::duration<double, std::milli>(stop - start).count();
+      if (rep == 0 || elapsed < ms) ms = elapsed;
     }
     mech_table.AddRow(
-        {eval::MechanismKindName(kind), FormatDouble(ms[0], 2),
-         FormatDouble(ms[1], 2), FormatDouble(ms[0] / ms[1], 2),
-         std::to_string(
-             static_cast<long long>(cells.size() / (ms[1] / 1000.0)))});
+        {eval::MechanismKindName(kind), FormatDouble(ms, 2),
+         std::to_string(static_cast<long long>(cells.size() / (ms / 1000.0)))});
   }
   mech_table.Print(std::cout);
   json["bit_identical"] = bench::BenchJson::Bool(all_identical);

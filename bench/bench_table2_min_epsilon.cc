@@ -4,8 +4,10 @@
 // eps_min = 2 ln(1/delta) ln(1+alpha).
 //
 // We print our closed form next to the values printed in the paper. Two of
-// the paper's six entries match the closed form; the remaining entries
-// deviate (see EXPERIMENTS.md for the discrepancy note).
+// the paper's six entries match the closed form. Its three delta = 0.05
+// entries equal the closed form at delta = 0.005 to every printed digit
+// (0.105, 1.01, 1.932), and its (5e-4, 0.20) entry 2.13 matches neither
+// delta (the closed form gives 2.77 there).
 #include <cstdio>
 #include <iostream>
 
@@ -39,8 +41,9 @@ int main() {
 
   std::printf(
       "\nclosed form: eps_min = 2 ln(1/delta) ln(1+alpha); the (5e-4, "
-      "0.01/0.10)\nrows match the paper exactly, the others deviate — "
-      "see EXPERIMENTS.md.\n\n");
+      "0.01/0.10)\nrows match the paper exactly; its delta = 0.05 rows "
+      "equal the closed form at\ndelta = 0.005, and its (5e-4, 0.2) "
+      "entry matches neither delta.\n\n");
 
   // Feasibility frontier for the figure grids: which (alpha, eps) pairs
   // are usable at delta = 0.05 (the setting of Figures 1-5).

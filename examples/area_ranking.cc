@@ -7,6 +7,7 @@
 // Build & run:  ./build/examples/area_ranking [--jobs=N]
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <numeric>
 
@@ -18,6 +19,20 @@
 #include "lodes/generator.h"
 
 namespace {
+
+// Releases `cells` in one batch, or prints why it was refused and exits 1.
+std::vector<double> ReleaseOrExit(
+    const eep::mechanisms::CountMechanism& mech,
+    const std::vector<eep::mechanisms::CellQuery>& cells, eep::Rng& rng) {
+  std::vector<double> released;
+  const eep::Status st = mech.ReleaseBatch(cells, rng, &released);
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s: %s\n", mech.name().c_str(),
+                 st.ToString().c_str());
+    std::exit(1);
+  }
+  return released;
+}
 
 std::vector<size_t> RankDescending(const std::vector<double>& values) {
   std::vector<size_t> order(values.size());
@@ -52,15 +67,16 @@ int main(int argc, char** argv) {
   eval::ExperimentRunner runner(&data, experiment);
   auto sdl = runner.SdlReleaseOnce(query, 1234).value();
 
+  std::vector<mechanisms::CellQuery> cells;
+  for (const auto& cell : query.cells()) {
+    cells.push_back({cell.count, cell.x_v, nullptr});
+  }
   auto mech = eval::MakeMechanism(eval::MechanismKind::kSmoothLaplace, 0.1,
                                   2.0, 0.05)
                   .value();
   Rng rng(4321);
-  std::vector<double> privately_released;
-  for (const auto& cell : query.cells()) {
-    privately_released.push_back(
-        mech->Release({cell.count, cell.x_v, nullptr}, rng).value());
-  }
+  const std::vector<double> privately_released =
+      ReleaseOrExit(*mech, cells, rng);
 
   std::printf("top-10 places by released employment (eps=2, alpha=0.1):\n");
   TextTable table({"rank", "true", "SDL release", "Smooth Laplace"});
@@ -97,12 +113,8 @@ int main(int argc, char** argv) {
       RunningStats corr;
       Rng trial_rng(kind == eval::MechanismKind::kLogLaplace ? 1u : 2u);
       for (int t = 0; t < 20; ++t) {
-        std::vector<double> release;
-        for (const auto& cell : query.cells()) {
-          release.push_back(
-              m.value()->Release({cell.count, cell.x_v, nullptr}, trial_rng)
-                  .value());
-        }
+        const std::vector<double> release =
+            ReleaseOrExit(*m.value(), cells, trial_rng);
         auto rho = SpearmanCorrelation(release, truth);
         if (rho.ok()) corr.Add(rho.value());
       }

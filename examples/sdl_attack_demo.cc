@@ -73,10 +73,13 @@ int main() {
   // (alpha=0.1, eps=2, delta=0.05).
   auto mech =
       mechanisms::SmoothLaplaceMechanism::Create({0.1, 2.0, 0.05}).value();
+  std::vector<mechanisms::CellQuery> cells;
+  for (int64_t c : truth) cells.push_back({c, c, nullptr});
   std::vector<double> private_release;
-  for (int64_t c : truth) {
-    private_release.push_back(
-        mech.Release({c, c, nullptr}, rng).value());
+  const Status released = mech.ReleaseBatch(cells, rng, &private_release);
+  if (!released.ok()) {
+    std::fprintf(stderr, "%s\n", released.ToString().c_str());
+    return 1;
   }
   std::printf("Smooth Laplace publishes:          ");
   for (double v : private_release) std::printf("%6.1f", v);

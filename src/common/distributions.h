@@ -58,7 +58,8 @@ class LaplaceDistribution {
 /// Moments: E Z = 0, E|Z| = √2/2 ≈ 0.7071, Var Z = 1.
 /// (The paper's appendix computes the L1 integral without the normalizing
 /// constant and reports π/2; the normalized value is (√2/π)(π/2) = √2/2.
-/// Both are Θ(1), so Lemma 8.8's bound is unaffected; see EXPERIMENTS.md.)
+/// Both are Θ(1), so Lemma 8.8's bound is unaffected. MeanAbs and Smooth
+/// Gamma's ExpectedL1Error use √2/2, which sampled errors match.)
 class GeneralizedCauchy4 {
  public:
   GeneralizedCauchy4() = default;

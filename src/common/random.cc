@@ -98,29 +98,6 @@ double Rng::Pareto(double xm, double alpha) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-int64_t Rng::TwoSidedGeometric(double p) {
-  assert(p > 0.0 && p < 1.0);
-  // Difference of two geometric draws is the two-sided geometric.
-  auto geometric = [&]() -> int64_t {
-    double u = Uniform();
-    while (u <= 0.0) u = Uniform();
-    return static_cast<int64_t>(std::floor(std::log(u) / std::log(p)));
-  };
-  return geometric() - geometric();
-}
-
-void Rng::FillTwoSidedGeometric(double p, int64_t* out, size_t n) {
-  assert(p > 0.0 && p < 1.0);
-  const double inv_log_p = 1.0 / std::log(p);
-  // No redraw on zero uniforms (they saturate inside the shared leg), so
-  // the consumed draw count is fixed at 2n.
-  for (size_t i = 0; i < n; ++i) {
-    const double g1 = TwoSidedGeometricLeg(Uniform(), inv_log_p);
-    const double g2 = TwoSidedGeometricLeg(Uniform(), inv_log_p);
-    out[i] = static_cast<int64_t>(g1 - g2);
-  }
-}
-
 size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) total += w;

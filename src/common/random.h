@@ -4,26 +4,11 @@
 #ifndef EEP_COMMON_RANDOM_H_
 #define EEP_COMMON_RANDOM_H_
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/math_util.h"
-
 namespace eep {
-
-/// One leg of the two-sided geometric inverse transform,
-/// floor(ln(u)/ln(p)), with inv_log_p = 1/ln(p) precomputed by the caller.
-/// Shared by Rng::FillTwoSidedGeometric (fixed p) and
-/// GeometricMechanism::ReleaseBatch (per-cell p) so the two bulk samplers
-/// cannot drift apart. Returns double: for near-degenerate parameters the
-/// leg magnitude can exceed int64 range, and the difference of two legs is
-/// what callers actually release. A zero uniform saturates inside
-/// FastLogPositive instead of being redrawn.
-inline double TwoSidedGeometricLeg(double u, double inv_log_p) {
-  return std::floor(FastLogPositive(u) * inv_log_p);
-}
 
 /// \brief xoshiro256++ pseudo-random generator with distribution helpers.
 ///
@@ -72,20 +57,6 @@ class Rng {
 
   /// Pareto with minimum xm > 0 and tail index alpha > 0.
   double Pareto(double xm, double alpha);
-
-  /// Two-sided geometric (discrete Laplace) with parameter p in (0,1):
-  /// Pr[k] proportional to p^{|k|}. Used by the integer mechanism variant.
-  int64_t TwoSidedGeometric(double p);
-
-  /// Fills out[0..n) with n two-sided geometric draws of parameter p,
-  /// hoisting the 1/ln(p) factor out of the loop — the fixed-p form of
-  /// the transform GeometricMechanism::ReleaseBatch applies with per-cell
-  /// parameters. Consumes exactly 2n uniforms; zero draws saturate in the
-  /// log instead of being redrawn, so the stream position after the call
-  /// is a pure function of n (the scalar path redraws — batch and scalar
-  /// therefore consume the stream differently, see
-  /// CountMechanism::ReleaseBatch for why that is fine).
-  void FillTwoSidedGeometric(double p, int64_t* out, size_t n);
 
   /// Draws an index in [0, weights.size()) proportionally to weights.
   /// Weights must be non-negative with a positive sum.

@@ -53,8 +53,8 @@ Result<std::vector<double>> ExperimentRunner::ReleaseWithMechanism(
     const mechanisms::CountMechanism& mechanism, const FilteredCells& cells,
     Rng& rng) const {
   static const std::vector<table::EstabContribution> kNoContribs;
-  std::vector<double> out;
-  out.reserve(cells.indices.size());
+  std::vector<mechanisms::CellQuery> batch;
+  batch.reserve(cells.indices.size());
   for (size_t idx : cells.indices) {
     const auto& cell = query.cells()[idx];
     mechanisms::CellQuery cq;
@@ -62,11 +62,12 @@ Result<std::vector<double>> ExperimentRunner::ReleaseWithMechanism(
     cq.x_v = cell.x_v;
     const table::GroupedCell* grouped = query.grouped().Find(cell.key);
     cq.contributions = grouped ? &grouped->contributions : &kNoContribs;
-    // eep-lint: measurement-harness -- accuracy experiments sweep budgets
-    // as the independent variable; there is no ledger to charge by design
-    EEP_ASSIGN_OR_RETURN(double v, mechanism.Release(cq, rng));
-    out.push_back(v);
+    batch.push_back(cq);
   }
+  std::vector<double> out;
+  // eep-lint: measurement-harness -- accuracy experiments sweep budgets
+  // as the independent variable; there is no ledger to charge by design
+  EEP_RETURN_NOT_OK(mechanism.ReleaseBatch(batch, rng, &out));
   return out;
 }
 

@@ -49,11 +49,19 @@ Result<LodesDataset> LodesDataset::Create(AttributeDomains domains,
   EEP_ASSIGN_OR_RETURN(std::vector<uint64_t> workplace_keys,
                        DistinctWorkplaceKeys(workplaces));
 
-  // Every worker holds exactly one job (paper, Section 3.1).
+  // Every worker holds exactly one job (paper, Section 3.1). When Jobs and
+  // Workers share one worker-id vector (as the generator builds them), the
+  // join's index over the workers' ids below refuses a repeat already.
   EEP_ASSIGN_OR_RETURN(const table::Column* jw,
                        jobs.ColumnByName(kColWorkerId));
   EEP_ASSIGN_OR_RETURN(const std::vector<int64_t>* job_workers, jw->AsInt64());
-  EEP_RETURN_NOT_OK(table::KeyIndex::Build(*job_workers, SecondJob).status());
+  EEP_ASSIGN_OR_RETURN(const table::Column* ww,
+                       workers.ColumnByName(kColWorkerId));
+  EEP_ASSIGN_OR_RETURN(const std::vector<int64_t>* worker_ids, ww->AsInt64());
+  if (job_workers != worker_ids) {
+    EEP_RETURN_NOT_OK(
+        table::KeyIndex::Build(*job_workers, SecondJob).status());
+  }
 
   // Job ⋈ Worker ⋈ Workplace. HashJoin is an inner join with unique right
   // keys, so a row-count drop means a dangling foreign key. Every job

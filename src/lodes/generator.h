@@ -1,9 +1,10 @@
 // Synthetic LODES microdata generator.
 //
 // The paper's experiments run on a confidential 3-state LODES extract
-// (10.9M jobs, ~527k establishments). This generator is the documented
-// substitution (see DESIGN.md): it reproduces the three data properties that
-// drive every empirical result —
+// (10.9M jobs, ~527k establishments) that cannot be shipped. This
+// generator stands in for it, so absolute errors differ from the paper's
+// while the comparisons between mechanisms hold: it reproduces the three
+// data properties that drive every empirical result —
 //   (1) right-skewed establishment sizes (log-normal body + Pareto tail),
 //   (2) sparse place x industry x ownership cells,
 //   (3) Census places whose populations span the paper's four strata.

@@ -3,20 +3,31 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/math_util.h"
 #include "privacy/sensitivity.h"
 
 namespace eep::mechanisms {
 namespace {
 
 // exp(-1/scale) rounds to exactly 1.0 once 1/scale drops below ~2^-54 (one
-// half-ulp of 1). Both release paths reject that region: the sampler's
-// 1/ln(p) and ExpectedL1Error's 2p/(1-p^2) are inf/NaN there, and a noise
+// half-ulp of 1). The mechanism rejects that region: the sampler's 1/ln(p)
+// and ExpectedL1Error's 2p/(1-p^2) are inf/NaN there, and a noise
 // distribution indistinguishable from "no distribution" has no meaningful
-// release. The scalar path guards the computed p directly; the batch path
+// release. GeometricParameter guards the computed p directly; ReleaseBatch
 // evaluates that same check, but only for scales above this conservative
 // bound (exp(-1/2^50) is still 16 ulp below 1), keeping exp out of the
-// hot loop while staying bit-for-bit aligned with the scalar cutoff.
+// hot loop while refusing exactly the cells GeometricParameter refuses.
 constexpr double kNearDegenerateScale = 0x1p50;
+
+// One leg of the two-sided geometric inverse transform,
+// floor(ln(u)/ln(p)), with inv_log_p = 1/ln(p) precomputed by the caller.
+// Returns double: for near-degenerate parameters the leg magnitude can
+// exceed int64 range, and the difference of two legs is what the
+// mechanism releases. A zero uniform saturates inside FastLogPositive
+// instead of being redrawn.
+double TwoSidedGeometricLeg(double u, double inv_log_p) {
+  return std::floor(FastLogPositive(u) * inv_log_p);
+}
 
 Status DegenerateParameterError() {
   return Status::OutOfRange(
@@ -45,18 +56,6 @@ Result<double> GeometricMechanism::GeometricParameter(
   return p;
 }
 
-Result<double> GeometricMechanism::Release(const CellQuery& cell,
-                                           Rng& rng) const {
-  if (cell.true_count < 0) {
-    return Status::InvalidArgument("count must be >= 0");
-  }
-  EEP_ASSIGN_OR_RETURN(double p, GeometricParameter(cell));
-  // p == 0 is the zero-noise limit (all mass at 0); the sampler requires
-  // p > 0.
-  if (p == 0.0) return static_cast<double>(cell.true_count);
-  return static_cast<double>(cell.true_count + rng.TwoSidedGeometric(p));
-}
-
 Status GeometricMechanism::ReleaseBatch(const std::vector<CellQuery>& cells,
                                         Rng& rng,
                                         std::vector<double>* out) const {
@@ -73,7 +72,7 @@ Status GeometricMechanism::ReleaseBatch(const std::vector<CellQuery>& cells,
     }
     if (cells[i].x_v < 0) return Status::InvalidArgument("x_v must be >= 0");
     // Same expression as GeometricParameter, so the degenerate cutoff
-    // below agrees with the scalar path to the last ulp.
+    // below agrees with it to the last ulp.
     const double scale =
         std::max(1.0, static_cast<double>(cells[i].x_v) * params_.alpha) /
         half_eps;

@@ -10,10 +10,10 @@
 
 namespace eep::mechanisms {
 
-/// \brief n + round(S*(x_v)) · TwoSidedGeometric noise, scaled like Smooth
-/// Laplace. Approximate (alpha, epsilon, delta)-ER-EE privacy; the integer
-/// grid makes the guarantee conservative (noise is stochastically at least
-/// as spread as the continuous mechanism it mirrors).
+/// \brief n + two-sided geometric noise, scaled like Smooth Laplace.
+/// Approximate (alpha, epsilon, delta)-ER-EE privacy; the integer grid
+/// makes the guarantee conservative (noise is stochastically at least as
+/// spread as the continuous mechanism it mirrors).
 class GeometricMechanism : public CountMechanism {
  public:
   /// Same feasibility region as Smooth Laplace.
@@ -21,11 +21,9 @@ class GeometricMechanism : public CountMechanism {
 
   std::string name() const override { return "Smooth Geometric"; }
 
-  Result<double> Release(const CellQuery& cell, Rng& rng) const override;
-
-  /// Vectorized: hoists the per-cell parameter derivation (no exp/log per
-  /// parameter: the inverse transform uses 1/ln(p) = -scale directly) and
-  /// draws both geometric legs from one bulk uniform fill.
+  /// Hoists the per-cell parameter derivation (no exp/log per parameter:
+  /// the inverse transform uses 1/ln(p) = -scale directly) and draws both
+  /// geometric legs from one bulk uniform fill, two uniforms per cell.
   Status ReleaseBatch(const std::vector<CellQuery>& cells, Rng& rng,
                       std::vector<double>* out) const override;
 
@@ -35,6 +33,7 @@ class GeometricMechanism : public CountMechanism {
   /// OutOfRange when p degenerates to 1 (huge smooth sensitivity): the
   /// sampler and the error formula are unbounded there, and the
   /// mechanism.h contract maps unbounded values to an error status.
+  /// ReleaseBatch refuses such a cell with the same status.
   Result<double> GeometricParameter(const CellQuery& cell) const;
 
  private:

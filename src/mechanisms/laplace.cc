@@ -11,11 +11,6 @@ Result<EdgeLaplaceMechanism> EdgeLaplaceMechanism::Create(double epsilon) {
   return EdgeLaplaceMechanism(epsilon);
 }
 
-Result<double> EdgeLaplaceMechanism::Release(const CellQuery& cell,
-                                             Rng& rng) const {
-  return static_cast<double>(cell.true_count) + rng.Laplace(scale());
-}
-
 Status EdgeLaplaceMechanism::ReleaseBatch(const std::vector<CellQuery>& cells,
                                           Rng& rng,
                                           std::vector<double>* out) const {

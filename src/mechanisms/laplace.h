@@ -20,10 +20,8 @@ class EdgeLaplaceMechanism : public CountMechanism {
   double epsilon() const { return epsilon_; }
   double scale() const { return 1.0 / epsilon_; }
 
-  Result<double> Release(const CellQuery& cell, Rng& rng) const override;
-  /// Vectorized: one bulk Laplace fill, then one add per cell. Consumes
-  /// the stream identically to the scalar loop (one uniform per cell);
-  /// values agree with it to the last ulp of the noise transform.
+  /// One bulk Laplace(1/epsilon) fill, then one add per cell: exactly one
+  /// uniform per cell.
   Status ReleaseBatch(const std::vector<CellQuery>& cells, Rng& rng,
                       std::vector<double>* out) const override;
   /// E|error| = 1/epsilon, independent of the cell.

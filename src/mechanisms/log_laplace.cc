@@ -16,23 +16,6 @@ Result<LogLaplaceMechanism> LogLaplaceMechanism::Create(
   return LogLaplaceMechanism(params, lambda, debias);
 }
 
-Result<double> LogLaplaceMechanism::Release(const CellQuery& cell,
-                                            Rng& rng) const {
-  if (cell.true_count < 0) {
-    return Status::InvalidArgument("count must be >= 0");
-  }
-  const double n = static_cast<double>(cell.true_count);
-  const double log_count = std::log(n + gamma_);
-  const double eta = rng.Laplace(lambda_);
-  double released = std::exp(log_count + eta) - gamma_;
-  if (debias_) {
-    // Lemma 8.2: E[n~ + gamma] = (n + gamma)/(1 - lambda^2); rescaling by
-    // (1 - lambda^2) restores unbiasedness of the shifted value.
-    released = (released + gamma_) * (1.0 - lambda_ * lambda_) - gamma_;
-  }
-  return released;
-}
-
 Status LogLaplaceMechanism::ReleaseBatch(const std::vector<CellQuery>& cells,
                                          Rng& rng,
                                          std::vector<double>* out) const {
@@ -51,11 +34,12 @@ Status LogLaplaceMechanism::ReleaseBatch(const std::vector<CellQuery>& cells,
   const double debias_factor = 1.0 - lambda_ * lambda_;
   for (size_t i = 0; i < n; ++i) {
     const double count = static_cast<double>(cells[i].true_count);
-    // exp(log(n+gamma) + eta) = (n+gamma)·exp(eta): the log is removable,
-    // halving the loop's libm cost (values shift at ulp scale, which the
-    // batch contract permits).
+    // Algorithm 1's exp(log(n+gamma) + eta), written (n+gamma)·exp(eta) to
+    // save the log.
     double released = (count + gamma_) * std::exp(dst[i]) - gamma_;
     if (debias_) {
+      // Lemma 8.2: E[n~ + gamma] = (n + gamma)/(1 - lambda^2); rescaling
+      // by (1 - lambda^2) restores unbiasedness of the shifted value.
       released = (released + gamma_) * debias_factor - gamma_;
     }
     dst[i] = released;

@@ -43,11 +43,8 @@ class LogLaplaceMechanism : public CountMechanism {
   /// True when Lemma 8.2 gives a finite expectation (lambda < 1).
   bool HasBoundedExpectation() const { return lambda_ < 1.0; }
 
-  Result<double> Release(const CellQuery& cell, Rng& rng) const override;
-
-  /// Vectorized: validates all cells, fills Laplace(lambda) noise in bulk,
-  /// and hoists the debias factor; the per-cell log/exp pair is inherent
-  /// to the mechanism and stays.
+  /// Validates all cells, fills Laplace(lambda) noise in bulk (one uniform
+  /// per cell) and scales each shifted count by exp(eta).
   Status ReleaseBatch(const std::vector<CellQuery>& cells, Rng& rng,
                       std::vector<double>* out) const override;
 

@@ -1,12 +1,12 @@
 // The common interface all count-release mechanisms implement.
 //
-// A mechanism releases one cell of a marginal at a time; marginal-level
-// releases (and their composition accounting) are orchestrated by
-// eval::ExperimentRunner and release::RunReleaseWorkload on top of this
-// interface. The batch-sampling determinism contract (ReleaseBatch as a
-// pure function of the incoming rng state, free to consume the stream
-// differently from the scalar loop) is documented in
-// docs/ARCHITECTURE.md, "Batch sampling".
+// A mechanism draws noise in one place: ReleaseBatch, which releases a
+// vector of cells from one rng. Marginal-level releases (and their
+// composition accounting) are orchestrated by eval::ExperimentRunner and
+// release::RunReleaseWorkload on top of it, and a single draw is a
+// one-cell batch. The sampling contract (a batch is a pure function of the
+// incoming rng state; the tests that bind each sampler to its noise law)
+// is documented in docs/ARCHITECTURE.md, "Contract 2".
 #ifndef EEP_MECHANISMS_MECHANISM_H_
 #define EEP_MECHANISMS_MECHANISM_H_
 
@@ -32,7 +32,7 @@ struct CellQuery {
   const std::vector<table::EstabContribution>* contributions = nullptr;
 };
 
-/// \brief A randomized single-count release mechanism.
+/// \brief A randomized count release mechanism.
 class CountMechanism {
  public:
   virtual ~CountMechanism() = default;
@@ -40,26 +40,13 @@ class CountMechanism {
   /// Mechanism name for reports ("Log-Laplace", ...).
   virtual std::string name() const = 0;
 
-  /// Releases one noisy count.
-  virtual Result<double> Release(const CellQuery& cell, Rng& rng) const = 0;
-
   /// Releases a batch of cells, appending one noisy count per cell to
-  /// `out`. The default draws per cell via Release(). Overrides (e.g. a
-  /// vectorized sampler) must be deterministic given the incoming `rng`
-  /// state but are free to consume the stream differently from the
-  /// default, which changes the released values — akin to changing the
-  /// seed, and fine because callers discard the rng after the call rather
-  /// than relying on its final position. Sharded runners call this once
-  /// per shard with that shard's substream.
+  /// `out`; a refused batch appends nothing. Deterministic given the
+  /// incoming `rng` state. Callers discard the rng after the call
+  /// rather than relying on its final position; sharded runners call this
+  /// once per shard with that shard's substream.
   virtual Status ReleaseBatch(const std::vector<CellQuery>& cells, Rng& rng,
-                              std::vector<double>* out) const {
-    out->reserve(out->size() + cells.size());
-    for (const CellQuery& cell : cells) {
-      EEP_ASSIGN_OR_RETURN(double released, Release(cell, rng));
-      out->push_back(released);
-    }
-    return Status::OK();
-  }
+                              std::vector<double>* out) const = 0;
 
   /// Analytic expected |error| for this cell when available; unbounded /
   /// unknown values return an error status.

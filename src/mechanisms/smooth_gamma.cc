@@ -25,15 +25,6 @@ Result<double> SmoothGammaMechanism::NoiseScale(const CellQuery& cell) const {
   return smooth / (eps1_ / 5.0);
 }
 
-Result<double> SmoothGammaMechanism::Release(const CellQuery& cell,
-                                             Rng& rng) const {
-  if (cell.true_count < 0) {
-    return Status::InvalidArgument("count must be >= 0");
-  }
-  EEP_ASSIGN_OR_RETURN(double scale, NoiseScale(cell));
-  return static_cast<double>(cell.true_count) + scale * noise_.Sample(rng);
-}
-
 Status SmoothGammaMechanism::ReleaseBatch(const std::vector<CellQuery>& cells,
                                           Rng& rng,
                                           std::vector<double>* out) const {
@@ -46,7 +37,7 @@ Status SmoothGammaMechanism::ReleaseBatch(const std::vector<CellQuery>& cells,
       return Status::InvalidArgument("count must be >= 0");
     }
     if (cells[i].x_v < 0) return Status::InvalidArgument("x_v must be >= 0");
-    // Mirror the scalar path's SmoothSensitivity parameter checks exactly.
+    // NoiseScale's SmoothSensitivity parameter checks, with its messages.
     // Both can fire even though Create succeeded, because Create tests a
     // different inequality (1+alpha < e^{eps/5}): alpha == 0 makes
     // b = eps2/5 zero, and for some alpha the round trip

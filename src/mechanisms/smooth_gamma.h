@@ -32,14 +32,11 @@ class SmoothGammaMechanism : public CountMechanism {
   /// Noise multiplier for a cell: S*(x_v) / (eps1/5).
   Result<double> NoiseScale(const CellQuery& cell) const;
 
-  Result<double> Release(const CellQuery& cell, Rng& rng) const override;
-
-  /// Vectorized: hoists validation and noise-scale derivation, draws all
-  /// uniforms in one fill, and inverts the GeneralizedCauchy4 CDF through
-  /// the batched Newton/bisection hybrid (QuantileN, ~5 CDF evaluations
-  /// per cell instead of the scalar path's ~60-step bisection). Zero
-  /// uniforms are clamped instead of redrawn, so stream consumption is
-  /// exactly one draw per cell.
+  /// Hoists validation and noise-scale derivation, draws all uniforms in
+  /// one fill, and inverts the GeneralizedCauchy4 CDF through the batched
+  /// Newton/bisection hybrid (QuantileN, ~5 CDF evaluations per cell).
+  /// Zero uniforms are clamped instead of redrawn, so stream consumption
+  /// is exactly one draw per cell.
   Status ReleaseBatch(const std::vector<CellQuery>& cells, Rng& rng,
                       std::vector<double>* out) const override;
 

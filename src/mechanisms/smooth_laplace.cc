@@ -23,21 +23,12 @@ Result<double> SmoothLaplaceMechanism::NoiseScale(
   return smooth / (params_.epsilon / 2.0);
 }
 
-Result<double> SmoothLaplaceMechanism::Release(const CellQuery& cell,
-                                               Rng& rng) const {
-  if (cell.true_count < 0) {
-    return Status::InvalidArgument("count must be >= 0");
-  }
-  EEP_ASSIGN_OR_RETURN(double scale, NoiseScale(cell));
-  return static_cast<double>(cell.true_count) + scale * rng.Laplace(1.0);
-}
-
 Status SmoothLaplaceMechanism::ReleaseBatch(const std::vector<CellQuery>& cells,
                                             Rng& rng,
                                             std::vector<double>* out) const {
   const size_t n = cells.size();
-  // Per-cell parameter pass: same checks and arithmetic as Release() via
-  // SmoothSensitivity, minus the invariant (alpha, b) feasibility work.
+  // Per-cell parameter pass: NoiseScale's checks and arithmetic, minus the
+  // invariant (alpha, b) feasibility work.
   std::vector<double> scale(n);
   const double inv_half_eps = 2.0 / params_.epsilon;
   for (size_t i = 0; i < n; ++i) {

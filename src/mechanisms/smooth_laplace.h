@@ -32,11 +32,9 @@ class SmoothLaplaceMechanism : public CountMechanism {
   /// Noise multiplier for a cell: S*(x_v) / (epsilon/2).
   Result<double> NoiseScale(const CellQuery& cell) const;
 
-  Result<double> Release(const CellQuery& cell, Rng& rng) const override;
-
-  /// Vectorized: validates every cell and derives all noise scales up
-  /// front ((alpha, b) feasibility was settled at Create, so no per-cell
-  /// exp remains), then fills unit-Laplace noise in bulk.
+  /// Validates every cell and derives its noise scale (NoiseScale's value;
+  /// (alpha, b) feasibility was settled at Create, so no per-cell exp
+  /// remains), then fills unit-Laplace noise in bulk, one uniform per cell.
   Status ReleaseBatch(const std::vector<CellQuery>& cells, Rng& rng,
                       std::vector<double>* out) const override;
 

@@ -29,12 +29,6 @@ Result<int64_t> TruncatedLaplaceMechanism::TruncatedCount(
   return kept;
 }
 
-Result<double> TruncatedLaplaceMechanism::Release(const CellQuery& cell,
-                                                  Rng& rng) const {
-  EEP_ASSIGN_OR_RETURN(int64_t kept, TruncatedCount(cell));
-  return static_cast<double>(kept) + rng.Laplace(scale());
-}
-
 Status TruncatedLaplaceMechanism::ReleaseBatch(
     const std::vector<CellQuery>& cells, Rng& rng,
     std::vector<double>* out) const {

@@ -27,11 +27,9 @@ class TruncatedLaplaceMechanism : public CountMechanism {
   double epsilon() const { return epsilon_; }
   double scale() const { return static_cast<double>(theta_) / epsilon_; }
 
-  /// Requires cell.contributions (the projection needs the breakdown).
-  Result<double> Release(const CellQuery& cell, Rng& rng) const override;
-
-  /// Vectorized: projects every cell first, then adds one bulk
-  /// Laplace(theta/epsilon) fill.
+  /// Projects every cell first (TruncatedCount: a non-empty cell needs
+  /// its contributions), then adds one bulk Laplace(theta/epsilon) fill,
+  /// one uniform per cell.
   Status ReleaseBatch(const std::vector<CellQuery>& cells, Rng& rng,
                       std::vector<double>* out) const override;
 

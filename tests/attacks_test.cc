@@ -125,17 +125,20 @@ TEST(ReidentificationTest, LengthMismatchRejected) {
 // Contrast: the same attacks fail against the formally private release.
 // ---------------------------------------------------------------------------
 
+// kTrueCells as mechanism inputs: a single establishment, so the whole
+// cell is one employer (x_v = count).
+std::vector<mechanisms::CellQuery> SingleEmployerCells() {
+  std::vector<mechanisms::CellQuery> cells;
+  for (int64_t c : kTrueCells) cells.push_back({c, c, nullptr});
+  return cells;
+}
+
 TEST(AttackContrastTest, SmoothLaplaceBreaksShapeAttack) {
   privacy::PrivacyParams params{0.1, 2.0, 0.05};
   auto mech = mechanisms::SmoothLaplaceMechanism::Create(params).value();
   Rng rng(37);
   std::vector<double> published;
-  for (int64_t c : kTrueCells) {
-    mechanisms::CellQuery cq;
-    cq.true_count = c;
-    cq.x_v = c;  // single establishment: the whole cell is one employer
-    published.push_back(mech.Release(cq, rng).value());
-  }
+  ASSERT_TRUE(mech.ReleaseBatch(SingleEmployerCells(), rng, &published).ok());
   auto result =
       InferEstablishmentShape(published, kSmallCellLimit).value();
   // Independent per-cell noise: the inferred shape cannot match the truth
@@ -152,12 +155,7 @@ TEST(AttackContrastTest, SmoothLaplaceBreaksSizeAttack) {
   auto mech = mechanisms::SmoothLaplaceMechanism::Create(params).value();
   Rng rng(41);
   std::vector<double> published;
-  for (int64_t c : kTrueCells) {
-    mechanisms::CellQuery cq;
-    cq.true_count = c;
-    cq.x_v = c;
-    published.push_back(mech.Release(cq, rng).value());
-  }
+  ASSERT_TRUE(mech.ReleaseBatch(SingleEmployerCells(), rng, &published).ok());
   auto result =
       ReconstructEstablishmentSize(published, 1, 120, kSmallCellLimit)
           .value();

@@ -28,6 +28,9 @@ struct FixtureOptions {
   bool reverse_workers = false;
   /// Multiplies every worker and establishment id (sparse join keys).
   int64_t id_scale = 1;
+  /// Workers take the jobs' worker-id column itself, as the generator
+  /// builds them (one shared vector).
+  bool share_worker_ids = false;
 };
 
 Fixture MakeFixture(const FixtureOptions& options) {
@@ -45,7 +48,19 @@ Fixture MakeFixture(const FixtureOptions& options) {
     for (auto& codes : attrs) std::reverse(codes.begin(), codes.end());
   }
   for (int64_t& id : worker_ids) id *= options.id_scale;
-  std::vector<Column> worker_columns = {Column::OfInt64(worker_ids)};
+
+  std::vector<int64_t> job_workers = {1, 2, 3, 4};
+  std::vector<int64_t> job_estabs = {100, 100, 200, 200};
+  if (options.dangling_worker) job_workers[0] = 999;
+  if (options.dangling_estab) job_estabs[0] = 999;
+  if (options.duplicate_job) job_workers[1] = 1;
+  for (int64_t& id : job_workers) id *= options.id_scale;
+  for (int64_t& id : job_estabs) id *= options.id_scale;
+  const Column job_worker_ids = Column::OfInt64(std::move(job_workers));
+
+  std::vector<Column> worker_columns = {options.share_worker_ids
+                                            ? job_worker_ids
+                                            : Column::OfInt64(worker_ids)};
   for (auto& codes : attrs) {
     worker_columns.push_back(Column::OfCategory(std::move(codes)));
   }
@@ -63,15 +78,8 @@ Fixture MakeFixture(const FixtureOptions& options) {
            Column::OfCategory({0, 1})})
           .value();
 
-  std::vector<int64_t> job_workers = {1, 2, 3, 4};
-  std::vector<int64_t> job_estabs = {100, 100, 200, 200};
-  if (options.dangling_worker) job_workers[0] = 999;
-  if (options.dangling_estab) job_estabs[0] = 999;
-  if (options.duplicate_job) job_workers[1] = 1;
-  for (int64_t& id : job_workers) id *= options.id_scale;
-  for (int64_t& id : job_estabs) id *= options.id_scale;
   auto jobs = table::Table::Create(domains.JobSchema().value(),
-                                   {Column::OfInt64(std::move(job_workers)),
+                                   {job_worker_ids,
                                     Column::OfInt64(std::move(job_estabs))})
                   .value();
 
@@ -129,6 +137,22 @@ TEST(LodesDatasetTest, RejectsMultipleJobsPerWorker) {
   const Status st = CreateStatus(options);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(st.message(), "worker 1 holds more than one job");
+}
+
+// With one shared worker-id column Create skips its own one-job-per-worker
+// index; the join's index over the same ids refuses the repeat instead.
+TEST(LodesDatasetTest, RejectsARepeatedIdInASharedWorkerIdColumn) {
+  FixtureOptions options;
+  options.share_worker_ids = true;
+  Fixture f = MakeFixture(options);
+  EXPECT_EQ(f.jobs.ColumnByName(kColWorkerId).value()->AsInt64().value(),
+            f.workers.ColumnByName(kColWorkerId).value()->AsInt64().value());
+  EXPECT_TRUE(CreateStatus(options).ok());
+
+  options.duplicate_job = true;
+  const Status st = CreateStatus(options);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "HashJoin: duplicate right key 1");
 }
 
 // Workers stored out of job order make the join gather them, and ids far

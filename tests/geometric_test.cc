@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/stats.h"
 
@@ -22,9 +23,11 @@ TEST(GeometricMechanismTest, SameFeasibilityAsSmoothLaplace) {
 TEST(GeometricMechanismTest, IntegerOutputs) {
   auto mech = GeometricMechanism::Create(Params(0.1, 2.0, 0.05)).value();
   CellQuery cell{100, 40, nullptr};
+  std::vector<double> out;
   Rng rng(71);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = mech.Release(cell, rng).value();
+  ASSERT_TRUE(
+      mech.ReleaseBatch(std::vector<CellQuery>(1000, cell), rng, &out).ok());
+  for (const double v : out) {
     EXPECT_EQ(v, std::round(v)) << "released value must be integral";
   }
 }
@@ -40,10 +43,13 @@ TEST(GeometricMechanismTest, UnbiasedWithMatchingL1) {
   auto mech = GeometricMechanism::Create(Params(0.1, 2.0, 0.05)).value();
   CellQuery cell{250, 80, nullptr};
   const double expected = mech.ExpectedL1Error(cell).value();
+  std::vector<double> out;
   Rng rng(73);
+  ASSERT_TRUE(mech.ReleaseBatch(std::vector<CellQuery>(300000, cell), rng,
+                                &out)
+                  .ok());
   RunningStats stats, err;
-  for (int i = 0; i < 300000; ++i) {
-    const double v = mech.Release(cell, rng).value();
+  for (const double v : out) {
     stats.Add(v);
     err.Add(std::abs(v - 250.0));
   }
@@ -61,8 +67,9 @@ TEST(GeometricMechanismTest, TracksContinuousCounterpartError) {
 
 TEST(GeometricMechanismTest, RejectsNegativeCount) {
   auto mech = GeometricMechanism::Create(Params(0.1, 2.0, 0.05)).value();
+  std::vector<double> out;
   Rng rng(79);
-  EXPECT_FALSE(mech.Release({-3, 0, nullptr}, rng).ok());
+  EXPECT_FALSE(mech.ReleaseBatch({{-3, 0, nullptr}}, rng, &out).ok());
 }
 
 TEST(GeometricMechanismTest, DegenerateParameterIsAnErrorNotInf) {
@@ -75,8 +82,10 @@ TEST(GeometricMechanismTest, DegenerateParameterIsAnErrorNotInf) {
   const CellQuery cell{100, int64_t{1} << 60, nullptr};
   EXPECT_EQ(mech.GeometricParameter(cell).status().code(),
             StatusCode::kOutOfRange);
+  std::vector<double> out;
   Rng rng(81);
-  EXPECT_EQ(mech.Release(cell, rng).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(mech.ReleaseBatch({cell}, rng, &out).code(),
+            StatusCode::kOutOfRange);
   const auto err = mech.ExpectedL1Error(cell);
   ASSERT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kOutOfRange);

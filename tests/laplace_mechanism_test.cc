@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/stats.h"
 
@@ -27,11 +28,14 @@ TEST(EdgeLaplaceTest, ScaleIsInverseEpsilon) {
 TEST(EdgeLaplaceTest, UnbiasedWithExpectedError) {
   auto mech = EdgeLaplaceMechanism::Create(1.0).value();
   CellQuery cell{1000, 1000, nullptr};
+  std::vector<double> out;
   Rng rng(7);
+  ASSERT_TRUE(mech.ReleaseBatch(std::vector<CellQuery>(100000, cell), rng,
+                                &out)
+                  .ok());
   RunningStats err;
   RunningStats val;
-  for (int i = 0; i < 100000; ++i) {
-    const double v = mech.Release(cell, rng).value();
+  for (const double v : out) {
     val.Add(v);
     err.Add(std::abs(v - 1000.0));
   }
@@ -50,11 +54,13 @@ TEST(EdgeLaplaceTest, NoiseIndependentOfEstablishmentSize) {
                    mech.ExpectedL1Error(huge).value());
   // With eps=1, the count of a 10,000-employee establishment is disclosed
   // to within ~log(1/p) with probability 1-p (at most 5 for p=0.01).
-  Rng rng(11);
-  int within5 = 0;
   const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    const double v = mech.Release(huge, rng).value();
+  std::vector<double> out;
+  Rng rng(11);
+  ASSERT_TRUE(
+      mech.ReleaseBatch(std::vector<CellQuery>(n, huge), rng, &out).ok());
+  int within5 = 0;
+  for (const double v : out) {
     if (std::abs(v - 10000.0) <= 5.0) ++within5;
   }
   EXPECT_GT(static_cast<double>(within5) / n, 0.98);

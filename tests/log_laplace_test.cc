@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/stats.h"
 
@@ -11,6 +12,15 @@ namespace {
 
 privacy::PrivacyParams Params(double alpha, double eps) {
   return {alpha, eps, 0.0};
+}
+
+// `n` releases of one cell, drawn as one batch.
+std::vector<double> ReleaseN(const CountMechanism& mech, const CellQuery& cell,
+                             int n, Rng& rng) {
+  std::vector<double> out;
+  EXPECT_TRUE(
+      mech.ReleaseBatch(std::vector<CellQuery>(n, cell), rng, &out).ok());
+  return out;
 }
 
 TEST(LogLaplaceTest, CreateValidation) {
@@ -42,9 +52,7 @@ TEST(LogLaplaceTest, BiasMatchesLemma82) {
   CellQuery cell{500, 500, nullptr};
   Rng rng(13);
   RunningStats stats;
-  for (int i = 0; i < 400000; ++i) {
-    stats.Add(mech.Release(cell, rng).value());
-  }
+  for (const double v : ReleaseN(mech, cell, 400000, rng)) stats.Add(v);
   const double expected =
       (500.0 + mech.gamma()) / (1.0 - lambda * lambda) - mech.gamma();
   EXPECT_NEAR(stats.mean(), expected, expected * 0.01);
@@ -55,9 +63,7 @@ TEST(LogLaplaceTest, DebiasRemovesLemma82Bias) {
   CellQuery cell{500, 500, nullptr};
   Rng rng(17);
   RunningStats stats;
-  for (int i = 0; i < 400000; ++i) {
-    stats.Add(mech.Release(cell, rng).value());
-  }
+  for (const double v : ReleaseN(mech, cell, 400000, rng)) stats.Add(v);
   EXPECT_NEAR(stats.mean(), 500.0, 5.0);
   EXPECT_EQ(mech.name(), "Log-Laplace (debiased)");
 }
@@ -70,8 +76,7 @@ TEST(LogLaplaceTest, SquaredRelativeErrorBoundHolds) {
   CellQuery cell{1000, 1000, nullptr};
   Rng rng(19);
   RunningStats sq_rel;
-  for (int i = 0; i < 200000; ++i) {
-    const double v = mech.Release(cell, rng).value();
+  for (const double v : ReleaseN(mech, cell, 200000, rng)) {
     const double rel = (v - 1000.0) / 1000.0;
     sq_rel.Add(rel * rel);
   }
@@ -91,11 +96,10 @@ TEST(LogLaplaceTest, ErrorScalesWithCount) {
   auto mech = LogLaplaceMechanism::Create(Params(0.1, 2.0)).value();
   Rng rng(23);
   auto avg_error = [&](int64_t count) {
-    CellQuery cell{count, count, nullptr};
+    const CellQuery cell{count, count, nullptr};
     RunningStats err;
-    for (int i = 0; i < 20000; ++i) {
-      err.Add(std::abs(mech.Release(cell, rng).value() -
-                       static_cast<double>(count)));
+    for (const double v : ReleaseN(mech, cell, 20000, rng)) {
+      err.Add(std::abs(v - static_cast<double>(count)));
     }
     return err.mean();
   };
@@ -104,15 +108,16 @@ TEST(LogLaplaceTest, ErrorScalesWithCount) {
 
 TEST(LogLaplaceTest, RejectsNegativeCount) {
   auto mech = LogLaplaceMechanism::Create(Params(0.1, 2.0)).value();
+  std::vector<double> out;
   Rng rng(29);
-  EXPECT_FALSE(mech.Release({-1, 0, nullptr}, rng).ok());
+  EXPECT_FALSE(mech.ReleaseBatch({{-1, 0, nullptr}}, rng, &out).ok());
 }
 
 TEST(LogLaplaceTest, ReleaseNeverBelowNegativeGamma) {
   auto mech = LogLaplaceMechanism::Create(Params(0.1, 1.0)).value();
   Rng rng(31);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GT(mech.Release({0, 0, nullptr}, rng).value(), -mech.gamma());
+  for (const double v : ReleaseN(mech, {0, 0, nullptr}, 10000, rng)) {
+    EXPECT_GT(v, -mech.gamma());
   }
 }
 

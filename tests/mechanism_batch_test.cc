@@ -1,14 +1,16 @@
-// Contract tests for the vectorized ReleaseBatch overrides: determinism
-// given an Rng state, Status agreement with the scalar path on invalid
-// cells, distributional correctness of the rewritten samplers, and
-// 1-vs-N-thread release equality through the pipeline for every mechanism
-// kind (not just the default per-cell loop PR 1 exercised).
+// Contract tests for ReleaseBatch, each mechanism's one sampler:
+// determinism given an Rng state, stream consumption per cell, the exact
+// refusal (code and message) on invalid cells, draw-for-draw agreement of
+// Edge-Laplace with the Laplace quantile of its uniforms, and 1-vs-N-thread
+// release equality through the pipeline for every mechanism kind.
+// mechanism_privacy_property_test binds each sampler's output to its noise
+// law, and the per-mechanism tests check its moments.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <string>
 #include <vector>
 
-#include "common/stats.h"
+#include "common/distributions.h"
 #include "lodes/generator.h"
 #include "mechanisms/geometric.h"
 #include "mechanisms/laplace.h"
@@ -68,129 +70,146 @@ TEST(MechanismBatchTest, EveryOverrideIsDeterministicAndAppends) {
       MixedCells(100, true));
 }
 
-TEST(MechanismBatchTest, EdgeLaplaceBatchTracksScalarDrawForDraw) {
-  // Edge-Laplace's override draws through LaplaceDistribution::SampleN,
-  // which consumes the stream exactly like the scalar loop — so batch and
-  // scalar outputs line up draw for draw, differing only by the ulp-level
-  // gap between FastLogPositive and libm in the noise transform.
+TEST(MechanismBatchTest, EdgeLaplaceDrawsTheQuantileOfEachUniform) {
+  // Cell i's noise is LaplaceDistribution::Quantile of the i-th uniform
+  // of the stream, up to the ulp-level gap between FastLogPositive and
+  // libm's log.
   auto mech = EdgeLaplaceMechanism::Create(0.5).value();
+  const auto noise = LaplaceDistribution::Create(mech.scale()).value();
   const auto cells = MixedCells(64, false);
-  std::vector<double> batch, scalar;
-  Rng rng_batch(57), rng_scalar(57);
-  ASSERT_TRUE(mech.ReleaseBatch(cells, rng_batch, &batch).ok());
-  ASSERT_TRUE(
-      mech.CountMechanism::ReleaseBatch(cells, rng_scalar, &scalar).ok());
-  ASSERT_EQ(batch.size(), scalar.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_NEAR(batch[i], scalar[i], 1e-9) << "cell " << i;
+  std::vector<double> released;
+  Rng rng(57);
+  ASSERT_TRUE(mech.ReleaseBatch(cells, rng, &released).ok());
+  std::vector<double> u(cells.size());
+  Rng uniforms(57);
+  uniforms.FillUniform(u.data(), u.size());
+  ASSERT_EQ(released.size(), cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_NEAR(released[i],
+                static_cast<double>(cells[i].true_count) +
+                    noise.Quantile(u[i]),
+                1e-9)
+        << "cell " << i;
   }
-  EXPECT_EQ(rng_batch.NextUint64(), rng_scalar.NextUint64());
+  EXPECT_EQ(rng.NextUint64(), uniforms.NextUint64());
 }
 
-/// Asserts scalar (default loop) and batch (override) fail identically.
-void CheckStatusParity(const CountMechanism& mech,
-                       const std::vector<CellQuery>& cells) {
+/// Asserts a batch of `cells` leaves `rng` exactly `per_cell` uniforms per
+/// cell further along.
+void CheckUniformsPerCell(const CountMechanism& mech,
+                          const std::vector<CellQuery>& cells,
+                          size_t per_cell) {
   std::vector<double> out;
-  Rng rng_scalar(59);
-  const Status scalar = mech.CountMechanism::ReleaseBatch(cells, rng_scalar,
-                                                          &out);
-  out.clear();
-  Rng rng_batch(59);
-  const Status batch = mech.ReleaseBatch(cells, rng_batch, &out);
-  EXPECT_EQ(scalar.code(), batch.code())
-      << mech.name() << ": scalar=" << scalar.ToString()
-      << " batch=" << batch.ToString();
-  EXPECT_EQ(scalar.message(), batch.message()) << mech.name();
+  Rng rng(58);
+  ASSERT_TRUE(mech.ReleaseBatch(cells, rng, &out).ok()) << mech.name();
+  std::vector<double> skipped(per_cell * cells.size());
+  Rng expected(58);
+  expected.FillUniform(skipped.data(), skipped.size());
+  EXPECT_EQ(rng.NextUint64(), expected.NextUint64()) << mech.name();
 }
 
-TEST(MechanismBatchTest, NegativeCountStatusAgreesWithScalarPath) {
+TEST(MechanismBatchTest, EveryMechanismConsumesAFixedNumberOfUniformsPerCell) {
+  for (size_t n : {1, 37}) {
+    const auto cells = MixedCells(n, false);
+    CheckUniformsPerCell(EdgeLaplaceMechanism::Create(1.0).value(), cells, 1);
+    CheckUniformsPerCell(LogLaplaceMechanism::Create(kPureParams).value(),
+                         cells, 1);
+    CheckUniformsPerCell(SmoothLaplaceMechanism::Create(kParams).value(),
+                         cells, 1);
+    CheckUniformsPerCell(SmoothGammaMechanism::Create(kPureParams).value(),
+                         cells, 1);
+    CheckUniformsPerCell(
+        TruncatedLaplaceMechanism::Create(100, 1.0, {2}).value(),
+        MixedCells(n, true), 1);
+    // Two geometric legs per cell.
+    CheckUniformsPerCell(GeometricMechanism::Create(kParams).value(), cells,
+                         2);
+  }
+}
+
+/// Asserts the batch is refused with exactly `code` and `message`, and
+/// appends nothing.
+void CheckRefusal(const CountMechanism& mech,
+                  const std::vector<CellQuery>& cells, StatusCode code,
+                  const std::string& message) {
+  std::vector<double> out = {-7.0};
+  Rng rng(59);
+  const Status st = mech.ReleaseBatch(cells, rng, &out);
+  EXPECT_EQ(st.code(), code) << mech.name() << ": " << st.ToString();
+  EXPECT_EQ(st.message(), message) << mech.name();
+  EXPECT_EQ(out, std::vector<double>{-7.0}) << mech.name();
+}
+
+TEST(MechanismBatchTest, NegativeCountIsRefused) {
   auto cells = MixedCells(10, false);
   cells[4].true_count = -1;
-  CheckStatusParity(LogLaplaceMechanism::Create(kPureParams).value(), cells);
-  CheckStatusParity(SmoothLaplaceMechanism::Create(kParams).value(), cells);
-  CheckStatusParity(SmoothGammaMechanism::Create(kPureParams).value(), cells);
-  CheckStatusParity(GeometricMechanism::Create(kParams).value(), cells);
-  // Edge-Laplace accepts negative counts on both paths (sensitivity-1
-  // noise does not inspect the count).
+  const std::string message = "count must be >= 0";
+  CheckRefusal(LogLaplaceMechanism::Create(kPureParams).value(), cells,
+               StatusCode::kInvalidArgument, message);
+  CheckRefusal(SmoothLaplaceMechanism::Create(kParams).value(), cells,
+               StatusCode::kInvalidArgument, message);
+  CheckRefusal(SmoothGammaMechanism::Create(kPureParams).value(), cells,
+               StatusCode::kInvalidArgument, message);
+  CheckRefusal(GeometricMechanism::Create(kParams).value(), cells,
+               StatusCode::kInvalidArgument, message);
+  // Edge-Laplace accepts negative counts (sensitivity-1 noise does not
+  // inspect the count).
   auto edge = EdgeLaplaceMechanism::Create(1.0).value();
   std::vector<double> out;
   Rng rng(61);
   EXPECT_TRUE(edge.ReleaseBatch(cells, rng, &out).ok());
-  EXPECT_TRUE(edge.CountMechanism::ReleaseBatch(cells, rng, &out).ok());
 }
 
-TEST(MechanismBatchTest, NegativeXvStatusAgreesWithScalarPath) {
+TEST(MechanismBatchTest, NegativeXvIsRefused) {
   auto cells = MixedCells(10, false);
   cells[7].x_v = -2;
-  CheckStatusParity(SmoothLaplaceMechanism::Create(kParams).value(), cells);
-  CheckStatusParity(SmoothGammaMechanism::Create(kPureParams).value(), cells);
-  CheckStatusParity(GeometricMechanism::Create(kParams).value(), cells);
+  const std::string message = "x_v must be >= 0";
+  CheckRefusal(SmoothLaplaceMechanism::Create(kParams).value(), cells,
+               StatusCode::kInvalidArgument, message);
+  CheckRefusal(SmoothGammaMechanism::Create(kPureParams).value(), cells,
+               StatusCode::kInvalidArgument, message);
+  CheckRefusal(GeometricMechanism::Create(kParams).value(), cells,
+               StatusCode::kInvalidArgument, message);
 }
 
-TEST(MechanismBatchTest, SmoothGammaAlphaZeroStatusAgreesWithScalarPath) {
+TEST(MechanismBatchTest, SmoothGammaAlphaZeroIsRefused) {
   // alpha == 0 passes Create (1 < e^{eps/5}) but zeroes the smoothing
-  // parameter b = eps2/5, which the scalar path rejects on every cell;
-  // the batch validation pass must refuse identically.
-  CheckStatusParity(SmoothGammaMechanism::Create({0.0, 2.0, 0.0}).value(),
-                    MixedCells(10, false));
+  // parameter b = eps2/5, which NoiseScale rejects on every cell.
+  CheckRefusal(SmoothGammaMechanism::Create({0.0, 2.0, 0.0}).value(),
+               MixedCells(10, false), StatusCode::kInvalidArgument,
+               "need alpha >= 0 and b > 0");
 }
 
-TEST(MechanismBatchTest, SmoothGammaExpRoundingStatusAgreesWithScalarPath) {
-  // For some alpha the round trip exp(log1p(alpha)) lands just below
+TEST(MechanismBatchTest, SmoothGammaExpRoundingIsRefused) {
+  // For this alpha the round trip exp(log1p(alpha)) lands one ulp below
   // 1+alpha, so SmoothSensitivity's e^b >= 1+alpha check fails at release
-  // time even though Create's 1+alpha < e^{eps/5} test passed. Batch and
-  // scalar must agree on whichever way the rounding falls.
-  CheckStatusParity(
-      SmoothGammaMechanism::Create({0.027989, 2.0, 0.0}).value(),
-      MixedCells(10, false));
+  // time even though Create's 1+alpha < e^{eps/5} test passed.
+  const auto mech =
+      SmoothGammaMechanism::Create({0.010158, 2.0, 0.0}).value();
+  const std::string message =
+      "smooth sensitivity unbounded: e^b < 1 + alpha (Lemma 8.5)";
+  EXPECT_EQ(mech.NoiseScale({10, 1, nullptr}).status().message(), message);
+  CheckRefusal(mech, MixedCells(10, false), StatusCode::kInvalidArgument,
+               message);
 }
 
-TEST(MechanismBatchTest, DegenerateGeometricParameterStatusAgrees) {
+TEST(MechanismBatchTest, DegenerateGeometricParameterIsRefused) {
   auto cells = MixedCells(10, false);
-  cells[3].x_v = int64_t{1} << 60;  // p rounds to 1: both paths must refuse.
-  CheckStatusParity(GeometricMechanism::Create(kParams).value(), cells);
+  cells[3].x_v = int64_t{1} << 60;  // p = exp(-1/scale) rounds to 1.
+  const auto mech = GeometricMechanism::Create(kParams).value();
+  const std::string message =
+      "geometric parameter p = exp(-1/scale) is not in [0, 1): smooth "
+      "sensitivity too large (x_v * alpha overflows the noise scale)";
+  EXPECT_EQ(mech.GeometricParameter(cells[3]).status().message(), message);
+  CheckRefusal(mech, cells, StatusCode::kOutOfRange, message);
 }
 
-TEST(MechanismBatchTest, MissingContributionsStatusAgreesWithScalarPath) {
+TEST(MechanismBatchTest, MissingContributionsAreRefused) {
   auto cells = MixedCells(10, true);
   cells[6].contributions = nullptr;  // Nonzero count without a breakdown.
-  CheckStatusParity(TruncatedLaplaceMechanism::Create(100, 1.0, {}).value(),
-                    cells);
-}
-
-TEST(MechanismBatchTest, GeometricBatchMomentsMatchAnalyticError) {
-  // The batch sampler rewrites the inverse transform around
-  // 1/ln(p) = -scale; verify the released distribution still matches the
-  // scalar mechanism's analytics: integral outputs, mean = true count,
-  // E|error| = 2p/(1-p^2).
-  auto mech = GeometricMechanism::Create(kParams).value();
-  const CellQuery cell{250, 80, nullptr};
-  const double expected = mech.ExpectedL1Error(cell).value();
-  const std::vector<CellQuery> cells(200000, cell);
-  std::vector<double> out;
-  Rng rng(63);
-  ASSERT_TRUE(mech.ReleaseBatch(cells, rng, &out).ok());
-  RunningStats stats, err;
-  for (const double v : out) {
-    ASSERT_EQ(v, std::round(v));
-    stats.Add(v);
-    err.Add(std::abs(v - 250.0));
-  }
-  EXPECT_NEAR(stats.mean(), 250.0, 0.5);
-  EXPECT_NEAR(err.mean(), expected, expected * 0.02);
-}
-
-TEST(MechanismBatchTest, SmoothGammaBatchMomentsMatchAnalyticError) {
-  auto mech = SmoothGammaMechanism::Create(kPureParams).value();
-  const CellQuery cell{250, 80, nullptr};
-  const double expected = mech.ExpectedL1Error(cell).value();
-  const std::vector<CellQuery> cells(200000, cell);
-  std::vector<double> out;
-  Rng rng(67);
-  ASSERT_TRUE(mech.ReleaseBatch(cells, rng, &out).ok());
-  RunningStats err;
-  for (const double v : out) err.Add(std::abs(v - 250.0));
-  EXPECT_NEAR(err.mean(), expected, expected * 0.02);
+  CheckRefusal(TruncatedLaplaceMechanism::Create(100, 1.0, {}).value(),
+               cells, StatusCode::kInvalidArgument,
+               "Truncated Laplace needs per-establishment contributions");
 }
 
 // ---------------------------------------------------------------------------

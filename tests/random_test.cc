@@ -102,18 +102,6 @@ TEST(RngTest, ParetoTailIndex) {
   EXPECT_NEAR(static_cast<double>(exceed) / n, std::pow(2.0, -alpha), 0.01);
 }
 
-TEST(RngTest, TwoSidedGeometricSymmetricAndSpread) {
-  Rng rng(37);
-  const double p = 0.5;
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) {
-    stats.Add(static_cast<double>(rng.TwoSidedGeometric(p)));
-  }
-  EXPECT_NEAR(stats.mean(), 0.0, 0.05);
-  // Var of difference of two Geometrics with success 1-p: 2p/(1-p)^2 = 4.
-  EXPECT_NEAR(stats.variance(), 4.0, 0.2);
-}
-
 TEST(RngTest, FillUniformMatchesScalarStream) {
   Rng bulk_rng(41), scalar_rng(41);
   std::vector<double> buf(129);
@@ -122,27 +110,6 @@ TEST(RngTest, FillUniformMatchesScalarStream) {
     EXPECT_EQ(buf[i], scalar_rng.Uniform()) << "draw " << i;
   }
   EXPECT_EQ(bulk_rng.NextUint64(), scalar_rng.NextUint64());
-}
-
-TEST(RngTest, FillTwoSidedGeometricDeterministicWithMatchingMoments) {
-  // The bulk sampler consumes exactly 2n uniforms (zero draws saturate in
-  // the log, not redrawn), so equal seeds give equal output...
-  Rng a(43), b(43);
-  std::vector<int64_t> first(1000), second(1000);
-  a.FillTwoSidedGeometric(0.5, first.data(), first.size());
-  b.FillTwoSidedGeometric(0.5, second.data(), second.size());
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(a.NextUint64(), b.NextUint64());
-
-  // ...and the distribution matches the scalar sampler's: mean 0,
-  // variance 2p/(1-p)^2 = 4 at p = 0.5.
-  Rng rng(47);
-  std::vector<int64_t> draws(100000);
-  rng.FillTwoSidedGeometric(0.5, draws.data(), draws.size());
-  RunningStats stats;
-  for (int64_t d : draws) stats.Add(static_cast<double>(d));
-  EXPECT_NEAR(stats.mean(), 0.0, 0.05);
-  EXPECT_NEAR(stats.variance(), 4.0, 0.2);
 }
 
 TEST(RngTest, CategoricalRespectsWeights) {

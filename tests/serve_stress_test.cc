@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -74,6 +75,7 @@ TEST_F(ServeStressTest, ReadersSeeOnlyWholePinnedEpochsUnderLiveCommits) {
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> answers_checked{0};
+  std::atomic<int> readers_pinned{0};
   std::vector<std::string> errors(kReaders);
   std::vector<uint64_t> max_epoch_seen(kReaders, 0);
 
@@ -100,6 +102,7 @@ TEST_F(ServeStressTest, ReadersSeeOnlyWholePinnedEpochsUnderLiveCommits) {
                       " after " + std::to_string(max_epoch_seen[w]);
           return;
         }
+        if (max_epoch_seen[w] == 0) readers_pinned.fetch_add(1);
         max_epoch_seen[w] = epoch;
         if (epoch > audit.value()->last_committed_epoch() &&
             !audit.value()->Refresh().ok()) {
@@ -154,8 +157,16 @@ TEST_F(ServeStressTest, ReadersSeeOnlyWholePinnedEpochsUnderLiveCommits) {
     });
   }
 
-  // The writer keeps committing under the readers' feet; the server's
-  // refresh loop races every commit.
+  // The writer starts once every reader has pinned a snapshot (or 10 s
+  // pass), so a reader the scheduler has not yet run cannot fail the
+  // "never pinned" check below. It then keeps committing under the
+  // readers' feet; the server's refresh loop races every commit.
+  const auto start_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (readers_pinned.load() < kReaders &&
+         std::chrono::steady_clock::now() < start_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   for (uint64_t epoch = 2; epoch <= kEpochs; ++epoch) {
     ASSERT_TRUE(writer.value()
                     ->CommitEpoch("fp-" + std::to_string(epoch),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/stats.h"
 
@@ -11,6 +12,15 @@ namespace {
 
 privacy::PrivacyParams Params(double alpha, double eps) {
   return {alpha, eps, 0.0};
+}
+
+// `n` releases of one cell, drawn as one batch.
+std::vector<double> ReleaseN(const CountMechanism& mech, const CellQuery& cell,
+                             int n, Rng& rng) {
+  std::vector<double> out;
+  EXPECT_TRUE(
+      mech.ReleaseBatch(std::vector<CellQuery>(n, cell), rng, &out).ok());
+  return out;
 }
 
 TEST(SmoothGammaTest, CreateEnforcesFeasibility) {
@@ -46,9 +56,7 @@ TEST(SmoothGammaTest, UnbiasedRelease) {
   CellQuery cell{300, 100, nullptr};
   Rng rng(37);
   RunningStats stats;
-  for (int i = 0; i < 300000; ++i) {
-    stats.Add(mech.Release(cell, rng).value());
-  }
+  for (const double v : ReleaseN(mech, cell, 300000, rng)) stats.Add(v);
   EXPECT_NEAR(stats.mean(), 300.0, 1.0);
 }
 
@@ -58,8 +66,8 @@ TEST(SmoothGammaTest, ExpectedL1MatchesEmpirical) {
   const double expected = mech.ExpectedL1Error(cell).value();
   Rng rng(41);
   RunningStats err;
-  for (int i = 0; i < 300000; ++i) {
-    err.Add(std::abs(mech.Release(cell, rng).value() - 300.0));
+  for (const double v : ReleaseN(mech, cell, 300000, rng)) {
+    err.Add(std::abs(v - 300.0));
   }
   EXPECT_NEAR(err.mean(), expected, expected * 0.02);
 }
@@ -85,8 +93,9 @@ TEST(SmoothGammaTest, MoreBudgetLessError) {
 
 TEST(SmoothGammaTest, RejectsNegativeCount) {
   auto mech = SmoothGammaMechanism::Create(Params(0.1, 2.0)).value();
+  std::vector<double> out;
   Rng rng(43);
-  EXPECT_FALSE(mech.Release({-5, 0, nullptr}, rng).ok());
+  EXPECT_FALSE(mech.ReleaseBatch({{-5, 0, nullptr}}, rng, &out).ok());
 }
 
 }  // namespace

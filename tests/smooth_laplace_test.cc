@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/stats.h"
 #include "privacy/parameters.h"
@@ -41,10 +42,13 @@ TEST(SmoothLaplaceTest, UnbiasedWithMatchingL1) {
   auto mech = SmoothLaplaceMechanism::Create(Params(0.1, 2.0, 0.05)).value();
   CellQuery cell{400, 150, nullptr};
   const double expected_l1 = mech.ExpectedL1Error(cell).value();
+  std::vector<double> out;
   Rng rng(47);
+  ASSERT_TRUE(mech.ReleaseBatch(std::vector<CellQuery>(300000, cell), rng,
+                                &out)
+                  .ok());
   RunningStats stats, err;
-  for (int i = 0; i < 300000; ++i) {
-    const double v = mech.Release(cell, rng).value();
+  for (const double v : out) {
     stats.Add(v);
     err.Add(std::abs(v - 400.0));
   }
@@ -74,8 +78,9 @@ TEST(SmoothLaplaceTest, BeatsSmoothGammaScaleAtSameBudget) {
 
 TEST(SmoothLaplaceTest, RejectsNegativeCount) {
   auto mech = SmoothLaplaceMechanism::Create(Params(0.1, 2.0, 0.05)).value();
+  std::vector<double> out;
   Rng rng(53);
-  EXPECT_FALSE(mech.Release({-1, 0, nullptr}, rng).ok());
+  EXPECT_FALSE(mech.ReleaseBatch({{-1, 0, nullptr}}, rng, &out).ok());
 }
 
 }  // namespace

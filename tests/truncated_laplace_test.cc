@@ -3,11 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/stats.h"
 
 namespace eep::mechanisms {
 namespace {
+
+// `n` releases of one cell, drawn as one batch.
+std::vector<double> ReleaseN(const CountMechanism& mech, const CellQuery& cell,
+                             int n, Rng& rng) {
+  std::vector<double> out;
+  EXPECT_TRUE(
+      mech.ReleaseBatch(std::vector<CellQuery>(n, cell), rng, &out).ok());
+  return out;
+}
 
 TEST(TruncatedLaplaceTest, CreateValidation) {
   EXPECT_FALSE(TruncatedLaplaceMechanism::Create(0, 1.0, {}).ok());
@@ -30,10 +40,11 @@ TEST(TruncatedLaplaceTest, TruncatedCountDropsRemovedEstablishments) {
 
 TEST(TruncatedLaplaceTest, RequiresContributionsForNonEmptyCells) {
   auto mech = TruncatedLaplaceMechanism::Create(10, 1.0, {}).value();
+  std::vector<double> out;
   Rng rng(59);
-  EXPECT_FALSE(mech.Release({5, 5, nullptr}, rng).ok());
+  EXPECT_FALSE(mech.ReleaseBatch({{5, 5, nullptr}}, rng, &out).ok());
   // Empty cells are fine without contributions.
-  EXPECT_TRUE(mech.Release({0, 0, nullptr}, rng).ok());
+  EXPECT_TRUE(mech.ReleaseBatch({{0, 0, nullptr}}, rng, &out).ok());
 }
 
 TEST(TruncatedLaplaceTest, BiasDominatedByRemovedEmployment) {
@@ -44,8 +55,8 @@ TEST(TruncatedLaplaceTest, BiasDominatedByRemovedEmployment) {
   CellQuery cell{5050, 5000, &contribs};
   Rng rng(61);
   RunningStats err;
-  for (int i = 0; i < 50000; ++i) {
-    err.Add(std::abs(mech.Release(cell, rng).value() - 5050.0));
+  for (const double v : ReleaseN(mech, cell, 50000, rng)) {
+    err.Add(std::abs(v - 5050.0));
   }
   EXPECT_GT(err.mean(), 4990.0);  // essentially the removed 5000 jobs
   EXPECT_NEAR(err.mean(), mech.ExpectedL1Error(cell).value(),
@@ -58,9 +69,7 @@ TEST(TruncatedLaplaceTest, UnbiasedWhenNothingRemoved) {
   CellQuery cell{90, 50, &contribs};
   Rng rng(67);
   RunningStats stats;
-  for (int i = 0; i < 100000; ++i) {
-    stats.Add(mech.Release(cell, rng).value());
-  }
+  for (const double v : ReleaseN(mech, cell, 100000, rng)) stats.Add(v);
   EXPECT_NEAR(stats.mean(), 90.0, 2.0);
   EXPECT_DOUBLE_EQ(mech.ExpectedL1Error(cell).value(), mech.scale());
 }

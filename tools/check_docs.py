@@ -11,7 +11,11 @@ project-namespace-qualified name and every `Type::member` name in
 README.md / docs/ARCHITECTURE.md / docs/BENCHMARKS.md code, every inline
 span that is one bare UpperCamelCase identifier, and every `->Name(` call
 in README's cpp blocks, must still exist in some src/**/*.h, so the docs
-cannot advertise deleted API. Exits nonzero listing each problem.
+cannot advertise deleted API. In the other direction, every NAME.md that
+a file under src/, bench/, examples/ or tests/ mentions (the lint
+fixtures excepted) must name a markdown file in the repo, so code cannot
+point readers at a note that does not exist. Exits nonzero listing each
+problem.
 
 Usage: tools/check_docs.py [repo_root]
 """
@@ -348,6 +352,45 @@ def check_api_names(root):
     return len(checked), broken
 
 
+# A markdown file named in code: "docs/ARCHITECTURE.md", "DESIGN.md", ...
+MD_MENTION_RE = re.compile(r"(?<![\w./-])((?:[\w-]+/)*[\w-]+\.md)\b")
+CODE_DIRS = ("src", "bench", "examples", "tests")
+CODE_DIRS_EXEMPT = (os.path.join("tests", "lint_fixtures"),)
+
+
+def check_code_doc_mentions(root):
+    """Every NAME.md mentioned in a file under CODE_DIRS (lint fixtures
+    excepted) must exist: as a path from the repo root, or, when it has no
+    directory part, as the base name of some markdown file in the repo.
+    Returns (checked, broken)."""
+    md_names = set()
+    for dirpath, dirnames, files in os.walk(root):
+        dirnames[:] = [d for d in dirnames
+                       if not d.startswith(".") and not d.startswith("build")]
+        md_names.update(f for f in files if f.endswith(".md"))
+    broken = []
+    checked = 0
+    for top in CODE_DIRS:
+        for dirpath, dirnames, files in os.walk(os.path.join(root, top)):
+            rel_dir = os.path.relpath(dirpath, root)
+            if rel_dir.startswith(CODE_DIRS_EXEMPT):
+                dirnames[:] = []
+                continue
+            for entry in sorted(files):
+                path = os.path.join(dirpath, entry)
+                with open(path, encoding="utf-8", errors="replace") as handle:
+                    for number, line in enumerate(handle, start=1):
+                        for name in MD_MENTION_RE.findall(line):
+                            checked += 1
+                            if os.path.exists(os.path.join(root, name)):
+                                continue
+                            if "/" not in name and name in md_names:
+                                continue
+                            broken.append((os.path.relpath(path, root),
+                                           number, name))
+    return checked, broken
+
+
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     broken = []
@@ -389,6 +432,10 @@ def main():
     for path, number, name in api_broken:
         print(f"UNKNOWN API {path}:{number}: {name} (declared in no "
               f"src/**/*.h)")
+    mention_checked, mention_broken = check_code_doc_mentions(root)
+    for path, number, name in mention_broken:
+        print(f"MISSING NOTE {path}:{number}: {name} (no such markdown "
+              f"file in the repo)")
     print(f"checked {checked} relative links in "
           f"{len(list(markdown_files(root)))} markdown files, "
           f"{bench_checked} bench names in docs/BENCHMARKS.md, "
@@ -396,15 +443,17 @@ def main():
           f"sites, {serve_checked} serve tests and {service_checked} "
           f"request-front tests in docs/ARCHITECTURE.md, {api_checked} "
           f"API names in README.md/docs/ARCHITECTURE.md/docs/BENCHMARKS.md "
-          f"code; "
+          f"code, {mention_checked} markdown names in code; "
           f"{len(broken)} broken links, {len(bench_broken)} unknown benches, "
           f"{len(lint_broken)} unknown lint rules, "
           f"{len(fp_broken)} unknown failpoints, "
           f"{len(serve_broken)} serving-contract mismatches, "
           f"{len(service_broken)} overload-contract mismatches, "
-          f"{len(api_broken)} unknown API names")
+          f"{len(api_broken)} unknown API names, "
+          f"{len(mention_broken)} missing notes")
     return 1 if (broken or bench_broken or lint_broken or fp_broken
-                 or serve_broken or service_broken or api_broken) else 0
+                 or serve_broken or service_broken or api_broken
+                 or mention_broken) else 0
 
 
 if __name__ == "__main__":
