@@ -1,8 +1,8 @@
 // Injected time for everything the serving layer schedules: request
-// deadlines, refresh backoff, epoch age. Production code reads the one
-// process-wide monotonic RealClock; tests inject a FakeClock they advance
-// by hand, so every deadline and backoff path is unit-testable without a
-// single real sleep (tests/retry_test.cc, tests/service_test.cc).
+// deadlines, refresh and open backoff, epoch age. Production code reads
+// the one process-wide monotonic RealClock; tests inject a FakeClock they
+// advance by hand, so every deadline and backoff path is unit-testable
+// without a single real sleep (tests/clock_test.cc, tests/service_test.cc).
 //
 // The domain is plain milliseconds from an arbitrary epoch (process start
 // for the real clock, 0 for a fresh fake) — only differences are

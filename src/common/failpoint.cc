@@ -83,16 +83,6 @@ void FailpointRegistry::Arm(const std::string& name, FailpointSpec spec) {
   RefreshActiveLocked();
 }
 
-void FailpointRegistry::Disarm(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sites_.find(name);
-  if (it != sites_.end()) {
-    it->second.armed = false;
-    it->second.hits = 0;
-  }
-  RefreshActiveLocked();
-}
-
 void FailpointRegistry::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, state] : sites_) {

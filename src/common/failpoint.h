@@ -83,7 +83,6 @@ class FailpointRegistry {
   /// The name must be in the inventory (aborts otherwise — a typo in a
   /// test must not silently inject nothing).
   void Arm(const std::string& name, FailpointSpec spec);
-  void Disarm(const std::string& name);
   /// Disarms every site, clears the crash state and all hit counters.
   void DisarmAll();
 

@@ -144,29 +144,4 @@ Rng Rng::Substream(uint64_t stream) const {
   return Rng(seed);
 }
 
-void Rng::Jump() {
-  // Jump polynomial published with xoshiro256++; equivalent to 2^128 calls
-  // of NextUint64().
-  static constexpr uint64_t kJump[] = {0x180EC6D33CFD0ABAULL,
-                                       0xD5A61266F0C9392CULL,
-                                       0xA9582618E03FC9AAULL,
-                                       0x39ABDC4529B1661CULL};
-  uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (uint64_t mask : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (mask & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      NextUint64();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
-}
-
 }  // namespace eep

@@ -86,12 +86,6 @@ class Rng {
   /// visit order.
   Rng Substream(uint64_t stream) const;
 
-  /// Jump-ahead: advances this generator by 2^128 steps of NextUint64 in
-  /// O(1) (the xoshiro256++ jump polynomial). Two generators separated by
-  /// a Jump() produce non-overlapping sequences for any realistic draw
-  /// count, giving an alternative block-splitting scheme to Substream().
-  void Jump();
-
  private:
   uint64_t s_[4];
 };

@@ -51,16 +51,10 @@ using table::IsColumnPrefix;
 /// canonical order.
 MarginalSpec UnionSpecOf(const std::vector<MarginalSpec>& marginals,
                          const std::vector<size_t>& members) {
-  std::vector<MarginalSpec> selected;
-  selected.reserve(members.size());
-  for (size_t m : members) selected.push_back(marginals[m]);
-  MarginalSpec fused;
-  fused.workplace_attrs = UnionInCanonicalOrder(
-      {kColPlace, kColNaics, kColOwnership}, selected, /*workplace=*/true);
-  fused.worker_attrs = UnionInCanonicalOrder(
-      {kColSex, kColAge, kColRace, kColEthnicity, kColEducation}, selected,
-      /*workplace=*/false);
-  return fused;
+  WorkloadSpec selected;
+  selected.marginals.reserve(members.size());
+  for (size_t m : members) selected.marginals.push_back(marginals[m]);
+  return selected.FusedSpec();
 }
 
 /// Estimated item count (distinct (key, estab) pairs) of the grouping at

@@ -8,6 +8,36 @@
 
 namespace eep::serve {
 
+namespace {
+
+constexpr int64_t kOpenBackoffBaseMs = 10;
+constexpr uint64_t kOpenAttempts = 4;
+
+/// The server's one failure schedule, for the refresh loop and Open alike:
+/// the wait after the k-th consecutive failure (k from 0) is
+/// min(base * 2^k, 16 * base).
+int64_t BackoffMs(int64_t base_ms, uint64_t k) {
+  return base_ms << std::min<uint64_t>(k, 4);
+}
+
+/// Runs `read` until it succeeds, fails with anything but kIOError (the
+/// one class the store's read path returns, for a disk fault and for
+/// corruption alike), or has made kOpenAttempts attempts, sleeping the
+/// failure schedule on `clock` between attempts.
+template <typename Read>
+auto RetryIOError(Clock* clock, Read read) -> decltype(read()) {
+  for (uint64_t k = 0;; ++k) {
+    auto result = read();
+    if (result.ok() || result.status().code() != StatusCode::kIOError ||
+        k + 1 >= kOpenAttempts) {
+      return result;
+    }
+    clock->SleepMs(BackoffMs(kOpenBackoffBaseMs, k));
+  }
+}
+
+}  // namespace
+
 std::string ExpectedFingerprint(
     const release::WorkloadReleaseConfig& config) {
   return store::WorkloadFingerprint(config.workload,
@@ -20,43 +50,32 @@ Server::Server(std::unique_ptr<store::Store> store, ServerOptions options)
     : options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : Clock::Real()),
       store_(std::move(store)) {
-  next_poll_delay_ms_ = BackoffDelayMs(0);
+  next_poll_delay_ms_ = PollDelayMs(0);
   epoch_changed_ms_ = clock_->NowMs();
 }
 
-int64_t Server::BackoffDelayMs(uint64_t failures) const {
-  const int64_t base =
-      options_.poll_interval_ms > 0 ? options_.poll_interval_ms : 1;
-  const int64_t cap = options_.max_poll_interval_ms > 0
-                          ? std::max<int64_t>(options_.max_poll_interval_ms,
-                                              base)
-                          : base * 16;
-  int64_t delay = base;
-  for (uint64_t f = 0; f < failures && delay < cap; ++f) delay *= 2;
-  return std::min(delay, cap);
+int64_t Server::PollDelayMs(uint64_t failures) const {
+  return BackoffMs(std::max(options_.poll_interval_ms, 1), failures);
 }
 
 Result<std::unique_ptr<Server>> Server::Open(const std::string& dir,
                                              ServerOptions options) {
-  // A transient disk hiccup at startup should not kill the serving
-  // process: both the read-only open and the initial snapshot load retry
-  // per options.open_retry (bounded; non-retryable classes — corruption,
-  // fingerprint mismatch — surface immediately).
+  // A transient disk fault at startup should not kill the serving
+  // process: the read-only open and the initial snapshot load each retry
+  // a kIOError a bounded number of times; a fingerprint mismatch
+  // surfaces at once.
   Clock* clock = options.clock != nullptr ? options.clock : Clock::Real();
   EEP_ASSIGN_OR_RETURN(
       std::unique_ptr<store::Store> store,
-      RetryResult(options.open_retry, clock,
-                  [&] { return store::Store::OpenReadOnly(dir); }));
+      RetryIOError(clock, [&] { return store::Store::OpenReadOnly(dir); }));
   std::unique_ptr<Server> server(
       new Server(std::move(store), std::move(options)));
   auto snapshot = std::make_shared<Snapshot>();
   const uint64_t epoch = server->store_->last_committed_epoch();
   if (epoch > 0) {
-    EEP_ASSIGN_OR_RETURN(
-        *snapshot,
-        RetryResult(server->options_.open_retry, clock, [&] {
-          return Snapshot::Load(*server->store_, epoch);
-        }));
+    EEP_ASSIGN_OR_RETURN(*snapshot, RetryIOError(clock, [&] {
+                           return Snapshot::Load(*server->store_, epoch);
+                         }));
     if (!server->options_.expected_fingerprint.empty() &&
         snapshot->fingerprint() != server->options_.expected_fingerprint) {
       return Status::FailedPrecondition(
@@ -129,7 +148,7 @@ Status Server::RefreshNow() {
     displaced = std::exchange(snapshot_, std::move(next));
     ++stats_.swaps;
     consecutive_failures_ = 0;
-    next_poll_delay_ms_ = BackoffDelayMs(0);
+    next_poll_delay_ms_ = PollDelayMs(0);
     epoch_changed_ms_ = clock_->NowMs();
   }
   cv_.notify_all();
@@ -140,10 +159,10 @@ void Server::RecordRefreshFailure() {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.failures;
   ++consecutive_failures_;
-  // The schedule: base, 2b, 4b, ... capped — never a hot-poll through a
-  // persistent fault. Counted only when the delay actually grew, so
-  // tests can assert the exact number of schedule steps.
-  const int64_t delay = BackoffDelayMs(consecutive_failures_);
+  // The schedule: base, 2b, 4b, ... capped at 16b — never a hot-poll
+  // through a persistent fault. Counted only when the delay actually
+  // grew, so tests can assert the exact number of schedule steps.
+  const int64_t delay = PollDelayMs(consecutive_failures_);
   if (delay > next_poll_delay_ms_) ++stats_.backoffs;
   next_poll_delay_ms_ = delay;
 }
@@ -151,7 +170,7 @@ void Server::RecordRefreshFailure() {
 void Server::RecordRefreshSuccess() {
   std::lock_guard<std::mutex> lock(mu_);
   consecutive_failures_ = 0;
-  next_poll_delay_ms_ = BackoffDelayMs(0);
+  next_poll_delay_ms_ = PollDelayMs(0);
 }
 
 bool Server::WaitForEpoch(uint64_t epoch, int timeout_ms) const {

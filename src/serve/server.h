@@ -25,11 +25,11 @@
 //     interval plus one snapshot load; WaitForEpoch makes that bound
 //     testable.
 //   * DEGRADED, NOT DEAD. Consecutive refresh failures back the poll
-//     schedule off exponentially (capped — no hot-polling through a
-//     persistent fault) and, past options.degraded_after_failures, flip
-//     health() to degraded while the pinned epoch KEEPS SERVING. A
-//     refresh success resets both. (docs/ARCHITECTURE.md, "Overload &
-//     degradation contract".)
+//     schedule off exponentially (capped at 16x the poll interval — no
+//     hot-polling through a persistent fault) and, past
+//     options.degraded_after_failures, flip health() to degraded while
+//     the pinned epoch KEEPS SERVING. A refresh success resets both.
+//     (docs/ARCHITECTURE.md, "Overload & degradation contract".)
 //
 // The Server owns a READ-ONLY store instance (Store::OpenReadOnly), so it
 // never mutates the directory and can follow a live writer — same
@@ -45,7 +45,6 @@
 #include <thread>
 
 #include "common/clock.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "release/pipeline.h"
 #include "serve/snapshot.h"
@@ -65,21 +64,14 @@ struct ServerOptions {
   /// it expects. ExpectedFingerprint() derives the value for a pipeline
   /// config.
   std::string expected_fingerprint;
-  /// Cap of the failure backoff schedule: after f consecutive refresh
-  /// failures the next poll waits min(cap, base * 2^f) where base is
-  /// max(poll_interval_ms, 1). <= 0 means 16x the base.
-  int max_poll_interval_ms = 0;
   /// Consecutive refresh failures after which health() reports degraded
   /// (the pinned epoch keeps serving either way). <= 0 disables the flip.
   int degraded_after_failures = 3;
-  /// Time source for backoff, epoch age and deadlines of a Service over
-  /// this server. nullptr means Clock::Real(); tests inject a FakeClock
-  /// to pin the exact schedule without sleeping.
+  /// Time source for backoff, Open's retry sleeps, epoch age and
+  /// deadlines of a Service over this server. nullptr means
+  /// Clock::Real(); tests inject a FakeClock to pin the exact schedule
+  /// without sleeping.
   Clock* clock = nullptr;
-  /// Transient-IOError retry for Store::OpenReadOnly and the initial
-  /// snapshot load at Open (jittered exponential backoff, capped; only
-  /// retryable status classes re-attempt — see common/retry.h).
-  RetryPolicy open_retry;
 };
 
 /// The fingerprint RunReleaseWorkload commits for `config` — hand it to
@@ -123,8 +115,11 @@ class Server {
 
   /// Opens `dir` read-only, loads the current epoch (or the empty
   /// snapshot when nothing is committed yet) and starts the refresh
-  /// thread unless options disable it. Fails on a corrupt store or on a
-  /// fingerprint mismatch with options.expected_fingerprint.
+  /// thread unless options disable it. The read-only open and the
+  /// snapshot load each get up to 4 attempts against kIOError, sleeping
+  /// 10, 20 and 40 ms on the clock between them. Fails on a store that
+  /// stays unreadable or on a fingerprint mismatch with
+  /// options.expected_fingerprint.
   static Result<std::unique_ptr<Server>> Open(const std::string& dir,
                                               ServerOptions options = {});
 
@@ -165,8 +160,9 @@ class Server {
   Server(std::unique_ptr<store::Store> store, ServerOptions options);
 
   void RefreshLoop();
-  /// min(cap, base * 2^failures); base with failures == 0.
-  int64_t BackoffDelayMs(uint64_t failures) const;
+  /// The refresh loop's wait after `failures` consecutive failures: the
+  /// failure schedule at base max(poll_interval_ms, 1).
+  int64_t PollDelayMs(uint64_t failures) const;
   /// Failure/success bookkeeping under mu_: counters, backoff schedule,
   /// degraded state input.
   void RecordRefreshFailure();

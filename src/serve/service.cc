@@ -23,7 +23,7 @@ Result<std::unique_ptr<Service>> Service::Create(Server* server,
 Service::Service(Server* server, ServiceOptions options)
     : server_(server),
       options_(std::move(options)),
-      clock_(options_.clock != nullptr ? options_.clock : server->clock()),
+      clock_(server->clock()),
       open_(!options_.start_suspended) {}
 
 Service::~Service() {

@@ -130,8 +130,6 @@ struct ServiceOptions {
   /// The concurrency limit: at most this many requests run at once, each
   /// on its caller's thread (the service starts no threads). Must be >= 1.
   int num_workers = 2;
-  /// Deadline/backoff time source; nullptr = the server's clock.
-  Clock* clock = nullptr;
   /// When true, the gate starts closed and nothing runs until Resume().
   /// Admission still runs — overload tests use this to fill the waiting
   /// places deterministically (without it, shedding depends on
@@ -202,7 +200,7 @@ class Service {
 
   Server* const server_;
   const ServiceOptions options_;
-  Clock* clock_;  ///< Never null.
+  Clock* const clock_;  ///< The server's clock.
 
   /// Guards everything below.
   mutable std::mutex mu_;

@@ -214,10 +214,6 @@ std::vector<std::string> ServedTable::Unpack(uint64_t key) const {
   return attrs;
 }
 
-std::vector<std::string> ServedTable::AttrColumns() const {
-  return std::vector<std::string>(header_.begin(), header_.end() - 1);
-}
-
 std::vector<std::vector<std::string>> ServedTable::Rows() const {
   std::vector<std::vector<std::string>> rows;
   rows.reserve(keys_.size());

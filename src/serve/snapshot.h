@@ -79,8 +79,6 @@ class ServedTable {
   const std::string& name() const { return name_; }
   /// Attribute columns followed by the value column ("count").
   const std::vector<std::string>& header() const { return header_; }
-  /// Attribute column names only (header minus the value column).
-  std::vector<std::string> AttrColumns() const;
   size_t num_rows() const { return keys_.size(); }
   /// The stored rows rebuilt from the index, in served order: attribute
   /// tuple ascending, equal tuples in stored order (a stable sort of the

@@ -240,8 +240,6 @@ class Store {
   /// Every table of `epoch`, in committed order.
   Result<std::vector<TableData>> ReadEpoch(uint64_t epoch) const;
 
-  const std::string& dir() const { return dir_; }
-
  private:
   explicit Store(std::string dir) : dir_(std::move(dir)) {}
 

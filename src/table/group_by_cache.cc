@@ -44,7 +44,6 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
   }
 
   if (auto it = entries_.find(columns); it != entries_.end()) {
-    ++stats_.exact_hits;
     if (outcome != nullptr) *outcome = Outcome::kExactHit;
     return it->second.grouped;
   }
@@ -53,7 +52,7 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
   // cost model: a roll-up whose columns prefix the entry's touches each
   // cached item once, any other roll-up is priced several times that, a
   // scan touches each row (twice, but the sort input run-compresses). The
-  // prefix test that prices the winner also classifies it in the stats.
+  // prefix test that prices the winner also classifies its outcome.
   // Ties go to the roll-up — it never re-reads the table. Every plan is an
   // exact aggregation of the same row multiset, so the choice is invisible
   // in the result.
@@ -83,12 +82,8 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
                                              std::move(codec),
                                              options.num_threads));
     entry.grouped = std::make_shared<const GroupedCounts>(std::move(rolled));
-    if (source_is_prefix) {
-      ++stats_.prefix_merges;
-      if (outcome != nullptr) *outcome = Outcome::kPrefixMerge;
-    } else {
-      ++stats_.rollups;
-      if (outcome != nullptr) *outcome = Outcome::kRollup;
+    if (outcome != nullptr) {
+      *outcome = source_is_prefix ? Outcome::kPrefixMerge : Outcome::kRollup;
     }
     if (source_columns != nullptr) *source_columns = *source_key;
   } else {
@@ -96,24 +91,10 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
                          GroupCountByEstablishment(table, columns,
                                                    estab_id_column, options));
     entry.grouped = std::make_shared<const GroupedCounts>(std::move(grouped));
-    ++stats_.scans;
     if (outcome != nullptr) *outcome = Outcome::kScan;
   }
   entry.num_items = CountItems(*entry.grouped);
   return entries_.emplace(columns, std::move(entry)).first->second.grouped;
-}
-
-GroupByCache::Stats GroupByCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void GroupByCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  table_ = nullptr;
-  estab_id_column_.clear();
-  entries_.clear();
-  stats_ = Stats{};
 }
 
 }  // namespace eep::table

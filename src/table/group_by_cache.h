@@ -14,9 +14,9 @@
 // shadows a cheaper re-scan the way a fewest-items rule did. Because both
 // scan paths and every roll-up are exact integer aggregations of the same
 // row multiset, every plan returns bit-identical results — callers cannot
-// observe which one served them except through stats(). Entries are
-// shared_ptrs, so a workload holding a marginal alive keeps only that
-// grouping pinned.
+// observe which one served them except through GetOrCompute's `outcome`.
+// Entries are shared_ptrs, so a workload holding a marginal alive keeps
+// only that grouping pinned.
 //
 // The cache holds establishment-tracked groupings (GroupedCounts) of one
 // table: it binds to the first (table, estab column) it serves and rejects
@@ -49,13 +49,6 @@ class GroupByCache {
     kScan,         ///< Full table scan (GroupCountByEstablishment).
   };
 
-  struct Stats {
-    size_t exact_hits = 0;
-    size_t prefix_merges = 0;
-    size_t rollups = 0;  ///< Non-prefix roll-ups (prefix merges apart).
-    size_t scans = 0;
-  };
-
   /// Returns the grouping of `columns` over `table`, choosing the cheapest
   /// plan under RollupCostModel: an exact cached match, a roll-up from a
   /// covering cached grouping, or a fresh table scan (also taken when a
@@ -73,11 +66,6 @@ class GroupByCache {
       Outcome* outcome = nullptr,
       std::vector<std::string>* source_columns = nullptr);
 
-  Stats stats() const;
-
-  /// Drops all entries and the table binding.
-  void Clear();
-
  private:
   struct Entry {
     std::shared_ptr<const GroupedCounts> grouped;
@@ -88,7 +76,6 @@ class GroupByCache {
   const Table* table_ = nullptr;
   std::string estab_id_column_;
   std::map<std::vector<std::string>, Entry> entries_;
-  Stats stats_;
 };
 
 }  // namespace eep::table

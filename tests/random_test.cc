@@ -244,35 +244,5 @@ TEST(RngTest, SubstreamsDoNotOverlapSmoke) {
   EXPECT_EQ(seen.size(), draws);
 }
 
-TEST(RngTest, JumpIsDeterministicAndDiverges) {
-  Rng a(79), b(79), stay(79);
-  a.Jump();
-  b.Jump();
-  int same_as_unjumped = 0;
-  for (int i = 0; i < 64; ++i) {
-    const uint64_t x = a.NextUint64();
-    EXPECT_EQ(x, b.NextUint64());
-    if (x == stay.NextUint64()) ++same_as_unjumped;
-  }
-  EXPECT_EQ(same_as_unjumped, 0);
-}
-
-TEST(RngTest, JumpBlocksDoNotOverlapSmoke) {
-  // Blocks separated by Jump() (2^128 steps apart) cannot collide in any
-  // feasible prefix; check the first 4096 outputs of 8 consecutive blocks.
-  Rng rng(83);
-  std::set<uint64_t> seen;
-  size_t draws = 0;
-  for (int block = 0; block < 8; ++block) {
-    Rng cursor = rng;  // Copy: draws must not advance the block boundary.
-    for (int i = 0; i < 4096; ++i) {
-      seen.insert(cursor.NextUint64());
-      ++draws;
-    }
-    rng.Jump();
-  }
-  EXPECT_EQ(seen.size(), draws);
-}
-
 }  // namespace
 }  // namespace eep

@@ -292,11 +292,6 @@ TEST(GroupByCacheTest, ServesExactHitsThenRollupsAndScansOnlyOnce) {
       GroupCountByEstablishment(t, {"attr_b", "attr_a"}, "estab").value();
   ExpectCellsEqual(direct.cells, subset.value()->cells,
                    "cache rollup");
-
-  const GroupByCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.scans, 1u);
-  EXPECT_EQ(stats.exact_hits, 1u);
-  EXPECT_EQ(stats.rollups, 1u);
 }
 
 TEST(GroupByCacheTest, CostModelPrefersScanOverPathologicallyWideRollup) {
@@ -362,17 +357,12 @@ TEST(GroupByCacheTest, CostModelPrefersScanOverPathologicallyWideRollup) {
           .cells,
       prefix.value()->cells, "cost-model prefix merge");
 
-  const GroupByCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.scans, 2u);
-  EXPECT_EQ(stats.prefix_merges, 1u);
-  EXPECT_EQ(stats.rollups, 0u);
-
   // The scan-served subset is cached like any other entry.
   ASSERT_TRUE(cache.GetOrCompute(t, {"attr_b"}, "estab", {}, &outcome).ok());
   EXPECT_EQ(outcome, GroupByCache::Outcome::kExactHit);
 }
 
-TEST(GroupByCacheTest, RejectsADifferentTableAndResetsOnClear) {
+TEST(GroupByCacheTest, RejectsADifferentTableOrEstablishmentColumn) {
   const Table t1 = MakeRandomTable(/*seed=*/1, /*num_rows=*/500,
                                    /*num_estabs=*/10);
   const Table t2 = MakeRandomTable(/*seed=*/2, /*num_rows=*/500,
@@ -381,9 +371,6 @@ TEST(GroupByCacheTest, RejectsADifferentTableAndResetsOnClear) {
   ASSERT_TRUE(cache.GetOrCompute(t1, {"attr_a"}, "estab").ok());
   EXPECT_FALSE(cache.GetOrCompute(t2, {"attr_a"}, "estab").ok());
   EXPECT_FALSE(cache.GetOrCompute(t1, {"attr_a"}, "attr_a").ok());
-  cache.Clear();
-  EXPECT_TRUE(cache.GetOrCompute(t2, {"attr_a"}, "estab").ok());
-  EXPECT_EQ(cache.stats().scans, 1u);
 }
 
 }  // namespace

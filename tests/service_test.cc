@@ -1,9 +1,9 @@
 // The request front's deterministic halves: admission and slot
 // deadline gates, full-waiting-places shedding, exact outcome accounting
 // (snapshot_pins == completed), health transitions healthy -> degraded ->
-// recovered with the exact failure-backoff schedule, and the retry wiring
-// of Server::Open — all driven by a FakeClock, no real sleeps, no timing
-// assumptions. The saturation proof under real concurrency lives in
+// recovered with the exact failure-backoff schedule, and Server::Open's
+// bounded retry of IOErrors — all driven by a FakeClock, no real sleeps, no
+// timing assumptions. The saturation proof under real concurrency lives in
 // service_stress_test.cc.
 #include "serve/service.h"
 
@@ -16,6 +16,7 @@
 
 #include "common/clock.h"
 #include "common/failpoint.h"
+#include "common/file.h"
 #include "serve/server.h"
 #include "store/store.h"
 
@@ -53,12 +54,31 @@ class ServiceTest : public ::testing::Test {
   }
 
   // A manual-refresh server on the fake clock.
-  std::unique_ptr<Server> OpenServer(ServerOptions options = {}) {
+  Result<std::unique_ptr<Server>> TryOpenServer(ServerOptions options = {}) {
     options.poll_interval_ms = 0;
     options.clock = &clock_;
-    auto server = Server::Open(dir_, options);
+    return Server::Open(dir_, options);
+  }
+  std::unique_ptr<Server> OpenServer(ServerOptions options = {}) {
+    auto server = TryOpenServer(std::move(options));
     EXPECT_TRUE(server.ok()) << server.status().ToString();
     return std::move(server).value();
+  }
+
+  // Commits one epoch, flips a byte in the middle of the store's `file`,
+  // and checks that Open gives up with the IOError after exactly four
+  // attempts: one sleep of the failure schedule precedes each retry.
+  void ExpectOpenGivesUpOnCorrupt(const std::string& file) {
+    CommitEpoch("fp-1");
+    const std::string path = dir_ + "/" + file;
+    auto bytes = Env::Default()->ReadFileToString(path);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    std::string data = std::move(bytes).value();
+    data[data.size() / 2] ^= 0xFF;
+    ASSERT_TRUE(Env::Default()->WriteStringToFile(path, data, false).ok());
+
+    EXPECT_EQ(TryOpenServer().status().code(), StatusCode::kIOError);
+    EXPECT_EQ(clock_.sleeps(), (std::vector<int64_t>{10, 20, 40}));
   }
 
   std::string dir_;
@@ -307,18 +327,18 @@ TEST_F(ServiceTest, HealthReportsDegradedThenRecoversWithExactBackoff) {
 TEST_F(ServiceTest, BackoffScheduleDoublesToTheCapOnly) {
   ServerOptions server_options;
   server_options.expected_fingerprint = "fp-right";
-  server_options.max_poll_interval_ms = 8;
   auto server = OpenServer(server_options);
   CommitEpoch("fp-wrong");
 
-  // 1 -> 2 -> 4 -> 8, then the cap holds: backoffs counts only growth.
-  const std::vector<int64_t> want = {2, 4, 8, 8, 8};
+  // 1 -> 2 -> 4 -> 8 -> 16, then the 16x-base cap holds: backoffs counts
+  // only growth.
+  const std::vector<int64_t> want = {2, 4, 8, 16, 16, 16};
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_FALSE(server->RefreshNow().ok());
     EXPECT_EQ(server->health().next_poll_delay_ms, want[i]) << i;
   }
   EXPECT_EQ(server->stats().failures, want.size());
-  EXPECT_EQ(server->stats().backoffs, 3u);
+  EXPECT_EQ(server->stats().backoffs, 4u);
 }
 
 TEST_F(ServiceTest, EpochAgeTracksTheFakeClock) {
@@ -339,39 +359,34 @@ TEST_F(ServiceTest, EpochAgeTracksTheFakeClock) {
 TEST_F(ServiceTest, OpenRetriesTransientReadFaults) {
   CommitEpoch("fp-1");
 
-  // Without retries the injected open fault is fatal...
+  // A one-shot disk fault at open is absorbed: the failed attempt is
+  // followed by the schedule's first 10 ms sleep on the fake clock, and
+  // the retry loads the epoch.
   FailpointSpec spec;
   spec.fault = FailpointFault::kError;
   spec.hit = 1;
   spec.message = "EIO";
   FailpointRegistry::Instance().Arm("file/open-read", spec);
-  ServerOptions no_retry;
-  no_retry.poll_interval_ms = 0;
-  no_retry.clock = &clock_;
-  no_retry.open_retry.max_attempts = 1;
-  EXPECT_EQ(Server::Open(dir_, no_retry).status().code(),
-            StatusCode::kIOError);
+  auto server = OpenServer();
+  EXPECT_EQ(server->serving_epoch(), 1u);
+  EXPECT_EQ(clock_.sleeps(), (std::vector<int64_t>{10}));
 
-  // ...with retries the same one-shot fault is absorbed, and the backoff
-  // actually waited the policy's first delay (visible in the fake
-  // clock's sleep log).
-  FailpointRegistry::Instance().Arm("file/open-read", spec);
-  ServerOptions with_retry = no_retry;
-  with_retry.open_retry.max_attempts = 3;
-  with_retry.open_retry.initial_backoff_ms = 7;
-  auto server = Server::Open(dir_, with_retry);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  EXPECT_EQ(server.value()->serving_epoch(), 1u);
-  const std::vector<int64_t> sleeps = clock_.sleeps();
-  ASSERT_FALSE(sleeps.empty());
-  EXPECT_EQ(sleeps.back(), 7);
-
-  // Corruption-shaped failures are NOT transient: no retry burns on them.
+  // A fingerprint mismatch is not an IOError: it returns at once, with no
+  // sleep added.
   FailpointRegistry::Instance().DisarmAll();
-  ServerOptions gated = with_retry;
+  ServerOptions gated;
   gated.expected_fingerprint = "fp-other";
-  EXPECT_EQ(Server::Open(dir_, gated).status().code(),
+  EXPECT_EQ(TryOpenServer(gated).status().code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(clock_.sleeps(), (std::vector<int64_t>{10}));
+}
+
+TEST_F(ServiceTest, OpenGivesUpOnACorruptManifestAfterFourAttempts) {
+  ExpectOpenGivesUpOnCorrupt("MANIFEST");
+}
+
+TEST_F(ServiceTest, OpenGivesUpOnACorruptSegmentAfterFourAttempts) {
+  ExpectOpenGivesUpOnCorrupt("ep1-t0.seg");
 }
 
 }  // namespace

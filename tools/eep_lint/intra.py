@@ -120,7 +120,7 @@ def atomic_names(code):
 RNG_METHODS_MUTATING = (
     "NextUint64|Uniform|FillUniform|UniformInt|Bernoulli|Normal|Exponential|"
     "Laplace|LogNormal|Pareto|TwoSidedGeometric|FillTwoSidedGeometric|"
-    "Categorical|Permutation|Fork|Jump")
+    "Categorical|Permutation|Fork")
 
 
 def rng_names(code):
