@@ -82,7 +82,7 @@ EEP_BATCH_BENCH(
 std::vector<mechanisms::CellQuery> TruncatedCells(
     const std::vector<table::EstabContribution>& contribs) {
   std::vector<mechanisms::CellQuery> cells = BatchCells();
-  for (auto& cell : cells) cell.contributions = &contribs;
+  for (auto& cell : cells) cell.contributions = contribs;
   return cells;
 }
 

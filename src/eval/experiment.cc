@@ -34,15 +34,13 @@ Result<std::vector<double>> ExperimentRunner::ReleaseWithSdl(
       sdl::NoiseInfusion infusion,
       sdl::NoiseInfusion::Create(config_.sdl_params, *estab_ids, rng));
 
-  static const std::vector<table::EstabContribution> kNoContribs;
   std::vector<double> out;
   out.reserve(cells.indices.size());
   for (size_t idx : cells.indices) {
     const auto& cell = query.cells()[idx];
-    const table::GroupedCell* grouped = query.grouped().Find(cell.key);
-    const auto& contribs = grouped ? grouped->contributions : kNoContribs;
-    EEP_ASSIGN_OR_RETURN(double v,
-                         infusion.ReleaseCell(contribs, cell.count, rng));
+    EEP_ASSIGN_OR_RETURN(
+        double v,
+        infusion.ReleaseCell(query.ContributionsOf(cell), cell.count, rng));
     out.push_back(v);
   }
   return out;
@@ -52,7 +50,6 @@ Result<std::vector<double>> ExperimentRunner::ReleaseWithMechanism(
     const lodes::MarginalQuery& query,
     const mechanisms::CountMechanism& mechanism, const FilteredCells& cells,
     Rng& rng) const {
-  static const std::vector<table::EstabContribution> kNoContribs;
   std::vector<mechanisms::CellQuery> batch;
   batch.reserve(cells.indices.size());
   for (size_t idx : cells.indices) {
@@ -60,8 +57,7 @@ Result<std::vector<double>> ExperimentRunner::ReleaseWithMechanism(
     mechanisms::CellQuery cq;
     cq.true_count = cell.count;
     cq.x_v = cell.x_v;
-    const table::GroupedCell* grouped = query.grouped().Find(cell.key);
-    cq.contributions = grouped ? &grouped->contributions : &kNoContribs;
+    cq.contributions = query.ContributionsOf(cell);
     batch.push_back(cq);
   }
   std::vector<double> out;

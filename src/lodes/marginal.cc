@@ -93,6 +93,9 @@ Result<MarginalQuery> MarginalQuery::FromGrouped(
     return Status::InvalidArgument(
         "grouping columns do not match the marginal spec");
   }
+  if (grouped->cells.size() >= kNoGroupedCell) {
+    return Status::OutOfRange("grouping has too many cells to index");
+  }
   // The released workplace combinations (public knowledge, Section 4.1).
   std::vector<uint64_t> wkeys = {0};
   if (!spec.workplace_attrs.empty()) {
@@ -132,7 +135,8 @@ Result<MarginalQuery> MarginalQuery::FromGrouped(
 
   // Domain enumeration visits keys in increasing order (wkeys is sorted,
   // worker keys nest inside), and the grouped cells are key-sorted, so one
-  // merge cursor replaces the per-cell binary search.
+  // merge cursor replaces the per-cell binary search. Each cell keeps the
+  // index the cursor found, so no reader searches again.
   const auto& gcells = query.grouped_->cells;
   size_t gi = 0;
   query.cells_.reserve(wkeys.size() * static_cast<size_t>(worker_domain));
@@ -149,8 +153,9 @@ Result<MarginalQuery> MarginalQuery::FromGrouped(
       if (gi < gcells.size() && gcells[gi].key == cell.key) {
         const table::GroupedCell& g = gcells[gi];
         cell.count = g.count;
-        cell.x_v = g.MaxEstabContribution();
+        cell.x_v = query.grouped_->MaxEstabContribution(g);
         cell.num_estabs = g.NumEstablishments();
+        cell.grouped_cell = static_cast<uint32_t>(gi);
       }
       cell.place_code = place_code;
       query.cells_.push_back(cell);

@@ -62,6 +62,10 @@ struct MarginalSpec {
 /// Sentinel for "query has no place column".
 inline constexpr uint32_t kNoPlace = std::numeric_limits<uint32_t>::max();
 
+/// Sentinel for "cell has no grouped cell": no row falls in it.
+inline constexpr uint32_t kNoGroupedCell =
+    std::numeric_limits<uint32_t>::max();
+
 /// \brief One cell of a computed marginal.
 struct MarginalCell {
   /// Packed key in the combined codec (workplace attrs outermost).
@@ -74,7 +78,11 @@ struct MarginalCell {
   int64_t num_estabs = 0;
   /// Dictionary code of the cell's place, or kNoPlace.
   uint32_t place_code = kNoPlace;
+  /// Index of the cell in grouped().cells, or kNoGroupedCell.
+  uint32_t grouped_cell = kNoGroupedCell;
 };
+// The grouped-cell index fills what was padding after place_code.
+static_assert(sizeof(MarginalCell) == 40);
 
 /// \brief A computed marginal: the released cell domain with true counts,
 /// plus the per-establishment breakdown the SDL baseline and the smooth-
@@ -112,6 +120,15 @@ class MarginalQuery {
   /// Raw non-empty groups with per-establishment contributions. May be
   /// shared with other marginals of a fused workload (see FromGrouped).
   const table::GroupedCounts& grouped() const { return *grouped_; }
+
+  /// The per-establishment contributions of one of cells(), a view of
+  /// grouped()'s array found through the cell's grouped_cell index: the
+  /// one way a release reaches them. A cell no row falls in gets a view
+  /// without data.
+  table::ContributionSpan ContributionsOf(const MarginalCell& cell) const {
+    if (cell.grouped_cell == kNoGroupedCell) return {};
+    return grouped_->ContributionsOf(grouped_->cells[cell.grouped_cell]);
+  }
 
   /// |dom(worker attrs)| — the d of the weak-privacy marginal surcharge.
   int64_t WorkerDomainSize() const { return worker_domain_size_; }

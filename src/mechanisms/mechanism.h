@@ -27,9 +27,13 @@ struct CellQuery {
   /// Largest single-establishment contribution to the cell (x_v of
   /// Lemma 8.5); drives the smooth-sensitivity mechanisms.
   int64_t x_v = 0;
-  /// Optional per-establishment breakdown; required by mechanisms that
-  /// project the data (Truncated Laplace), ignored by the rest.
-  const std::vector<table::EstabContribution>* contributions = nullptr;
+  /// Optional per-establishment breakdown, a view of the caller's array
+  /// (for a marginal cell, its range of the grouping's contribution array:
+  /// lodes::MarginalQuery::ContributionsOf); required by mechanisms that
+  /// project the data (Truncated Laplace), ignored by the rest. A view
+  /// whose data pointer is null means no breakdown was given, which
+  /// Truncated Laplace refuses for a nonzero count.
+  table::ContributionSpan contributions;
 };
 
 /// \brief A randomized count release mechanism.

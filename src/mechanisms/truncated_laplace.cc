@@ -17,13 +17,13 @@ Result<TruncatedLaplaceMechanism> TruncatedLaplaceMechanism::Create(
 
 Result<int64_t> TruncatedLaplaceMechanism::TruncatedCount(
     const CellQuery& cell) const {
-  if (cell.contributions == nullptr) {
+  if (cell.contributions.data() == nullptr) {
     if (cell.true_count == 0) return int64_t{0};
     return Status::InvalidArgument(
         "Truncated Laplace needs per-establishment contributions");
   }
   int64_t kept = 0;
-  for (const auto& contrib : *cell.contributions) {
+  for (const auto& contrib : cell.contributions) {
     if (!removed_.count(contrib.estab_id)) kept += contrib.count;
   }
   return kept;

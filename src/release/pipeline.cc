@@ -95,24 +95,14 @@ struct ShardedRelease {
     const size_t end = std::min(cells.size(), begin + shard_size);
 
     // Batch the mechanism sampling: one CellQuery vector, one substream,
-    // one ReleaseBatch call per shard. Cells and grouped cells are both
-    // key-sorted, so a single merge cursor finds every shard cell's
-    // contribution list without per-cell binary searches.
-    static const std::vector<table::EstabContribution> kNoContribs;
-    const auto& gcells = query->grouped().cells;
-    auto git = std::lower_bound(
-        gcells.begin(), gcells.end(), cells[begin].key,
-        [](const table::GroupedCell& g, uint64_t k) { return g.key < k; });
+    // one ReleaseBatch call per shard.
     std::vector<mechanisms::CellQuery> batch;
     batch.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       mechanisms::CellQuery cq;
       cq.true_count = cells[i].count;
       cq.x_v = cells[i].x_v;
-      while (git != gcells.end() && git->key < cells[i].key) ++git;
-      cq.contributions = (git != gcells.end() && git->key == cells[i].key)
-                             ? &git->contributions
-                             : &kNoContribs;
+      cq.contributions = query->ContributionsOf(cells[i]);
       batch.push_back(cq);
     }
     Rng shard_rng = noise_root.Substream(shard);

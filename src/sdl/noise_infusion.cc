@@ -49,8 +49,8 @@ Result<double> NoiseInfusion::FactorOf(int64_t estab_id) const {
 }
 
 Result<double> NoiseInfusion::ReleaseCell(
-    const std::vector<table::EstabContribution>& contributions,
-    int64_t true_count, Rng& rng) const {
+    table::ContributionSpan contributions, int64_t true_count,
+    Rng& rng) const {
   // Exact zeros pass through (Section 5.1: "Zero counts are left
   // unmodified").
   if (true_count == 0) return 0.0;
@@ -71,13 +71,11 @@ Result<double> NoiseInfusion::ReleaseCell(
 
 Result<std::vector<double>> NoiseInfusion::Release(
     const lodes::MarginalQuery& query, Rng& rng) const {
-  static const std::vector<table::EstabContribution> kNoContribs;
   std::vector<double> out;
   out.reserve(query.cells().size());
   for (const auto& cell : query.cells()) {
-    const table::GroupedCell* grouped = query.grouped().Find(cell.key);
-    const auto& contribs = grouped ? grouped->contributions : kNoContribs;
-    EEP_ASSIGN_OR_RETURN(double v, ReleaseCell(contribs, cell.count, rng));
+    EEP_ASSIGN_OR_RETURN(
+        double v, ReleaseCell(query.ContributionsOf(cell), cell.count, rng));
     out.push_back(v);
   }
   return out;

@@ -14,6 +14,7 @@
 #define EEP_SDL_NOISE_INFUSION_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <unordered_map>
 #include <vector>
 
@@ -68,9 +69,15 @@ class NoiseInfusion {
 
   /// Releases a single cell given its establishment contributions and true
   /// count (the building block of Release()).
+  Result<double> ReleaseCell(table::ContributionSpan contributions,
+                             int64_t true_count, Rng& rng) const;
+  /// The same for a braced list, e.g. ReleaseCell({{estab, count}}, ...).
   Result<double> ReleaseCell(
-      const std::vector<table::EstabContribution>& contributions,
-      int64_t true_count, Rng& rng) const;
+      std::initializer_list<table::EstabContribution> contributions,
+      int64_t true_count, Rng& rng) const {
+    return ReleaseCell({contributions.begin(), contributions.size()},
+                       true_count, rng);
+  }
 
  private:
   NoiseInfusion(NoiseInfusionParams params, SmallCellSampler sampler)

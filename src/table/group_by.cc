@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <utility>
 
 #include "table/partitioned_group_by.h"
 
@@ -77,9 +79,9 @@ Result<std::string> GroupKeyCodec::Describe(const Schema& schema,
   return out;
 }
 
-int64_t GroupedCell::MaxEstabContribution() const {
+int64_t GroupedCounts::MaxEstabContribution(const GroupedCell& cell) const {
   int64_t best = 0;
-  for (const auto& c : contributions) best = std::max(best, c.count);
+  for (const auto& c : ContributionsOf(cell)) best = std::max(best, c.count);
   return best;
 }
 
@@ -100,18 +102,12 @@ Result<GroupedCounts> GroupCountByEstablishment(
                        table.ColumnByName(estab_id_column));
   EEP_ASSIGN_OR_RETURN(const std::vector<int64_t>* estab_ids,
                        estab_col->AsInt64());
-
-  const uint64_t domain = codec.DomainSize();
-  GroupedCounts result{std::move(codec), {}};
-  if (ChooseScanPath(*estab_ids, domain, options.num_threads) ==
-      ScanPath::kDense) {
-    result.cells = GroupEstabOrdered(table, result.codec, *estab_ids,
-                                     options.num_threads);
-  } else {
-    result.cells = AggregateByKeyAndEstab(table, result.codec, *estab_ids,
-                                          options.num_threads);
+  if (std::optional<GroupedCounts> dense = GroupEstabOrdered(
+          table, codec, *estab_ids, options.num_threads)) {
+    return std::move(*dense);
   }
-  return result;
+  return AggregateByKeyAndEstab(table, codec, *estab_ids,
+                                options.num_threads);
 }
 
 }  // namespace eep::table

@@ -15,14 +15,6 @@ bool Covers(const std::vector<std::string>& superset,
   });
 }
 
-size_t CountItems(const GroupedCounts& grouped) {
-  size_t items = 0;
-  for (const GroupedCell& cell : grouped.cells) {
-    items += cell.contributions.size();
-  }
-  return items;
-}
-
 }  // namespace
 
 Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
@@ -45,7 +37,7 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
 
   if (auto it = entries_.find(columns); it != entries_.end()) {
     if (outcome != nullptr) *outcome = Outcome::kExactHit;
-    return it->second.grouped;
+    return it->second;
   }
 
   // Rank every covering cached grouping against a fresh scan by the shared
@@ -56,32 +48,32 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
   // Ties go to the roll-up — it never re-reads the table. Every plan is an
   // exact aggregation of the same row multiset, so the choice is invisible
   // in the result.
-  const Entry* source = nullptr;
+  const GroupedCounts* source = nullptr;
   const std::vector<std::string>* source_key = nullptr;
   bool source_is_prefix = false;
   double best_cost = RollupCostModel::Scan(table.num_rows());
-  for (const auto& [cached_columns, entry] : entries_) {
+  for (const auto& [cached_columns, cached] : entries_) {
     if (!Covers(cached_columns, columns)) continue;
     const bool prefix = IsColumnPrefix(cached_columns, columns);
-    const double cost = prefix ? RollupCostModel::PrefixMerge(entry.num_items)
-                               : RollupCostModel::Resort(entry.num_items);
+    const size_t items = cached->contributions.size();
+    const double cost = prefix ? RollupCostModel::PrefixMerge(items)
+                               : RollupCostModel::Resort(items);
     if (source == nullptr ? cost <= best_cost : cost < best_cost) {
-      source = &entry;
+      source = cached.get();
       source_key = &cached_columns;
       source_is_prefix = prefix;
       best_cost = cost;
     }
   }
 
-  Entry entry;
+  std::shared_ptr<const GroupedCounts> entry;
   if (source != nullptr) {
     EEP_ASSIGN_OR_RETURN(GroupKeyCodec codec,
                          GroupKeyCodec::Create(table.schema(), columns));
     EEP_ASSIGN_OR_RETURN(GroupedCounts rolled,
-                         RollupGroupedCounts(*source->grouped,
-                                             std::move(codec),
+                         RollupGroupedCounts(*source, std::move(codec),
                                              options.num_threads));
-    entry.grouped = std::make_shared<const GroupedCounts>(std::move(rolled));
+    entry = std::make_shared<const GroupedCounts>(std::move(rolled));
     if (outcome != nullptr) {
       *outcome = source_is_prefix ? Outcome::kPrefixMerge : Outcome::kRollup;
     }
@@ -90,11 +82,10 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
     EEP_ASSIGN_OR_RETURN(GroupedCounts grouped,
                          GroupCountByEstablishment(table, columns,
                                                    estab_id_column, options));
-    entry.grouped = std::make_shared<const GroupedCounts>(std::move(grouped));
+    entry = std::make_shared<const GroupedCounts>(std::move(grouped));
     if (outcome != nullptr) *outcome = Outcome::kScan;
   }
-  entry.num_items = CountItems(*entry.grouped);
-  return entries_.emplace(columns, std::move(entry)).first->second.grouped;
+  return entries_.emplace(columns, std::move(entry)).first->second;
 }
 
 }  // namespace eep::table

@@ -7,14 +7,16 @@
 // (table::RollupCostModel). A roll-up whose columns are a prefix of the
 // cached grouping's merges runs without sorting and is priced as a prefix
 // merge; any other roll-up also sorts the cached cells and is priced
-// higher; a scan pays per row on whichever path it takes (the dense path
-// for an establishment-ordered table, the radix path otherwise; the model
-// prices both as the radix path). The cheapest plan wins, so a
-// pathologically wide cached grouping (~one item per row) no longer
-// shadows a cheaper re-scan the way a fewest-items rule did. Because both
-// scan paths and every roll-up are exact integer aggregations of the same
-// row multiset, every plan returns bit-identical results — callers cannot
-// observe which one served them except through GetOrCompute's `outcome`.
+// higher (both per item of the cached grouping: the size of its one
+// contribution array); a scan pays per row on whichever path it takes
+// (the dense path for an establishment-ordered table, the radix path
+// otherwise; the model prices both as the radix path). The cheapest plan
+// wins, so a pathologically wide cached grouping (~one item per row) no
+// longer shadows a cheaper re-scan the way a fewest-items rule did.
+// Because both scan paths and every roll-up are exact integer aggregations
+// of the same row multiset, every plan returns bit-identical results —
+// callers cannot observe which one served them except through
+// GetOrCompute's `outcome`.
 // Entries are shared_ptrs, so a workload holding a marginal alive keeps
 // only that grouping pinned.
 //
@@ -67,15 +69,11 @@ class GroupByCache {
       std::vector<std::string>* source_columns = nullptr);
 
  private:
-  struct Entry {
-    std::shared_ptr<const GroupedCounts> grouped;
-    size_t num_items = 0;  ///< Total contributions: roll-up input size.
-  };
-
   mutable std::mutex mu_;
   const Table* table_ = nullptr;
   std::string estab_id_column_;
-  std::map<std::vector<std::string>, Entry> entries_;
+  std::map<std::vector<std::string>, std::shared_ptr<const GroupedCounts>>
+      entries_;
 };
 
 }  // namespace eep::table

@@ -5,8 +5,8 @@
 #include <atomic>
 #include <cassert>
 #include <cstring>
-#include <iterator>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -110,8 +110,7 @@ PartitionPlan PlanFor(size_t n, uint64_t domain, int num_threads) {
 /// attributes break most runs (2M rows -> 1.65M items for place, naics,
 /// ownership, sex, education); in the worst case (fully shuffled rows) it
 /// degrades to one item per row for the cost of one predictable compare
-/// per row. A scan that passes the dense gate (ChooseScanPath) takes
-/// GroupEstabOrdered instead.
+/// per row. A scan that GroupEstabOrdered accepts never gets here.
 /// Splitting a run at a block boundary only splits its weight, and the
 /// per-partition aggregation sums weights per pair, so the final result is
 /// independent of the block layout (= thread count).
@@ -124,70 +123,73 @@ struct CompressedBlock {
   int64_t max_estab = std::numeric_limits<int64_t>::min();
 };
 
-// Sorted weighted packed (key << estab_bits | estab) items -> cells, one
-// per key run, with contributions in estab order (inherited from the sort)
-// and counts as weight sums.
-void RlePacked(const uint64_t* vals, const int64_t* weights, size_t n,
-               int estab_bits, std::vector<GroupedCell>* out) {
-  const uint64_t mask =
-      estab_bits == 0 ? 0 : (~uint64_t{0} >> (64 - estab_bits));
-  size_t i = 0;
-  while (i < n) {
-    const uint64_t key = vals[i] >> estab_bits;
-    GroupedCell cell;
-    cell.key = key;
-    while (i < n && (vals[i] >> estab_bits) == key) {
-      const uint64_t packed = vals[i];
-      int64_t weight = weights[i];
-      size_t j = i + 1;
-      while (j < n && vals[j] == packed) weight += weights[j++];
-      cell.contributions.push_back(
-          {static_cast<int64_t>(packed & mask), weight});
-      cell.count += weight;
-      i = j;
-    }
-    out->push_back(std::move(cell));
-  }
-}
-
 struct KeyEstabWeight {
   uint64_t key;
   int64_t estab;
   int64_t weight;
 };
 
-void RleTriples(const KeyEstabWeight* v, size_t n,
-                std::vector<GroupedCell>* out) {
+/// A partition's items as (key, estab, weight): packed
+/// (key << estab_bits | estab) words with weights beside them, or
+/// KeyEstabWeight triples. Put(k, ...) overwrites item k with one run's
+/// (estab, summed weight), which Run(k) reads back.
+struct PackedItems {
+  uint64_t* vals;
+  int64_t* weights;
+  int estab_bits;
+  uint64_t estab_mask;  // The low estab_bits bits.
+  uint64_t key(size_t i) const { return vals[i] >> estab_bits; }
+  int64_t estab(size_t i) const {
+    return static_cast<int64_t>(vals[i] & estab_mask);
+  }
+  int64_t weight(size_t i) const { return weights[i]; }
+  void Put(size_t k, int64_t estab, int64_t weight) const {
+    vals[k] = static_cast<uint64_t>(estab);
+    weights[k] = weight;
+  }
+  EstabContribution Run(size_t k) const {
+    return {static_cast<int64_t>(vals[k]), weights[k]};
+  }
+};
+
+struct TripleItems {
+  KeyEstabWeight* v;
+  uint64_t key(size_t i) const { return v[i].key; }
+  int64_t estab(size_t i) const { return v[i].estab; }
+  int64_t weight(size_t i) const { return v[i].weight; }
+  void Put(size_t k, int64_t estab, int64_t weight) const {
+    v[k].estab = estab;
+    v[k].weight = weight;
+  }
+  EstabContribution Run(size_t k) const { return {v[k].estab, v[k].weight}; }
+};
+
+/// Run-length aggregates sorted items [0, n) in place, while the sort has
+/// left them in cache: the k-th (key, estab) run's estab and summed weight
+/// overwrite item k, which the scan has already passed (every run holds at
+/// least one item), and each key run is appended to `cells` with its range
+/// of runs counted from 0. Returns the number of runs.
+template <typename Items>
+size_t CompactRuns(const Items& items, size_t n,
+                   std::vector<GroupedCell>* cells) {
+  size_t k = 0;
   size_t i = 0;
   while (i < n) {
-    const uint64_t key = v[i].key;
-    GroupedCell cell;
-    cell.key = key;
-    while (i < n && v[i].key == key) {
-      const int64_t estab = v[i].estab;
-      int64_t weight = v[i].weight;
-      size_t j = i + 1;
-      while (j < n && v[j].key == key && v[j].estab == estab) {
-        weight += v[j++].weight;
+    const uint64_t key = items.key(i);
+    GroupedCell cell{key, 0, k, k};
+    while (i < n && items.key(i) == key) {
+      const int64_t estab = items.estab(i);
+      int64_t weight = items.weight(i++);
+      while (i < n && items.key(i) == key && items.estab(i) == estab) {
+        weight += items.weight(i++);
       }
-      cell.contributions.push_back({estab, weight});
+      items.Put(k++, estab, weight);
       cell.count += weight;
-      i = j;
     }
-    out->push_back(std::move(cell));
+    cell.end = k;
+    cells->push_back(cell);
   }
-}
-
-std::vector<GroupedCell> ConcatPartitions(
-    std::vector<std::vector<GroupedCell>> per_partition) {
-  size_t total = 0;
-  for (const auto& cells : per_partition) total += cells.size();
-  std::vector<GroupedCell> result;
-  result.reserve(total);
-  for (auto& cells : per_partition) {
-    std::move(cells.begin(), cells.end(), std::back_inserter(result));
-  }
-  return result;
+  return k;
 }
 
 // Converts per-block item histograms into scatter cursors (partition-major,
@@ -272,13 +274,14 @@ void RadixSortWithWeights(uint64_t* vals, int64_t* weights, size_t n,
   }
 }
 
-std::vector<GroupedCell> AggregateByKeyAndEstab(
-    const Table& table, const GroupKeyCodec& codec,
-    const std::vector<int64_t>& estab_ids, int num_threads) {
+GroupedCounts AggregateByKeyAndEstab(const Table& table,
+                                     const GroupKeyCodec& codec,
+                                     const std::vector<int64_t>& estab_ids,
+                                     int num_threads) {
   assert(estab_ids.size() == table.num_rows());
   const uint64_t domain_size = codec.DomainSize();
   const size_t n = table.num_rows();
-  if (n == 0) return {};
+  if (n == 0) return GroupedCounts{codec, {}, {}};
   const PartitionPlan plan = PlanFor(n, domain_size, num_threads);
   const size_t P = plan.num_partitions;
   const std::vector<const Column*> columns = GroupColumns(table, codec);
@@ -338,7 +341,46 @@ std::vector<GroupedCell> AggregateByKeyAndEstab(
   const bool packable = min_estab >= 0 && key_bits + estab_bits <= 64;
   const int packed_bytes = (key_bits + estab_bits + 7) / 8;
 
-  std::vector<std::vector<GroupedCell>> per_partition(P);
+  // Phase 3 sorts each partition and run-length aggregates it in place
+  // (CompactRuns), keeping its cells in part_cells[p] and its number of
+  // runs in part_runs[p]. Phase 4, write_partitions, places every
+  // partition's cells and runs in the grouping's arrays by the prefix sums
+  // of part_runs and writes each run there once. Partitions hold
+  // consecutive key ranges, so partition order is key order and nothing
+  // merges them.
+  std::vector<std::vector<GroupedCell>> part_cells(P);
+  std::vector<size_t> part_runs(P);
+  GroupedCounts result{codec, {}, {}};
+  auto write_partitions = [&](const auto& items_of) {
+    std::vector<size_t> offsets(P + 1, 0);
+    size_t cells = 0;
+    for (size_t p = 0; p < P; ++p) {
+      offsets[p + 1] = offsets[p] + part_runs[p];
+      cells += part_cells[p].size();
+    }
+    result.cells.reserve(cells);
+    for (size_t p = 0; p < P; ++p) {
+      for (GroupedCell cell : part_cells[p]) {
+        cell.begin += offsets[p];
+        cell.end += offsets[p];
+        result.cells.push_back(cell);
+      }
+      part_cells[p] = {};
+    }
+    result.contributions.resize(offsets[P]);
+    EstabContribution* contributions = result.contributions.data();
+    std::atomic<size_t> next_write{0};
+    // Partition p writes only contributions [offsets[p], offsets[p + 1]).
+    RunWorkers(plan.threads, [&](int) {
+      for (size_t p = next_write.fetch_add(1); p < P;
+           p = next_write.fetch_add(1)) {
+        const auto items = items_of(p);
+        for (size_t k = 0; k < part_runs[p]; ++k) {
+          contributions[offsets[p] + k] = items.Run(k);
+        }
+      }
+    });
+  };
   std::atomic<size_t> next{0};
 
   if (packable) {
@@ -359,7 +401,16 @@ std::vector<GroupedCell> AggregateByKeyAndEstab(
       }
       block = CompressedBlock{};
     });
-    // Phase 3: per-partition sort + weighted run-length aggregation.
+    const uint64_t estab_mask =
+        estab_bits == 0 ? 0 : (~uint64_t{0} >> (64 - estab_bits));
+    auto items_of = [&](size_t p) {
+      return PackedItems{vals.data() + starts[p], weights.data() + starts[p],
+                         estab_bits, estab_mask};
+    };
+    // Phase 3: radix-sort each partition's packed items.
+    // eep-lint: disjoint-writes -- the atomic counter hands each partition
+    // p to one worker, which alone sorts and compacts its slice and writes
+    // part_cells[p] and part_runs[p].
     RunWorkers(plan.threads, [&](int) {
       std::vector<uint64_t> val_scratch;
       std::vector<int64_t> weight_scratch;
@@ -368,10 +419,10 @@ std::vector<GroupedCell> AggregateByKeyAndEstab(
         RadixSortWithWeights(vals.data() + starts[p],
                              weights.data() + starts[p], m, packed_bytes,
                              val_scratch, weight_scratch);
-        RlePacked(vals.data() + starts[p], weights.data() + starts[p], m,
-                  estab_bits, &per_partition[p]);
+        part_runs[p] = CompactRuns(items_of(p), m, &part_cells[p]);
       }
     });
+    write_partitions(items_of);
   } else {
     std::vector<KeyEstabWeight> scattered(items);
     // eep-lint: disjoint-writes -- same cursor argument as the packable
@@ -384,6 +435,13 @@ std::vector<GroupedCell> AggregateByKeyAndEstab(
       }
       block = CompressedBlock{};
     });
+    auto items_of = [&](size_t p) {
+      return TripleItems{scattered.data() + starts[p]};
+    };
+    // Phase 3: comparison-sort each partition's triples.
+    // eep-lint: disjoint-writes -- as for the packed items: partition p,
+    // its slice, part_cells[p] and part_runs[p] belong to the one worker
+    // that claimed p.
     RunWorkers(plan.threads, [&](int) {
       for (size_t p = next.fetch_add(1); p < P; p = next.fetch_add(1)) {
         KeyEstabWeight* v = scattered.data() + starts[p];
@@ -393,11 +451,12 @@ std::vector<GroupedCell> AggregateByKeyAndEstab(
                     return a.key != b.key ? a.key < b.key
                                           : a.estab < b.estab;
                   });
-        RleTriples(v, m, &per_partition[p]);
+        part_runs[p] = CompactRuns(items_of(p), m, &part_cells[p]);
       }
     });
+    write_partitions(items_of);
   }
-  return ConcatPartitions(std::move(per_partition));
+  return result;
 }
 
 namespace {
@@ -423,10 +482,20 @@ struct DenseBlock {
 // table is cheap even next to a tiny input.
 constexpr uint64_t kDenseMinTableEntries = uint64_t{1} << 16;
 
-// Splits [0, n) into `threads` row blocks, each seam advanced to the next
-// establishment boundary, so every establishment lies in one block. The
-// blocks are in establishment order, so block-minor order within a key is
-// establishment order.
+/// The dense gate's bound: fewer than 2^32 rows (item counts are uint32)
+/// and one domain-sized table per worker within max(rows, 2^16) entries
+/// in all.
+bool DenseTablesFit(size_t rows, uint64_t domain_size, int threads) {
+  const uint64_t table_entries =
+      std::max<uint64_t>(rows, kDenseMinTableEntries);
+  return rows < std::numeric_limits<uint32_t>::max() &&
+         domain_size <= table_entries / static_cast<uint64_t>(threads);
+}
+
+// Splits [0, n) into `threads` row blocks, stepping each seam forward from
+// row n*w/t to the first row whose id differs from the one before it, so
+// no run of equal ids straddles two blocks. It assumes nothing about the
+// ids' order; GroupEstabOrdered's workers check that.
 std::vector<size_t> EstabAlignedBounds(const std::vector<int64_t>& estab_ids,
                                        int threads) {
   const size_t n = estab_ids.size();
@@ -435,12 +504,7 @@ std::vector<size_t> EstabAlignedBounds(const std::vector<int64_t>& estab_ids,
   bounds[0] = 0;
   for (size_t w = 1; w < t; ++w) {
     size_t pos = std::max(bounds[w - 1], n * w / t);
-    if (pos > 0 && pos < n) {
-      pos = static_cast<size_t>(
-          std::upper_bound(estab_ids.begin() + static_cast<ptrdiff_t>(pos),
-                           estab_ids.end(), estab_ids[pos - 1]) -
-          estab_ids.begin());
-    }
+    while (pos > 0 && pos < n && estab_ids[pos] == estab_ids[pos - 1]) ++pos;
     bounds[w] = pos;
   }
   return bounds;
@@ -448,28 +512,15 @@ std::vector<size_t> EstabAlignedBounds(const std::vector<int64_t>& estab_ids,
 
 }  // namespace
 
-ScanPath ChooseScanPath(const std::vector<int64_t>& estab_ids,
-                        uint64_t domain_size, int num_threads) {
-  const uint64_t rows = estab_ids.size();
-  const auto workers =
-      static_cast<uint64_t>(ResolveGroupByThreads(num_threads));
-  const uint64_t table_entries = std::max(rows, kDenseMinTableEntries);
-  if (rows >= std::numeric_limits<uint32_t>::max() ||
-      domain_size > table_entries / workers) {
-    return ScanPath::kRadix;
-  }
-  return std::is_sorted(estab_ids.begin(), estab_ids.end()) ? ScanPath::kDense
-                                                            : ScanPath::kRadix;
-}
-
-std::vector<GroupedCell> GroupEstabOrdered(
+std::optional<GroupedCounts> GroupEstabOrdered(
     const Table& table, const GroupKeyCodec& codec,
     const std::vector<int64_t>& estab_ids, int num_threads) {
   assert(estab_ids.size() == table.num_rows());
-  assert(ChooseScanPath(estab_ids, codec.DomainSize(), num_threads) ==
-         ScanPath::kDense);
-  const auto domain = static_cast<size_t>(codec.DomainSize());
   const int threads = ResolveGroupByThreads(num_threads);
+  if (!DenseTablesFit(estab_ids.size(), codec.DomainSize(), threads)) {
+    return std::nullopt;
+  }
+  const auto domain = static_cast<size_t>(codec.DomainSize());
   const std::vector<size_t> bounds = EstabAlignedBounds(estab_ids, threads);
   const std::vector<const Column*> columns = GroupColumns(table, codec);
   const int64_t* ids = estab_ids.data();
@@ -479,27 +530,45 @@ std::vector<GroupedCell> GroupEstabOrdered(
   // item; since an establishment's rows are contiguous, that item belongs
   // to the current establishment exactly when it was appended at or after
   // the establishment's first item. Then count the worker's items per key.
+  // Contiguity is what each worker checks as it reads the ids: none may
+  // be smaller than the one before it, from the row before its block to
+  // its block's end, so the blocks together check every adjacent pair.
+  // The first decrease stops every worker, and the scan is refused.
+  std::atomic<bool> decreased{false};
   std::vector<DenseBlock> blocks(static_cast<size_t>(threads));
   RunWorkers(threads, [&](int w) {
     DenseBlock& block = blocks[static_cast<size_t>(w)];
-    block.table.assign(domain, 0);
-    uint32_t* slot = block.table.data();
     const size_t begin = bounds[static_cast<size_t>(w)];
     const size_t end = bounds[static_cast<size_t>(w) + 1];
+    // The seam is checked before the table is filled, so a worker whose
+    // block starts below the block before it costs nothing.
+    if (begin > 0 && begin < end && ids[begin - 1] > ids[begin]) {
+      decreased.store(true, std::memory_order_relaxed);
+      return;
+    }
+    block.table.assign(domain, 0);
+    uint32_t* slot = block.table.data();
+    if (begin == end) return;
+    int64_t estab = ids[begin];
     // A block has at most one item per row. Reserving that bound keeps
     // the append loop free of reallocations; the unused tail is never
     // written, so it costs address space, not resident memory.
     std::vector<DenseItem>& items = block.items;
     items.reserve(end - begin);
     std::array<uint32_t, kChunkRows> keys{};
-    int64_t estab = begin < end ? ids[begin] : 0;
     uint32_t estab_first_item = 0;
     for (size_t chunk = begin; chunk < end; chunk += kChunkRows) {
+      if (decreased.load(std::memory_order_relaxed)) return;
       const size_t m = std::min(kChunkRows, end - chunk);
       PackKeys(columns, codec.radices(), chunk, m, keys.data());
       for (size_t j = 0; j < m; ++j) {
-        if (ids[chunk + j] != estab) {
-          estab = ids[chunk + j];
+        const int64_t id = ids[chunk + j];
+        if (id != estab) {
+          if (id < estab) {
+            decreased.store(true, std::memory_order_relaxed);
+            return;
+          }
+          estab = id;
           estab_first_item = static_cast<uint32_t>(items.size());
         }
         const uint32_t key = keys[j];
@@ -515,12 +584,19 @@ std::vector<GroupedCell> GroupEstabOrdered(
     std::fill(block.table.begin(), block.table.end(), 0);
     for (const DenseItem& item : items) ++slot[item.key];
   });
+  if (decreased.load(std::memory_order_relaxed)) return std::nullopt;
 
   // Phase 2: the counting sort's prefix sums, key-major and block-minor.
   // Each worker's count for a key becomes its first slot in the sorted
-  // item array; each key with items becomes one cell.
-  std::vector<uint32_t> cell_keys;
-  std::vector<uint32_t> cell_starts;
+  // item array; each key with items becomes one cell spanning its slots.
+  GroupedCounts result{codec, {}, {}};
+  size_t num_cells = 0;
+  for (size_t key = 0; key < domain; ++key) {
+    num_cells += std::any_of(
+        blocks.begin(), blocks.end(),
+        [key](const DenseBlock& block) { return block.table[key] != 0; });
+  }
+  result.cells.reserve(num_cells);
   uint32_t sorted_items = 0;
   for (size_t key = 0; key < domain; ++key) {
     const uint32_t start = sorted_items;
@@ -530,17 +606,16 @@ std::vector<GroupedCell> GroupEstabOrdered(
       sorted_items += count;
     }
     if (sorted_items != start) {
-      cell_keys.push_back(static_cast<uint32_t>(key));
-      cell_starts.push_back(start);
+      result.cells.push_back({key, 0, start, sorted_items});
     }
   }
-  cell_starts.push_back(sorted_items);
 
-  // Phase 3: the counting sort's scatter. Establishments never straddle
-  // blocks and a block's items are in row (= establishment) order, so
-  // every key's run of the sorted array is establishment-sorted and
-  // distinct.
-  std::vector<EstabContribution> sorted(sorted_items);
+  // Phase 3: the counting sort's scatter, straight into the grouping's
+  // contribution array. Establishments never straddle blocks and a
+  // block's items are in row (= establishment) order, so every cell's
+  // range is establishment-sorted and distinct.
+  result.contributions.resize(sorted_items);
+  EstabContribution* sorted = result.contributions.data();
   // eep-lint: disjoint-writes -- worker w writes, for each key, only the
   // slots [its cursor, the next worker's cursor) of sorted; phase 2's
   // prefix sums partition the array among (key, worker) pairs.
@@ -554,25 +629,20 @@ std::vector<GroupedCell> GroupEstabOrdered(
     block = DenseBlock{};
   });
 
-  // Phase 4: one cell per key run, its contribution list sized exactly.
-  const size_t num_cells = cell_keys.size();
-  std::vector<GroupedCell> cells(num_cells);
+  // Phase 4: each cell's count is the sum of its range.
   const size_t per_worker = (num_cells + static_cast<size_t>(threads) - 1) /
                             static_cast<size_t>(threads);
   RunWorkers(threads, [&](int w) {
     const size_t begin = static_cast<size_t>(w) * per_worker;
     const size_t end = std::min(num_cells, begin + per_worker);
     for (size_t c = begin; c < end; ++c) {
-      GroupedCell& cell = cells[c];
-      cell.key = cell_keys[c];
-      cell.contributions.assign(sorted.begin() + cell_starts[c],
-                                sorted.begin() + cell_starts[c + 1]);
-      for (const EstabContribution& contrib : cell.contributions) {
-        cell.count += contrib.count;
+      GroupedCell& cell = result.cells[c];
+      for (size_t i = cell.begin; i < cell.end; ++i) {
+        cell.count += sorted[i].count;
       }
     }
   });
-  return cells;
+  return result;
 }
 
 }  // namespace eep::table

@@ -1,7 +1,6 @@
 #include "table/rollup.h"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "table/partitioned_group_by.h"
@@ -76,6 +75,37 @@ std::vector<size_t> RunAlignedBounds(const std::vector<uint64_t>& keys,
   return bounds;
 }
 
+/// Concatenates the groupings of consecutive coarse-key ranges, one per
+/// worker, into one, shifting each part's offsets past the contributions
+/// of the parts before it. A lone part is moved without a copy; otherwise
+/// each part is freed once copied.
+GroupedCounts ConcatParts(std::vector<GroupedCounts> parts) {
+  if (parts.size() == 1) return std::move(parts[0]);
+  GroupedCounts out{parts[0].codec, {}, {}};
+  size_t cells = 0;
+  size_t items = 0;
+  for (const GroupedCounts& part : parts) {
+    cells += part.cells.size();
+    items += part.contributions.size();
+  }
+  out.cells.reserve(cells);
+  out.contributions.reserve(items);
+  for (GroupedCounts& part : parts) {
+    const size_t shift = out.contributions.size();
+    for (GroupedCell cell : part.cells) {
+      cell.begin += shift;
+      cell.end += shift;
+      out.cells.push_back(cell);
+    }
+    out.contributions.insert(out.contributions.end(),
+                             part.contributions.begin(),
+                             part.contributions.end());
+    part.cells = {};
+    part.contributions = {};
+  }
+  return out;
+}
+
 /// Low-order bytes a radix sort must read to order values in [0, max].
 int SortBytes(uint64_t max) {
   int bytes = 0;
@@ -83,13 +113,10 @@ int SortBytes(uint64_t max) {
   return bytes;
 }
 
-/// Merges two estab-sorted contribution lists, summing counts of equal
-/// establishment ids, into `out` (cleared first).
-void MergeContributions(const std::vector<EstabContribution>& a,
-                        const std::vector<EstabContribution>& b,
+/// Appends the merge of two estab-sorted contribution lists to `out`,
+/// summing the counts of equal establishment ids.
+void MergeContributions(ContributionSpan a, ContributionSpan b,
                         std::vector<EstabContribution>* out) {
-  out->clear();
-  out->reserve(a.size() + b.size());
   size_t i = 0;
   size_t j = 0;
   while (i < a.size() && j < b.size()) {
@@ -103,8 +130,8 @@ void MergeContributions(const std::vector<EstabContribution>& a,
       ++j;
     }
   }
-  out->insert(out->end(), a.begin() + static_cast<ptrdiff_t>(i), a.end());
-  out->insert(out->end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
+  out->insert(out->end(), a.begin() + i, a.end());
+  out->insert(out->end(), b.begin() + j, b.end());
 }
 
 /// Runs of more source cells than this gather their items and sort instead
@@ -124,41 +151,52 @@ struct RunScratch {
 };
 
 /// Merges the run of base cells cells[run[0]], ..., cells[run[k - 1]], all
-/// of one coarse key, into one cell. Narrow runs merge their estab-sorted
-/// contribution lists pairwise; a one-cell run (the dominant case near the
-/// top of the lattice, and the whole pass for an identity projection) is a
-/// copy. Wide runs gather their items and radix-sort them by establishment
-/// id rebased to the run's minimum, bounding the run at a few linear passes
-/// instead of Θ(k·m). Every strategy sums the same integer multiset, so the
-/// threshold is invisible in the result.
-GroupedCell MergeRun(const std::vector<GroupedCell>& cells,
-                     const int64_t* run, size_t k, uint64_t coarse_key,
-                     RunScratch* scratch) {
+/// of one coarse key, into one cell appended to `out`, its contributions
+/// written straight into out's array. Narrow runs merge their estab-sorted
+/// contribution ranges pairwise, the last merge into `out`; a one-cell run
+/// (the dominant case near the top of the lattice, and the whole pass for
+/// an identity projection) is a copy. Wide runs gather their items and
+/// radix-sort them by establishment id rebased to the run's minimum,
+/// bounding the run at a few linear passes instead of Θ(k·m). Every
+/// strategy sums the same integer multiset, so the threshold is invisible
+/// in the result.
+void MergeRun(const GroupedCounts& base, const int64_t* run, size_t k,
+              uint64_t coarse_key, RunScratch* scratch, GroupedCounts* out) {
+  const std::vector<GroupedCell>& cells = base.cells;
+  std::vector<EstabContribution>& dst = out->contributions;
   GroupedCell cell;
   cell.key = coarse_key;
+  cell.begin = dst.size();
   const GroupedCell& first = cells[static_cast<size_t>(run[0])];
   cell.count = first.count;
   if (k <= kMaxSequentialMergeCells) {
-    std::vector<EstabContribution>& acc = scratch->acc;
-    acc = first.contributions;
+    ContributionSpan acc = base.ContributionsOf(first);
+    if (k == 1) dst.insert(dst.end(), acc.begin(), acc.end());
     for (size_t r = 1; r < k; ++r) {
       const GroupedCell& next = cells[static_cast<size_t>(run[r])];
-      MergeContributions(acc, next.contributions, &scratch->merged);
-      std::swap(acc, scratch->merged);
       cell.count += next.count;
+      if (r + 1 == k) {
+        MergeContributions(acc, base.ContributionsOf(next), &dst);
+        break;
+      }
+      scratch->merged.clear();
+      MergeContributions(acc, base.ContributionsOf(next), &scratch->merged);
+      std::swap(scratch->acc, scratch->merged);
+      acc = scratch->acc;
     }
-    cell.contributions = std::move(acc);
-    return cell;
+    cell.end = dst.size();
+    out->cells.push_back(cell);
+    return;
   }
-  // Cells are never empty and their contribution lists are estab-sorted,
-  // so the lists' ends bound the run's ids.
-  int64_t min_estab = first.contributions.front().estab_id;
-  int64_t max_estab = first.contributions.back().estab_id;
+  // Cells are never empty and their contribution ranges are estab-sorted,
+  // so the ranges' ends bound the run's ids.
+  int64_t min_estab = base.contributions[first.begin].estab_id;
+  int64_t max_estab = base.contributions[first.end - 1].estab_id;
   for (size_t r = 1; r < k; ++r) {
     const GroupedCell& next = cells[static_cast<size_t>(run[r])];
     cell.count += next.count;
-    min_estab = std::min(min_estab, next.contributions.front().estab_id);
-    max_estab = std::max(max_estab, next.contributions.back().estab_id);
+    min_estab = std::min(min_estab, base.contributions[next.begin].estab_id);
+    max_estab = std::max(max_estab, base.contributions[next.end - 1].estab_id);
   }
   // Rebasing makes every id a non-negative offset below max - min + 1, so
   // the sort reads only the bytes that span carries.
@@ -169,7 +207,7 @@ GroupedCell MergeRun(const std::vector<GroupedCell>& cells,
   counts.clear();
   for (size_t r = 0; r < k; ++r) {
     for (const EstabContribution& c :
-         cells[static_cast<size_t>(run[r])].contributions) {
+         base.ContributionsOf(cells[static_cast<size_t>(run[r])])) {
       estabs.push_back(static_cast<uint64_t>(c.estab_id) - base_estab);
       counts.push_back(c.count);
     }
@@ -183,11 +221,11 @@ GroupedCell MergeRun(const std::vector<GroupedCell>& cells,
     int64_t count = counts[g];
     size_t h = g + 1;
     while (h < estabs.size() && estabs[h] == estabs[g]) count += counts[h++];
-    cell.contributions.push_back(
-        {static_cast<int64_t>(estabs[g] + base_estab), count});
+    dst.push_back({static_cast<int64_t>(estabs[g] + base_estab), count});
     g = h;
   }
-  return cell;
+  cell.end = dst.size();
+  out->cells.push_back(cell);
 }
 
 }  // namespace
@@ -197,10 +235,9 @@ Result<GroupedCounts> RollupGroupedCounts(const GroupedCounts& base,
                                           int num_threads) {
   EEP_ASSIGN_OR_RETURN(KeyProjection proj,
                        KeyProjection::Create(base.codec, coarse_codec));
-  GroupedCounts result{std::move(coarse_codec), {}};
   const auto& cells = base.cells;
   const size_t n = cells.size();
-  if (n == 0) return result;
+  if (n == 0) return GroupedCounts{std::move(coarse_codec), {}, {}};
 
   // keys[i] is the coarse key of base cell order[i]. The base is key-sorted,
   // so a key-prefix projection (and any other whose digits happen to keep
@@ -221,32 +258,34 @@ Result<GroupedCounts> RollupGroupedCounts(const GroupedCounts& base,
                          order_scratch);
   }
 
+  // Each worker merges its runs into its own part through one set of
+  // scratch buffers it reuses for every run: nothing is allocated per
+  // output cell. A run's input items bound its merged ones, so one
+  // reservation keeps the part's array from regrowing.
   const int threads = std::min<int>(ResolveGroupByThreads(num_threads),
                                     static_cast<int>(n));
   const std::vector<size_t> bounds = RunAlignedBounds(keys, threads);
-  std::vector<std::vector<GroupedCell>> per_worker(
-      static_cast<size_t>(threads));
+  std::vector<GroupedCounts> parts(static_cast<size_t>(threads),
+                                   GroupedCounts{coarse_codec, {}, {}});
   RunOnWorkers(threads, [&](int w) {
     const size_t end = bounds[static_cast<size_t>(w) + 1];
-    auto& out = per_worker[static_cast<size_t>(w)];
+    GroupedCounts& out = parts[static_cast<size_t>(w)];
+    size_t items = 0;
+    for (size_t i = bounds[static_cast<size_t>(w)]; i < end; ++i) {
+      items += cells[static_cast<size_t>(order[i])].end -
+               cells[static_cast<size_t>(order[i])].begin;
+    }
+    out.contributions.reserve(items);
     RunScratch scratch;
     size_t i = bounds[static_cast<size_t>(w)];
     while (i < end) {
       size_t j = i + 1;
       while (j < end && keys[j] == keys[i]) ++j;
-      out.push_back(MergeRun(cells, order.data() + i, j - i, keys[i],
-                             &scratch));
+      MergeRun(base, order.data() + i, j - i, keys[i], &scratch, &out);
       i = j;
     }
   });
-
-  size_t total = 0;
-  for (const auto& out : per_worker) total += out.size();
-  result.cells.reserve(total);
-  for (auto& out : per_worker) {
-    std::move(out.begin(), out.end(), std::back_inserter(result.cells));
-  }
-  return result;
+  return ConcatParts(std::move(parts));
 }
 
 }  // namespace eep::table

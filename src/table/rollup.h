@@ -14,7 +14,8 @@
 //
 // One routine serves every column subset and order. It projects each base
 // cell's key onto the coarse domain, orders the cells by coarse key, and
-// merges each run of equal coarse keys into one output cell. The base is
+// merges each run of equal coarse keys into one output cell, writing its
+// contributions straight into the output's one array. The base is
 // key-sorted, so when the coarse columns are a key prefix of the base (the
 // shape the workload planner arranges for) the projected keys come out
 // already ordered and nothing is sorted; any other subset or permutation

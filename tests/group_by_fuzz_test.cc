@@ -9,6 +9,7 @@
 #include <optional>
 
 #include "common/random.h"
+#include "grouping_checks.h"
 #include "table/group_by.h"
 #include "table/partitioned_group_by.h"
 #include "table/table.h"
@@ -30,8 +31,9 @@ struct FuzzCase {
   uint32_t radix_b;
   int num_estabs;
   Order order = Order::kRandom;
-  /// Path the 1-thread scan must take; unchecked when unset.
-  std::optional<ScanPath> path = std::nullopt;
+  /// Whether the 1-thread dense path, GroupEstabOrdered, must accept the
+  /// case; unchecked when unset.
+  std::optional<bool> dense = std::nullopt;
 };
 
 /// Establishment-clustered ids with about `num_estabs` runs: at least a
@@ -101,12 +103,17 @@ TEST_P(GroupByFuzzTest, MatchesNaiveReference) {
                                   Column::OfCategory(bs)})
                .value();
 
-  if (fuzz.path.has_value()) {
-    const uint64_t domain = uint64_t{fuzz.radix_a} * fuzz.radix_b;
-    EXPECT_EQ(ChooseScanPath(estabs, domain, 1), *fuzz.path);
-  }
   auto grouped =
       GroupCountByEstablishment(t, {"attr_a", "attr_b"}, "estab").value();
+  const GroupKeyCodec codec = grouped.codec;
+  ExpectSameCells(grouped, AggregateByKeyAndEstab(t, codec, estabs, 1),
+                  "radix");
+  const std::optional<GroupedCounts> dense =
+      GroupEstabOrdered(t, codec, estabs, 1);
+  if (fuzz.dense.has_value()) {
+    EXPECT_EQ(dense.has_value(), *fuzz.dense);
+  }
+  if (dense) ExpectSameCells(grouped, *dense, "dense");
 
   // Naive reference: nested maps.
   std::map<std::pair<uint32_t, uint32_t>, int64_t> ref_counts;
@@ -124,37 +131,29 @@ TEST_P(GroupByFuzzTest, MatchesNaiveReference) {
     ASSERT_NE(cell, nullptr);
     EXPECT_EQ(cell->count, count);
     const auto& ref = ref_contribs[ab];
-    ASSERT_EQ(cell->contributions.size(), ref.size());
+    const ContributionSpan contributions = grouped.ContributionsOf(*cell);
+    ASSERT_EQ(contributions.size(), ref.size());
     int64_t max_contrib = 0;
-    for (const auto& contrib : cell->contributions) {
+    for (const auto& contrib : contributions) {
       auto it = ref.find(contrib.estab_id);
       ASSERT_NE(it, ref.end());
       EXPECT_EQ(contrib.count, it->second);
       max_contrib = std::max(max_contrib, it->second);
     }
-    EXPECT_EQ(cell->MaxEstabContribution(), max_contrib);
+    EXPECT_EQ(grouped.MaxEstabContribution(*cell), max_contrib);
   }
 
   // The parallel engine is thread-count-invariant: 2/3/4/8 workers must
   // reproduce the single-threaded grouping bit for bit, whichever path
   // each thread count takes.
   for (int threads : {2, 3, 4, 8}) {
+    const std::string context = "threads=" + std::to_string(threads);
     auto parallel = GroupCountByEstablishment(t, {"attr_a", "attr_b"},
                                               "estab", GroupByOptions{threads})
                         .value();
-    ASSERT_EQ(parallel.cells.size(), grouped.cells.size())
-        << "threads=" << threads;
-    for (size_t i = 0; i < grouped.cells.size(); ++i) {
-      const GroupedCell& a = grouped.cells[i];
-      const GroupedCell& b = parallel.cells[i];
-      ASSERT_EQ(a.key, b.key) << "threads=" << threads;
-      ASSERT_EQ(a.count, b.count) << "threads=" << threads;
-      ASSERT_EQ(a.contributions.size(), b.contributions.size())
-          << "threads=" << threads;
-      for (size_t c = 0; c < a.contributions.size(); ++c) {
-        ASSERT_EQ(a.contributions[c].estab_id, b.contributions[c].estab_id);
-        ASSERT_EQ(a.contributions[c].count, b.contributions[c].count);
-      }
+    ExpectSameCells(grouped, parallel, context);
+    if (auto dense_parallel = GroupEstabOrdered(t, codec, estabs, threads)) {
+      ExpectSameCells(grouped, *dense_parallel, context + " dense");
     }
   }
 }
@@ -174,28 +173,25 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{9, 100000, 2, 2, 20000},
                       // Establishment order: the dense path, with
                       // establishments straddling every worker seam.
-                      FuzzCase{10, 50000, 6, 8, 2000, Order::kSorted,
-                               ScanPath::kDense},
+                      FuzzCase{10, 50000, 6, 8, 2000, Order::kSorted, true},
                       // Mostly single-row establishments.
-                      FuzzCase{11, 3000, 3, 5, 2500, Order::kSorted,
-                               ScanPath::kDense},
-                      FuzzCase{12, 1, 4, 4, 1, Order::kSorted,
-                               ScanPath::kDense},
+                      FuzzCase{11, 3000, 3, 5, 2500, Order::kSorted, true},
+                      FuzzCase{12, 1, 4, 4, 1, Order::kSorted, true},
                       // Clustered but descending: the radix path.
                       FuzzCase{13, 20000, 4, 4, 300, Order::kDescending,
-                               ScanPath::kRadix},
+                               false},
                       // Domains at and just past the dense bound
                       // max(rows, 2^16) / workers: the 2^16 floor, then
                       // the row count. Two or more workers halve the bound,
                       // so the thread sweep crosses to the radix path.
                       FuzzCase{14, 1000, 256, 256, 100, Order::kSorted,
-                               ScanPath::kDense},
+                               true},
                       FuzzCase{15, 1000, 257, 256, 100, Order::kSorted,
-                               ScanPath::kRadix},
+                               false},
                       FuzzCase{16, 70000, 250, 280, 5000, Order::kSorted,
-                               ScanPath::kDense},
+                               true},
                       FuzzCase{17, 70000, 251, 279, 5000, Order::kSorted,
-                               ScanPath::kRadix}),
+                               false}),
     [](const ::testing::TestParamInfo<FuzzCase>& info) {
       const char* order = info.param.order == Order::kSorted ? "_sorted"
                           : info.param.order == Order::kDescending

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "grouping_checks.h"
 #include "table/partitioned_group_by.h"
 
 namespace eep::table {
@@ -74,16 +78,17 @@ TEST(GroupCountByEstablishmentTest, CountsAndContributions) {
   ASSERT_NE(red_s, nullptr);
   EXPECT_EQ(red_s->count, 3);
   EXPECT_EQ(red_s->NumEstablishments(), 2);
-  EXPECT_EQ(red_s->MaxEstabContribution(), 2);
+  EXPECT_EQ(grouped.MaxEstabContribution(*red_s), 2);
   // Contributions sorted by estab id.
-  EXPECT_EQ(red_s->contributions[0].estab_id, 1);
-  EXPECT_EQ(red_s->contributions[0].count, 2);
-  EXPECT_EQ(red_s->contributions[1].estab_id, 2);
+  const ContributionSpan red_s_contributions = grouped.ContributionsOf(*red_s);
+  EXPECT_EQ(red_s_contributions[0].estab_id, 1);
+  EXPECT_EQ(red_s_contributions[0].count, 2);
+  EXPECT_EQ(red_s_contributions[1].estab_id, 2);
 
   const GroupedCell* green_l = grouped.Find(codec.Pack({1, 2}));
   ASSERT_NE(green_l, nullptr);
   EXPECT_EQ(green_l->count, 2);
-  EXPECT_EQ(green_l->MaxEstabContribution(), 1);
+  EXPECT_EQ(grouped.MaxEstabContribution(*green_l), 1);
 
   EXPECT_EQ(grouped.Find(codec.Pack({1, 0})), nullptr);  // empty cell
 }
@@ -104,23 +109,6 @@ TEST(GroupCountByEstablishmentTest, SingleColumnGrouping) {
   EXPECT_EQ(grouped.Find(1)->count, 2);  // green
 }
 
-bool SameGrouped(const GroupedCounts& a, const GroupedCounts& b) {
-  if (a.cells.size() != b.cells.size()) return false;
-  for (size_t i = 0; i < a.cells.size(); ++i) {
-    const GroupedCell& x = a.cells[i];
-    const GroupedCell& y = b.cells[i];
-    if (x.key != y.key || x.count != y.count) return false;
-    if (x.contributions.size() != y.contributions.size()) return false;
-    for (size_t c = 0; c < x.contributions.size(); ++c) {
-      if (x.contributions[c].estab_id != y.contributions[c].estab_id ||
-          x.contributions[c].count != y.contributions[c].count) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 TEST(GroupCountByEstablishmentTest, ThreadCountInvariant) {
   Table t = ToyTable();
   auto base =
@@ -129,7 +117,7 @@ TEST(GroupCountByEstablishmentTest, ThreadCountInvariant) {
     auto parallel = GroupCountByEstablishment(t, {"color", "size"}, "estab",
                                               GroupByOptions{threads})
                         .value();
-    EXPECT_TRUE(SameGrouped(base, parallel)) << "threads=" << threads;
+    ExpectSameCells(base, parallel, "threads=" + std::to_string(threads));
   }
 }
 
@@ -149,11 +137,12 @@ TEST(GroupCountByEstablishmentTest, NegativeEstabIdsUsePairFallback) {
   const GroupedCell* red = grouped.Find(0);
   ASSERT_NE(red, nullptr);
   EXPECT_EQ(red->count, 4);
-  ASSERT_EQ(red->contributions.size(), 2u);
-  EXPECT_EQ(red->contributions[0].estab_id, -5);
-  EXPECT_EQ(red->contributions[0].count, 2);
-  EXPECT_EQ(red->contributions[1].estab_id, 3);
-  EXPECT_EQ(red->contributions[1].count, 2);
+  const ContributionSpan red_contributions = grouped.ContributionsOf(*red);
+  ASSERT_EQ(red_contributions.size(), 2u);
+  EXPECT_EQ(red_contributions[0].estab_id, -5);
+  EXPECT_EQ(red_contributions[0].count, 2);
+  EXPECT_EQ(red_contributions[1].estab_id, 3);
+  EXPECT_EQ(red_contributions[1].count, 2);
   EXPECT_EQ(grouped.Find(1)->count, 1);
 }
 
@@ -174,21 +163,28 @@ TEST(GroupCountByEstablishmentTest, NegativeEstabIdsInEstabOrderUseDensePath) {
       Table::Create(schema, {Column::OfInt64(unordered_ids),
                              Column::OfCategory({0, 0, 0, 1, 0})})
           .value();
-  EXPECT_EQ(ChooseScanPath(ordered_ids, 2, 1), ScanPath::kDense);
-  EXPECT_EQ(ChooseScanPath(unordered_ids, 2, 1), ScanPath::kRadix);
+  const GroupKeyCodec codec = GroupKeyCodec::Create(schema, {"color"}).value();
+  const std::optional<GroupedCounts> dense_path =
+      GroupEstabOrdered(ordered, codec, ordered_ids, 1);
+  ASSERT_TRUE(dense_path.has_value());
+  ExpectSameCells(AggregateByKeyAndEstab(ordered, codec, ordered_ids, 1),
+                  *dense_path, "dense path vs radix path");
+  EXPECT_FALSE(
+      GroupEstabOrdered(unordered, codec, unordered_ids, 1).has_value());
   auto dense = GroupCountByEstablishment(ordered, {"color"}, "estab").value();
   auto fallback =
       GroupCountByEstablishment(unordered, {"color"}, "estab").value();
-  EXPECT_TRUE(SameGrouped(dense, fallback));
+  ExpectSameCells(dense, fallback, "dense vs fallback");
   ASSERT_EQ(dense.cells.size(), 2u);
-  ASSERT_EQ(dense.cells[0].contributions.size(), 2u);
-  EXPECT_EQ(dense.cells[0].contributions[0].estab_id, -5);
-  EXPECT_EQ(dense.cells[0].contributions[1].estab_id, 3);
+  const ContributionSpan red = dense.ContributionsOf(dense.cells[0]);
+  ASSERT_EQ(red.size(), 2u);
+  EXPECT_EQ(red[0].estab_id, -5);
+  EXPECT_EQ(red[1].estab_id, 3);
   for (int threads : {2, 4, 8}) {
     auto parallel = GroupCountByEstablishment(ordered, {"color"}, "estab",
                                               GroupByOptions{threads})
                         .value();
-    EXPECT_TRUE(SameGrouped(dense, parallel)) << "threads=" << threads;
+    ExpectSameCells(dense, parallel, "threads=" + std::to_string(threads));
   }
 }
 
@@ -241,7 +237,9 @@ TEST(GroupCountByEstablishmentTest, TotalMatchesRowCount) {
   for (const auto& cell : grouped.cells) {
     total += cell.count;
     int64_t contrib_total = 0;
-    for (const auto& c : cell.contributions) contrib_total += c.count;
+    for (const auto& c : grouped.ContributionsOf(cell)) {
+      contrib_total += c.count;
+    }
     EXPECT_EQ(contrib_total, cell.count);
   }
   EXPECT_EQ(total, static_cast<int64_t>(t.num_rows()));

@@ -1,6 +1,6 @@
 // Self-test for tools/eep_lint (the package), wired into tier-1 CTest.
 //
-// Five checks, all shelling out to the linter with the source checkout
+// Six checks, all shelling out to the linter with the source checkout
 // baked in via EEP_SOURCE_DIR:
 //   1. the rule registry exposes the contracted rules, including the
 //      interprocedural flow rules (raw-count-egress, unaccounted-release)
@@ -15,7 +15,10 @@
 //      introduces a contract violation (or an unjustified suppression)
 //      fails tier-1 here, not just in the CI lint job;
 //   5. the --json artifact carries the full rule set and the counts the
-//      CI job uploads.
+//      CI job uploads;
+//   6. a compilation database that still names a deleted source (one
+//      configured before the deletion) is read past: the run gives the
+//      real tree's result.
 //
 // Skips (rather than fails) when python3 is not on PATH so the C++ test
 // suite stays runnable on build images without Python.
@@ -24,6 +27,7 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -138,6 +142,56 @@ TEST(LintFixtureTest, RealTreeLintsCleanAndWritesJson) {
         << "JSON artifact missing '" << needle << "':\n" << payload;
   }
   std::remove(json.c_str());
+}
+
+// The summary line ("eep_lint: N files, R rules, F findings, S
+// suppressed") of a run's output, or "" when it has none.
+std::string SummaryLine(const std::string& output) {
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("eep_lint: ", 0) == 0) return line;
+  }
+  return "";
+}
+
+TEST(LintFixtureTest, StaleCompileCommandsEntryIsSkipped) {
+  if (!HavePython()) GTEST_SKIP() << "python3 not on PATH";
+  namespace fs = std::filesystem;
+  const fs::path empty = "lint_no_compile_commands";
+  const fs::path stale = "lint_stale_compile_commands";
+  fs::remove_all(empty);
+  fs::remove_all(stale);
+  fs::create_directories(empty);
+  fs::create_directories(stale);
+  const std::string source_dir = EEP_SOURCE_DIR;
+  {
+    std::ofstream db(stale / "compile_commands.json");
+    db << "[{\"directory\": \"" << source_dir
+       << "\", \"command\": \"c++ -c src/table/deleted_source.cc\", "
+          "\"file\": \""
+       << source_dir << "/src/table/deleted_source.cc\"},\n"
+       << " {\"directory\": \"" << source_dir
+       << "\", \"command\": \"c++ -c src/table/group_by.cc\", "
+          "\"file\": \""
+       << source_dir << "/src/table/group_by.cc\"}]\n";
+  }
+  ASSERT_FALSE(fs::exists(source_dir + "/src/table/deleted_source.cc"));
+
+  std::string tree_walk;
+  ASSERT_EQ(RunLint("--root " + source_dir + " -p " + empty.string(),
+                    &tree_walk),
+            0)
+      << tree_walk;
+  std::string with_stale;
+  EXPECT_EQ(RunLint("--root " + source_dir + " -p " + stale.string(),
+                    &with_stale),
+            0)
+      << with_stale;
+  EXPECT_NE(SummaryLine(tree_walk), "") << tree_walk;
+  EXPECT_EQ(SummaryLine(with_stale), SummaryLine(tree_walk)) << with_stale;
+  fs::remove_all(empty);
+  fs::remove_all(stale);
 }
 
 }  // namespace

@@ -180,9 +180,16 @@ TEST(MarginalQueryTest, GroupedContributionsAccessible) {
                    .value();
   const auto* grouped = query.grouped().Find(query.cells()[0].key);
   ASSERT_NE(grouped, nullptr);
-  ASSERT_EQ(grouped->contributions.size(), 2u);
-  EXPECT_EQ(grouped->contributions[0].estab_id, 100);
-  EXPECT_EQ(grouped->contributions[0].count, 3);
+  const table::ContributionSpan contributions =
+      query.grouped().ContributionsOf(*grouped);
+  ASSERT_EQ(contributions.size(), 2u);
+  EXPECT_EQ(contributions[0].estab_id, 100);
+  EXPECT_EQ(contributions[0].count, 3);
+  // The cell's recorded grouped-cell index reaches the same range.
+  const table::ContributionSpan via_cell =
+      query.ContributionsOf(query.cells()[0]);
+  EXPECT_EQ(via_cell.data(), contributions.data());
+  EXPECT_EQ(via_cell.size(), contributions.size());
 }
 
 TEST(MarginalQueryTest, FindCellByValues) {

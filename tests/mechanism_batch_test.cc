@@ -34,7 +34,7 @@ std::vector<CellQuery> MixedCells(size_t n, bool with_contributions) {
   for (size_t i = 0; i < n; ++i) {
     cells[i].true_count = static_cast<int64_t>(3 + 97 * i % 1000);
     cells[i].x_v = static_cast<int64_t>(1 + i % 50);
-    if (with_contributions) cells[i].contributions = &kContribs;
+    if (with_contributions) cells[i].contributions = kContribs;
   }
   return cells;
 }

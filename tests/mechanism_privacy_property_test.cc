@@ -249,9 +249,9 @@ std::vector<CellQuery> FitCells() {
     return hundred;
   }();
   const CellQuery kinds[] = {{0, 0, nullptr},
-                             {7, 5, &small},
-                             {1234, 534, &mid},
-                             {25000, 250, &large}};
+                             {7, 5, small},
+                             {1234, 534, mid},
+                             {25000, 250, large}};
   std::vector<CellQuery> cells(kFitDraws);
   for (size_t i = 0; i < cells.size(); ++i) cells[i] = kinds[i % 4];
   return cells;

@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 
+#include "grouping_checks.h"
 #include "lodes/generator.h"
 #include "lodes/marginal.h"
 #include "lodes/workload.h"
@@ -55,21 +56,8 @@ TEST(PaperScaleTest, PaperExtractReleasesBitIdenticallyAcrossThreads) {
                           data.worker_full(), columns, lodes::kColEstabId,
                           table::GroupByOptions{threads})
                           .value();
-      ASSERT_EQ(parallel.cells.size(), single.cells.size())
-          << "threads=" << threads;
-      for (size_t i = 0; i < single.cells.size(); ++i) {
-        const table::GroupedCell& a = single.cells[i];
-        const table::GroupedCell& b = parallel.cells[i];
-        ASSERT_EQ(a.key, b.key) << "threads=" << threads;
-        ASSERT_EQ(a.count, b.count) << "threads=" << threads;
-        ASSERT_EQ(a.contributions.size(), b.contributions.size())
-            << "threads=" << threads;
-        for (size_t c = 0; c < a.contributions.size(); ++c) {
-          ASSERT_EQ(a.contributions[c].estab_id,
-                    b.contributions[c].estab_id);
-          ASSERT_EQ(a.contributions[c].count, b.contributions[c].count);
-        }
-      }
+      table::ExpectSameCells(single, parallel,
+                             "threads=" + std::to_string(threads));
     }
   }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "grouping_checks.h"
 #include "table/group_by.h"
 #include "table/group_by_cache.h"
 #include "table/rollup.h"
@@ -67,26 +68,6 @@ Table MakeRandomTable(uint64_t seed, size_t num_rows, int num_estabs) {
   return MakeShapedTable(seed, num_rows, shape);
 }
 
-void ExpectCellsEqual(const std::vector<GroupedCell>& expected,
-                      const std::vector<GroupedCell>& actual,
-                      const std::string& context) {
-  ASSERT_EQ(expected.size(), actual.size()) << context;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    const GroupedCell& e = expected[i];
-    const GroupedCell& a = actual[i];
-    ASSERT_EQ(e.key, a.key) << context << " cell " << i;
-    ASSERT_EQ(e.count, a.count) << context << " cell " << i;
-    ASSERT_EQ(e.contributions.size(), a.contributions.size())
-        << context << " cell " << i;
-    for (size_t c = 0; c < e.contributions.size(); ++c) {
-      ASSERT_EQ(e.contributions[c].estab_id, a.contributions[c].estab_id)
-          << context << " cell " << i;
-      ASSERT_EQ(e.contributions[c].count, a.contributions[c].count)
-          << context << " cell " << i;
-    }
-  }
-}
-
 TEST(RollupTest, MatchesDirectGroupByForEverySubsetShapeAndThreadCount) {
   struct Input {
     std::string name;
@@ -136,7 +117,7 @@ TEST(RollupTest, MatchesDirectGroupByForEverySubsetShapeAndThreadCount) {
         // Sorted or not, narrow or wide runs: the roll-up must agree bit for
         // bit with the direct scan, the equality that makes the planner's
         // choice unobservable.
-        ExpectCellsEqual(direct.cells, rolled.cells, context);
+        ExpectSameCells(direct, rolled, context);
       }
     }
   }
@@ -161,8 +142,8 @@ TEST(RollupTest, WideRunPrefixMergeMatchesDirect) {
                                 .value(),
                             threads)
             .value();
-    ExpectCellsEqual(direct.cells, rolled.cells,
-                     "wide-run threads=" + std::to_string(threads));
+    ExpectSameCells(direct, rolled,
+                    "wide-run threads=" + std::to_string(threads));
   }
 }
 
@@ -224,7 +205,7 @@ TEST(RollupTest, FuzzAdversarialColumnOrders) {
       context += "} columns={";
       for (const auto& c : columns) context += c + ",";
       context += "} threads=" + std::to_string(threads);
-      ExpectCellsEqual(direct.cells, rolled.cells, context);
+      ExpectSameCells(direct, rolled, context);
     }
   }
 }
@@ -248,7 +229,7 @@ TEST(RollupTest, RollupFromIntermediateGroupingStaysExact) {
           .value();
   const GroupedCounts direct =
       GroupCountByEstablishment(t, {"attr_b"}, "estab").value();
-  ExpectCellsEqual(direct.cells, leaf.cells, "two-step lattice");
+  ExpectSameCells(direct, leaf, "two-step lattice");
 }
 
 TEST(RollupTest, RejectsColumnsOutsideTheBaseGrouping) {
@@ -290,8 +271,7 @@ TEST(GroupByCacheTest, ServesExactHitsThenRollupsAndScansOnlyOnce) {
             (std::vector<std::string>{"attr_a", "attr_b", "attr_c"}));
   const GroupedCounts direct =
       GroupCountByEstablishment(t, {"attr_b", "attr_a"}, "estab").value();
-  ExpectCellsEqual(direct.cells, subset.value()->cells,
-                   "cache rollup");
+  ExpectSameCells(direct, *subset.value(), "cache rollup");
 }
 
 TEST(GroupByCacheTest, CostModelPrefersScanOverPathologicallyWideRollup) {
@@ -339,9 +319,8 @@ TEST(GroupByCacheTest, CostModelPrefersScanOverPathologicallyWideRollup) {
   auto non_prefix = cache.GetOrCompute(t, {"attr_b"}, "estab", {}, &outcome);
   ASSERT_TRUE(non_prefix.ok());
   EXPECT_EQ(outcome, GroupByCache::Outcome::kScan);
-  ExpectCellsEqual(
-      GroupCountByEstablishment(t, {"attr_b"}, "estab").value().cells,
-      non_prefix.value()->cells, "cost-model scan");
+  ExpectSameCells(GroupCountByEstablishment(t, {"attr_b"}, "estab").value(),
+                  *non_prefix.value(), "cost-model scan");
 
   // Prefix subset: one merge pass over the same wide entry is modeled
   // cheaper than the scan, and must be chosen.
@@ -351,11 +330,9 @@ TEST(GroupByCacheTest, CostModelPrefersScanOverPathologicallyWideRollup) {
   ASSERT_TRUE(prefix.ok());
   EXPECT_EQ(outcome, GroupByCache::Outcome::kPrefixMerge);
   EXPECT_EQ(source, (std::vector<std::string>{"attr_a", "attr_b", "attr_c"}));
-  ExpectCellsEqual(
-      GroupCountByEstablishment(t, {"attr_a", "attr_b"}, "estab")
-          .value()
-          .cells,
-      prefix.value()->cells, "cost-model prefix merge");
+  ExpectSameCells(
+      GroupCountByEstablishment(t, {"attr_a", "attr_b"}, "estab").value(),
+      *prefix.value(), "cost-model prefix merge");
 
   // The scan-served subset is cached like any other entry.
   ASSERT_TRUE(cache.GetOrCompute(t, {"attr_b"}, "estab", {}, &outcome).ok());

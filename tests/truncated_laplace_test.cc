@@ -34,7 +34,7 @@ TEST(TruncatedLaplaceTest, ScaleIsThetaOverEpsilon) {
 TEST(TruncatedLaplaceTest, TruncatedCountDropsRemovedEstablishments) {
   auto mech = TruncatedLaplaceMechanism::Create(10, 1.0, {7}).value();
   std::vector<table::EstabContribution> contribs = {{5, 4}, {7, 2000}, {9, 6}};
-  CellQuery cell{2010, 2000, &contribs};
+  CellQuery cell{2010, 2000, contribs};
   EXPECT_EQ(mech.TruncatedCount(cell).value(), 10);
 }
 
@@ -45,6 +45,9 @@ TEST(TruncatedLaplaceTest, RequiresContributionsForNonEmptyCells) {
   EXPECT_FALSE(mech.ReleaseBatch({{5, 5, nullptr}}, rng, &out).ok());
   // Empty cells are fine without contributions.
   EXPECT_TRUE(mech.ReleaseBatch({{0, 0, nullptr}}, rng, &out).ok());
+  // A given breakdown that is empty is not an absent one: nothing is kept.
+  const std::vector<table::EstabContribution> none;
+  EXPECT_EQ(mech.TruncatedCount({5, 5, none}).value(), 0);
 }
 
 TEST(TruncatedLaplaceTest, BiasDominatedByRemovedEmployment) {
@@ -52,7 +55,7 @@ TEST(TruncatedLaplaceTest, BiasDominatedByRemovedEmployment) {
   // establishments does not shrink as epsilon grows.
   auto mech = TruncatedLaplaceMechanism::Create(100, 4.0, {1}).value();
   std::vector<table::EstabContribution> contribs = {{1, 5000}, {2, 50}};
-  CellQuery cell{5050, 5000, &contribs};
+  CellQuery cell{5050, 5000, contribs};
   Rng rng(61);
   RunningStats err;
   for (const double v : ReleaseN(mech, cell, 50000, rng)) {
@@ -66,7 +69,7 @@ TEST(TruncatedLaplaceTest, BiasDominatedByRemovedEmployment) {
 TEST(TruncatedLaplaceTest, UnbiasedWhenNothingRemoved) {
   auto mech = TruncatedLaplaceMechanism::Create(100, 1.0, {}).value();
   std::vector<table::EstabContribution> contribs = {{1, 40}, {2, 50}};
-  CellQuery cell{90, 50, &contribs};
+  CellQuery cell{90, 50, contribs};
   Rng rng(67);
   RunningStats stats;
   for (const double v : ReleaseN(mech, cell, 100000, rng)) stats.Add(v);
@@ -78,7 +81,7 @@ TEST(TruncatedLaplaceTest, EpsilonCannotFixBias) {
   auto low_eps = TruncatedLaplaceMechanism::Create(100, 0.5, {1}).value();
   auto high_eps = TruncatedLaplaceMechanism::Create(100, 8.0, {1}).value();
   std::vector<table::EstabContribution> contribs = {{1, 3000}};
-  CellQuery cell{3000, 3000, &contribs};
+  CellQuery cell{3000, 3000, contribs};
   const double low = low_eps.ExpectedL1Error(cell).value();
   const double high = high_eps.ExpectedL1Error(cell).value();
   // 16x more budget improves error by < 7% because bias dominates.

@@ -7,6 +7,7 @@
 // (docs/ARCHITECTURE.md).
 #include <gtest/gtest.h>
 
+#include "grouping_checks.h"
 #include "lodes/generator.h"
 #include "lodes/workload.h"
 #include "release/pipeline.h"
@@ -45,19 +46,7 @@ void ExpectQueriesEqual(const lodes::MarginalQuery& expected,
   }
   // The grouped cells back the smooth-sensitivity mechanisms and the SDL
   // baseline; they must match contribution for contribution.
-  ASSERT_EQ(expected.grouped().cells.size(), actual.grouped().cells.size())
-      << context;
-  for (size_t i = 0; i < expected.grouped().cells.size(); ++i) {
-    const table::GroupedCell& e = expected.grouped().cells[i];
-    const table::GroupedCell& a = actual.grouped().cells[i];
-    ASSERT_EQ(e.key, a.key) << context;
-    ASSERT_EQ(e.count, a.count) << context;
-    ASSERT_EQ(e.contributions.size(), a.contributions.size()) << context;
-    for (size_t c = 0; c < e.contributions.size(); ++c) {
-      ASSERT_EQ(e.contributions[c].estab_id, a.contributions[c].estab_id);
-      ASSERT_EQ(e.contributions[c].count, a.contributions[c].count);
-    }
-  }
+  table::ExpectSameCells(expected.grouped(), actual.grouped(), context);
 }
 
 // The independent reference for the fused release: each marginal of

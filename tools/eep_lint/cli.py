@@ -47,6 +47,10 @@ def discover_files(root, build_dir):
                     continue
                 if SKIP_DIR_PARTS & set(rel.split(os.sep)):
                     continue
+                # A database configured before a source was deleted still
+                # names it; the tree walk below finds every live source.
+                if not os.path.isfile(path):
+                    continue
                 files.add(path)
     for sub in SCAN_DIRS:
         base = os.path.join(root, sub)

@@ -24,7 +24,7 @@ from symbols import CALL_RE, CPP_KEYWORDS
 
 # Types whose values are confidential by construction.
 SOURCE_TYPES = {
-    "GroupedCounts", "GroupedCell", "EstabContribution",
+    "GroupedCounts", "GroupedCell", "EstabContribution", "ContributionSpan",
     "MarginalQuery", "MarginalCell", "LodesDataset",
 }
 SOURCE_TYPE_RE = re.compile(r"\b(%s)\b" % "|".join(sorted(SOURCE_TYPES)))
